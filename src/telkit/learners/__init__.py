@@ -11,7 +11,7 @@ from typing import Union
 
 import numpy as np
 
-from .base import Scaler, VectorDataset, accuracy, majority_label
+from .base import Scaler, VectorDataset, accuracy, check_finite, majority_label
 from .grid import cross_val_accuracy, grid_search_cv, kfold_indices
 from .knn import KnnModel, fit_knn
 from .logit import LogitModel, fit_logit, logit_gradient, logit_loss
@@ -57,6 +57,7 @@ def fit(spec: ClassifierSpec, data: VectorDataset, seed: int) -> TrainedModel:
     """Train a base learner of the spec's kind; deterministic per seed."""
     if data.n_samples == 0:
         raise ValueError("cannot fit on an empty dataset")
+    check_finite(data.features)
     return _FITTERS[spec.kind](spec, data, seed)
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["VectorDataset", "Scaler", "standardize_fit", "majority_label",
-           "check_features", "accuracy"]
+           "check_finite", "check_features", "accuracy"]
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,14 @@ def majority_label(labels: np.ndarray) -> int:
     return int(values[np.argmax(counts)])
 
 
+def check_finite(X: np.ndarray) -> None:
+    """Reject NaN or infinite features, naming the first such row."""
+    finite = np.isfinite(X)
+    if not finite.all():
+        row = int(np.argmin(finite.all(axis=1)))
+        raise ValueError(f"feature row {row} has a non-finite value")
+
+
 def check_features(X: np.ndarray, expected_width: int) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -74,6 +82,7 @@ def check_features(X: np.ndarray, expected_width: int) -> np.ndarray:
             f"feature width {X.shape[1]} does not match training width "
             f"{expected_width}"
         )
+    check_finite(X)
     return X
 
 

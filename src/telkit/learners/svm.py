@@ -6,7 +6,10 @@ more than ``tolerance`` pick a random partner from a seeded stream and
 solve the two-variable subproblem analytically.  Optimization ends after
 ``max_passes`` consecutive sweeps without a change (plus a hard sweep
 cap as a safety net).  The pairwise update keeps sum(alpha_i * y_i) = 0
-and 0 <= alpha_i <= C throughout.
+and 0 <= alpha_i <= C throughout.  The loop keeps alpha * y up to date in
+place and does its scalar work on Python floats, with every floating-point
+operation in the textbook order, so the SMO path and its results are those
+of a direct transcription of the algorithm.
 
 Kernels: poly  (gamma * <x, y> + coef0) ** degree
          rbf   exp(-gamma * ||x - y||^2)
@@ -93,25 +96,33 @@ def _smo(
 ) -> tuple[np.ndarray, float]:
     """Solve one binary dual problem; returns (alphas, bias)."""
     m = y.size
-    alphas = np.zeros(m)
+    a = [0.0] * m  # the alphas
+    ay = np.zeros(m) * y  # alphas * y, updated where alphas change
+    # Python-float copies for the scalar work; columns are views of K
+    ys = y.tolist()
+    diag = np.diagonal(K).tolist()
+    columns = [K[:, i] for i in range(m)]
+    dot = ay.dot  # same product as np.dot(ay, column), minus the dispatch
     b = 0.0
     quiet_passes = 0
     sweeps = 0
     while quiet_passes < max_passes and sweeps < _SWEEP_CAP:
         changed = 0
         for i in range(m):
-            E_i = float(np.dot(alphas * y, K[:, i])) + b - y[i]
-            violates = (y[i] * E_i < -tolerance and alphas[i] < C) or (
-                y[i] * E_i > tolerance and alphas[i] > 0
+            y_i = ys[i]
+            E_i = float(dot(columns[i])) + b - y_i
+            violates = (y_i * E_i < -tolerance and a[i] < C) or (
+                y_i * E_i > tolerance and a[i] > 0
             )
             if not violates:
                 continue
             j = int(rng.integers(0, m - 1))
             if j >= i:
                 j += 1
-            E_j = float(np.dot(alphas * y, K[:, j])) + b - y[j]
-            a_i_old, a_j_old = alphas[i], alphas[j]
-            if y[i] != y[j]:
+            y_j = ys[j]
+            E_j = float(dot(columns[j])) + b - y_j
+            a_i_old, a_j_old = a[i], a[j]
+            if y_i != y_j:
                 L = max(0.0, a_j_old - a_i_old)
                 H = min(C, C + a_j_old - a_i_old)
             else:
@@ -119,26 +130,28 @@ def _smo(
                 H = min(C, a_i_old + a_j_old)
             if L == H:
                 continue
-            eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
+            K_ij = float(K[i, j])
+            eta = 2.0 * K_ij - diag[i] - diag[j]
             if eta >= 0:
                 continue
-            a_j = a_j_old - y[j] * (E_i - E_j) / eta
+            a_j = a_j_old - y_j * (E_i - E_j) / eta
             a_j = min(H, max(L, a_j))
             if abs(a_j - a_j_old) < _MIN_ALPHA_STEP:
                 continue
-            a_i = a_i_old + y[i] * y[j] * (a_j_old - a_j)
-            alphas[i], alphas[j] = a_i, a_j
+            a_i = a_i_old + y_i * y_j * (a_j_old - a_j)
+            a[i], a[j] = a_i, a_j
+            ay[i], ay[j] = a_i * y_i, a_j * y_j
             b1 = (
                 b
                 - E_i
-                - y[i] * (a_i - a_i_old) * K[i, i]
-                - y[j] * (a_j - a_j_old) * K[i, j]
+                - y_i * (a_i - a_i_old) * diag[i]
+                - y_j * (a_j - a_j_old) * K_ij
             )
             b2 = (
                 b
                 - E_j
-                - y[i] * (a_i - a_i_old) * K[i, j]
-                - y[j] * (a_j - a_j_old) * K[j, j]
+                - y_i * (a_i - a_i_old) * K_ij
+                - y_j * (a_j - a_j_old) * diag[j]
             )
             if 0 < a_i < C:
                 b = b1
@@ -149,7 +162,7 @@ def _smo(
             changed += 1
         quiet_passes = quiet_passes + 1 if changed == 0 else 0
         sweeps += 1
-    return alphas, b
+    return np.array(a, dtype=np.float64), b
 
 
 def fit_svm(spec: ClassifierSpec, data: VectorDataset, seed: int) -> SvmModel:

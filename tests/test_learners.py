@@ -2,18 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from telkit.learners import (
     ClassifierSpec,
+    TreeNode,
     VectorDataset,
     accuracy,
     fit,
     grid_search_cv,
+    kernel_matrix,
     kfold_indices,
+    majority_label,
     predict,
 )
 from telkit.learners.logit import logit_gradient, logit_loss
-from telkit.learners.svm import SvmModel
+from telkit.learners.svm import _MIN_ALPHA_STEP, _SWEEP_CAP, SvmModel, _smo
+from telkit.learners.tree import _best_split
 
 
 def blobs(rng, centers, per_class, spread=0.3):
@@ -23,6 +30,215 @@ def blobs(rng, centers, per_class, spread=0.3):
         rows.append(center + spread * rng.standard_normal((per_class, len(center))))
         labels.extend([label] * per_class)
     return VectorDataset(np.vstack(rows), np.array(labels))
+
+
+# Reference implementations: the direct O(n^2)-per-feature split search and
+# the direct SMO loop.  The library versions must reproduce them bit for bit.
+
+
+def reference_gini(labels):
+    _, counts = np.unique(labels, return_counts=True)
+    p = counts / labels.size
+    return 1.0 - float(np.sum(p * p))
+
+
+def reference_best_split(X, y):
+    n = y.size
+    best = None  # (weighted_gini, feature, threshold)
+    for feature in range(X.shape[1]):
+        column = X[:, feature]
+        uniques = np.unique(column)
+        if uniques.size < 2:
+            continue
+        for lo, hi in zip(uniques[:-1], uniques[1:]):
+            threshold = (lo + hi) / 2.0
+            mask = column <= threshold
+            n_left = int(mask.sum())
+            weighted = (
+                n_left * reference_gini(y[mask])
+                + (n - n_left) * reference_gini(y[~mask])
+            ) / n
+            key = (weighted, feature, threshold)
+            if best is None or key < best:
+                best = key
+    if best is None:
+        return None
+    return best[1], best[2]
+
+
+def reference_grow(X, y, depth, spec):
+    if (
+        np.unique(y).size == 1
+        or depth >= spec["max_depth"]
+        or y.size < spec["min_samples_split"]
+    ):
+        return TreeNode(label=majority_label(y))
+    split = reference_best_split(X, y)
+    if split is None:
+        return TreeNode(label=majority_label(y))
+    feature, threshold = split
+    mask = X[:, feature] <= threshold
+    return TreeNode(
+        feature=feature,
+        threshold=threshold,
+        left=reference_grow(X[mask], y[mask], depth + 1, spec),
+        right=reference_grow(X[~mask], y[~mask], depth + 1, spec),
+    )
+
+
+def reference_smo(K, y, C, tolerance, max_passes, rng):
+    m = y.size
+    alphas = np.zeros(m)
+    b = 0.0
+    quiet_passes = 0
+    sweeps = 0
+    while quiet_passes < max_passes and sweeps < _SWEEP_CAP:
+        changed = 0
+        for i in range(m):
+            E_i = float(np.dot(alphas * y, K[:, i])) + b - y[i]
+            violates = (y[i] * E_i < -tolerance and alphas[i] < C) or (
+                y[i] * E_i > tolerance and alphas[i] > 0
+            )
+            if not violates:
+                continue
+            j = int(rng.integers(0, m - 1))
+            if j >= i:
+                j += 1
+            E_j = float(np.dot(alphas * y, K[:, j])) + b - y[j]
+            a_i_old, a_j_old = alphas[i], alphas[j]
+            if y[i] != y[j]:
+                L = max(0.0, a_j_old - a_i_old)
+                H = min(C, C + a_j_old - a_i_old)
+            else:
+                L = max(0.0, a_i_old + a_j_old - C)
+                H = min(C, a_i_old + a_j_old)
+            if L == H:
+                continue
+            eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
+            if eta >= 0:
+                continue
+            a_j = a_j_old - y[j] * (E_i - E_j) / eta
+            a_j = min(H, max(L, a_j))
+            if abs(a_j - a_j_old) < _MIN_ALPHA_STEP:
+                continue
+            a_i = a_i_old + y[i] * y[j] * (a_j_old - a_j)
+            alphas[i], alphas[j] = a_i, a_j
+            b1 = (
+                b
+                - E_i
+                - y[i] * (a_i - a_i_old) * K[i, i]
+                - y[j] * (a_j - a_j_old) * K[i, j]
+            )
+            b2 = (
+                b
+                - E_j
+                - y[i] * (a_i - a_i_old) * K[i, j]
+                - y[j] * (a_j - a_j_old) * K[j, j]
+            )
+            if 0 < a_i < C:
+                b = b1
+            elif 0 < a_j < C:
+                b = b2
+            else:
+                b = (b1 + b2) / 2.0
+            changed += 1
+        quiet_passes = quiet_passes + 1 if changed == 0 else 0
+        sweeps += 1
+    return alphas, b
+
+
+def split_case(kind, seed):
+    """Features and labels of one split-search case."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    d = int(rng.integers(1, 9))
+    classes = 2 + seed % 4
+    if kind == "gaussian":
+        X = rng.standard_normal((n, d))
+    elif kind == "integer-ties":
+        X = rng.integers(-2, 3, size=(n, d)).astype(float)
+    elif kind == "many-classes":
+        X = rng.integers(0, 6, size=(n, d)) * 0.1
+        classes = 8 + seed % 12
+    elif kind == "adjacent-floats":  # midpoints round onto the upper value
+        X = 1.0 + rng.integers(0, 4, size=(n, d)) * np.spacing(1.0)
+    else:  # extreme magnitudes: midpoints overflow to +-inf
+        X = rng.choice([-1.7e308, -1e308, 0.0, 1e308, 1.7e308], size=(n, d))
+    y = rng.integers(0, classes, size=n) * 2 + 1
+    return X, y
+
+
+SPLIT_KINDS = [
+    "gaussian",
+    "integer-ties",
+    "many-classes",
+    "adjacent-floats",
+    "extreme-magnitudes",
+]
+
+
+class TestSplitSearchExactness:
+    @pytest.mark.parametrize("kind", SPLIT_KINDS)
+    def test_best_split_matches_reference(self, kind):
+        for seed in range(60):
+            X, y = split_case(kind, seed)
+            with np.errstate(over="ignore"):
+                assert _best_split(X, y) == reference_best_split(X, y), seed
+
+    @pytest.mark.parametrize("kind", SPLIT_KINDS)
+    def test_grown_tree_matches_reference(self, kind):
+        spec = ClassifierSpec("tree", {"max_depth": 6})
+        for seed in range(12):
+            X, y = split_case(kind, seed)
+            if np.unique(y).size < 2:
+                continue
+            data = VectorDataset(X, y)
+            with np.errstate(over="ignore"):
+                try:
+                    expected = reference_grow(X, y, 0, spec)
+                except ValueError:
+                    # a midpoint rounded onto the largest value left a child
+                    # empty; the library fails the same way
+                    with pytest.raises(ValueError):
+                        fit(spec, data, seed=0)
+                    continue
+                assert fit(spec, data, seed=0).root == expected, seed
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(2, 30),
+        d=st.integers(1, 5),
+        classes=st.integers(2, 12),
+    )
+    def test_best_split_property(self, data, n, d, classes):
+        values = st.one_of(
+            st.integers(-3, 3).map(float),
+            st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+        )
+        X = data.draw(hnp.arrays(np.float64, (n, d), elements=values))
+        y = np.array(data.draw(st.lists(st.integers(0, classes - 1),
+                                        min_size=n, max_size=n)))
+        assert _best_split(X, y) == reference_best_split(X, y)
+
+
+class TestSmoExactness:
+    @pytest.mark.parametrize("kernel", ["rbf", "poly"])
+    @pytest.mark.parametrize("C", [0.5, 1, 10.0])
+    def test_matches_reference_bit_for_bit(self, kernel, C):
+        spec = ClassifierSpec("svm", {"kernel": kernel, "C": C, "degree": 2})
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            m = 24 + 6 * seed
+            X = rng.standard_normal((m, 3))
+            # overlapping classes, so many multipliers reach the bound C
+            y = np.where(X[:, 0] + 0.8 * rng.standard_normal(m) > 0, 1.0, -1.0)
+            K = kernel_matrix(spec, X, X)
+            args = (K, y, C, spec["tolerance"], spec["max_passes"])
+            alphas, bias = _smo(*args, np.random.default_rng(seed))
+            ref_alphas, ref_bias = reference_smo(*args, np.random.default_rng(seed))
+            assert np.array_equal(alphas, ref_alphas), seed
+            assert bias == ref_bias, seed
 
 
 class TestClassifierSpec:
@@ -260,6 +476,25 @@ class TestDatasetValidation:
     def test_accuracy_rejects_empty(self):
         with pytest.raises(ValueError, match="empty"):
             accuracy(np.empty(0), np.empty(0))
+
+
+class TestNonFiniteFeatures:
+    @pytest.mark.parametrize("kind", ["knn", "tree", "logit", "svm"])
+    def test_fit_names_first_non_finite_row(self, kind):
+        # separable 1-D set with one NaN row
+        features = np.array([[0.0], [0.1], [np.nan], [1.0], [1.1], [np.inf]])
+        data = VectorDataset(features, np.array([0, 0, 0, 1, 1, 1]))
+        with pytest.raises(ValueError, match="row 2 "):
+            fit(ClassifierSpec(kind, {"k": 1} if kind == "knn" else {}), data, 0)
+
+    @pytest.mark.parametrize("kind", ["knn", "tree", "logit", "svm"])
+    def test_predict_names_first_non_finite_row(self, kind):
+        data = VectorDataset(
+            np.array([[0.0], [0.1], [1.0], [1.1]]), np.array([0, 0, 1, 1])
+        )
+        model = fit(ClassifierSpec(kind, {"k": 1} if kind == "knn" else {}), data, 0)
+        with pytest.raises(ValueError, match="row 1 "):
+            model.predict(np.array([[0.05], [-np.inf], [np.nan]]))
 
 
 class TestGridSearch:
