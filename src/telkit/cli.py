@@ -113,11 +113,13 @@ def _cmd_train(args) -> int:
     if config.method == "telvi":
         if config.rank is None:
             raise ValueError("train with method telvi requires an explicit rank")
-        decompositions = [hosvd(x, config.rank) for x in data.samples]
-        datasets = regroup(decompositions, data.labels)
-        chosen = tune_shared_spec(
-            config.base_grid, datasets, config.cv_folds, tune_seed
-        )
+        chosen = config.base_grid[0]
+        if len(config.base_grid) > 1:
+            decompositions = [hosvd(x, config.rank) for x in data.samples]
+            datasets = regroup(decompositions, data.labels)
+            chosen = tune_shared_spec(
+                config.base_grid, datasets, config.cv_folds, tune_seed
+            )
         model = telvi_fit(data, config.rank, chosen, fit_seed)
     elif config.method == "bagging":
         chosen = config.base_grid[0]

@@ -101,9 +101,19 @@ def relative_error(x: DenseTensor, approx: DenseTensor) -> float:
     return diff / denom
 
 
-def _mean_error(samples: Sequence[DenseTensor], rank: MultilinearRank) -> float:
-    errors = [relative_error(x, reconstruct(hosvd(x, rank))) for x in samples]
-    return float(np.mean(errors))
+def _tail_errors(
+    energy: np.ndarray, norms: np.ndarray, rank: MultilinearRank
+) -> np.ndarray:
+    """Per-sample relative error at ``rank`` from squared full-rank cores."""
+    # Core energy outside the leading block, as N disjoint slabs: the
+    # total minus the block would cancel to about sqrt(eps).
+    lead = tuple(slice(r) for r in rank)
+    axes = tuple(range(1, energy.ndim))
+    tail = sum(
+        energy[(slice(None),) + lead[:n] + (slice(r, None),)].sum(axis=axes)
+        for n, r in enumerate(rank)
+    )
+    return np.sqrt(tail) / np.where(norms > 0.0, norms, 1.0)  # 0 when x = 0
 
 
 def _storage(rank: MultilinearRank, shape: tuple[int, ...]) -> int:
@@ -118,9 +128,14 @@ def rank_search(
     Greedy coordinate descent from full rank: repeatedly decrement the
     mode whose decrement keeps the mean relative error lowest, stopping
     when any further decrement would exceed ``max_relative_error``.
-    Ties between modes are broken by smaller storage cost
-    (prod(R) + sum(I_n * R_n)), then by lower mode index.  With an
-    unattainable threshold (e.g. 0) the full rank is returned.
+    Ties go to smaller storage (prod(R) + sum(I_n * R_n)), then to the
+    lower mode; an unattainable threshold (e.g. 0) returns full rank.
+
+    Exact, from one full-rank HOSVD per sample and then O(M * prod(I))
+    per candidate: rank-R factors are prefixes of the full-rank ones, so
+    X_R = X x_n U_n U_n^T is an orthogonal projection and ||X - X_R||^2
+    is the energy of the full core (||G|| = ||X||) outside its leading
+    R block.
     """
     if len(samples) == 0:
         raise ValueError("rank_search needs at least one sample")
@@ -135,13 +150,15 @@ def rank_search(
                 f"samples disagree in shape: {x.shape} vs {shape}"
             )
     current = clamp_rank(shape, shape)  # full rank, clamped
+    energy = np.stack([hosvd(x, current).core.to_array() ** 2 for x in samples])
+    norms = np.array([frobenius_norm(x) for x in samples])
     while True:
         best = None  # (mean_error, storage, mode, candidate)
         for n in range(len(shape)):
             if current[n] <= 1:
                 continue
             candidate = current[:n] + (current[n] - 1,) + current[n + 1 :]
-            err = _mean_error(samples, candidate)
+            err = float(np.mean(_tail_errors(energy, norms, candidate)))
             if err > max_relative_error:
                 continue
             key = (err, _storage(candidate, shape), n)

@@ -17,6 +17,7 @@ from telkit.experiment import (
 )
 from telkit.learners import ClassifierSpec, VectorDataset, fit
 from telkit.model_io import load_model, save_model
+from telkit.seeding import mix_seed
 from telkit.synth import BENCHMARK_SPEC
 from telkit.tensor import DenseTensor
 
@@ -123,7 +124,7 @@ class TestRunExperiment:
         report = run_experiment(
             benchmark_config(rank=None, rank_search_threshold=0.35)
         )
-        assert report.effective_rank is not None
+        assert report.effective_rank == [2, 2, 1]
         assert len(report.per_learner) == sum(report.effective_rank)
 
     def test_grid_selection_is_reported(self):
@@ -316,6 +317,21 @@ class TestCli:
         lines = pred_path.read_text().strip().splitlines()
         assert lines[0] == "index,label"
         assert len(lines) == 1 + 160
+
+    def test_single_spec_telvi_train_matches_library_fit(
+        self, config_files, capsys
+    ):
+        tmp_path, _, experiment = config_files
+        cli_path = tmp_path / "cli_model.json"
+        lib_path = tmp_path / "lib_model.json"
+        assert main(["train", "--config", str(experiment), "--out", str(cli_path)]) == 0
+        config = ExperimentConfig.from_dict(json.loads(experiment.read_text()))
+        model = telvi_fit(  # train fits on the full dataset with slot 3
+            tk.synth_generate(BENCHMARK_SPEC), config.rank,
+            config.base_grid[0], mix_seed(config.seed, 3),
+        )
+        save_model(model, lib_path)
+        assert cli_path.read_bytes() == lib_path.read_bytes()
 
     def test_experiment_writes_report_and_csv(self, config_files, capsys):
         tmp_path, _, experiment = config_files

@@ -1,12 +1,27 @@
 """HOSVD: factorization contracts, truncation bounds, rank search."""
 
+import importlib
 import itertools
 
 import numpy as np
 import pytest
 
-from telkit.hosvd import clamp_rank, hosvd, rank_search, reconstruct, relative_error
-from telkit.tensor import DenseTensor, frobenius_norm, outer_product, unfold
+from telkit.hosvd import (
+    _storage,
+    _tail_errors,
+    clamp_rank,
+    hosvd,
+    rank_search,
+    reconstruct,
+    relative_error,
+)
+from telkit.tensor import (
+    DenseTensor,
+    frobenius_norm,
+    mode_n_product,
+    outer_product,
+    unfold,
+)
 
 
 def random_tensor(rng, shape) -> DenseTensor:
@@ -23,6 +38,52 @@ def outer_sum_reconstruction(factors) -> np.ndarray:
         )
         out += core[idx] * rank1.to_array()
     return out
+
+
+def low_rank_samples(rng, shape, m, noise) -> list[DenseTensor]:
+    """Samples of multilinear rank <= 2 per mode plus Gaussian noise."""
+    core_shape = tuple(min(2, i) for i in shape)
+    samples = []
+    for _ in range(m):
+        x = DenseTensor.from_array(rng.standard_normal(core_shape))
+        for n, i in enumerate(shape):
+            x = mode_n_product(x, rng.standard_normal((i, core_shape[n])), n)
+        samples.append(
+            DenseTensor.from_array(
+                x.to_array() + noise * rng.standard_normal(shape)
+            )
+        )
+    return samples
+
+
+def reference_rank_search(samples, max_relative_error):
+    """The greedy search scored by decomposing and reconstructing every
+    sample at every candidate rank (the implementation the core-energy
+    search replaced)."""
+
+    def mean_error(rank):
+        errors = [
+            relative_error(x, reconstruct(hosvd(x, rank))) for x in samples
+        ]
+        return float(np.mean(errors))
+
+    shape = samples[0].shape
+    current = clamp_rank(shape, shape)
+    while True:
+        best = None
+        for n in range(len(shape)):
+            if current[n] <= 1:
+                continue
+            candidate = current[:n] + (current[n] - 1,) + current[n + 1 :]
+            err = mean_error(candidate)
+            if err > max_relative_error:
+                continue
+            key = (err, _storage(candidate, shape), n)
+            if best is None or key < best[0]:
+                best = (key, candidate)
+        if best is None:
+            return current
+        current = best[1]
 
 
 def unfolding_spectra(x: DenseTensor) -> list[np.ndarray]:
@@ -208,3 +269,97 @@ class TestRankSearch:
         samples = [random_tensor(rng, (2, 2))]
         with pytest.raises(ValueError, match="max_relative_error"):
             rank_search(samples, 1.0)
+
+    @pytest.mark.parametrize(
+        "shape", [(12, 12, 3), (8, 8, 3), (10, 2, 2), (5, 7), (3, 4, 2, 3)]
+    )
+    def test_matches_reconstruct_based_reference(self, shape):
+        # (10, 2, 2) clamps mode 0 to 4; the noise levels take the search
+        # from full rank down to (1, ..., 1) across the thresholds.
+        for seed, noise in [(0, 0.05), (1, 0.3), (2, 1.0)]:
+            rng = np.random.default_rng([167, seed, *shape])
+            samples = low_rank_samples(rng, shape, 4, noise)
+            for threshold in (0.0, 0.05, 0.1, 0.3, 0.6):
+                assert rank_search(samples, threshold) == (
+                    reference_rank_search(samples, threshold)
+                ), (seed, threshold)
+
+    def test_core_tail_error_equals_reconstruction_error(self):
+        rng = np.random.default_rng(173)
+        shape = (6, 5, 3)
+        x = random_tensor(rng, shape)
+        energy = hosvd(x, shape).core.to_array()[np.newaxis] ** 2
+        norms = np.array([frobenius_norm(x)])
+        ranks = list(itertools.product(*(range(1, i + 1) for i in shape)))
+        # at full rank the tail is exactly 0; reconstruction rounds to ~eps
+        assert ranks.pop() == shape
+        assert _tail_errors(energy, norms, shape)[0] == 0.0
+        for rank in ranks:
+            tail = _tail_errors(energy, norms, rank)[0]
+            direct = relative_error(x, reconstruct(hosvd(x, rank)))
+            assert abs(tail - direct) <= 1e-12 * direct, rank
+
+    def test_core_tail_error_accurate_for_small_errors(self):
+        # Errors near 1e-6 of ||x||: the slab sum keeps full relative
+        # accuracy, while ||x||^2 - ||block||^2 would be off by about
+        # eps / 1e-12 in relative terms.
+        rng = np.random.default_rng(197)
+        shape = (6, 5, 3)
+        (x,) = low_rank_samples(rng, shape, 1, 1e-6)
+        energy = hosvd(x, shape).core.to_array()[np.newaxis] ** 2
+        norms = np.array([frobenius_norm(x)])
+        ranks = list(itertools.product(*(range(2, i + 1) for i in shape)))
+        assert ranks.pop() == shape
+        for rank in ranks:
+            tail = _tail_errors(energy, norms, rank)[0]
+            direct = relative_error(x, reconstruct(hosvd(x, rank)))
+            assert direct < 1e-5
+            assert abs(tail - direct) <= 1e-8 * direct, rank
+
+    def test_all_zero_sample_among_others(self):
+        rng = np.random.default_rng(179)
+        samples = low_rank_samples(rng, (6, 5, 3), 4, 0.2)
+        samples.insert(2, DenseTensor.from_array(np.zeros((6, 5, 3))))
+        for threshold in (0.0, 0.1, 0.3):
+            assert rank_search(samples, threshold) == (
+                reference_rank_search(samples, threshold)
+            )
+        energy = np.stack(
+            [hosvd(x, (6, 5, 3)).core.to_array() ** 2 for x in samples]
+        )
+        norms = np.array([frobenius_norm(x) for x in samples])
+        errors = _tail_errors(energy, norms, (2, 2, 1))
+        assert np.all(np.isfinite(errors))
+        assert errors[2] == 0.0
+
+    def test_all_zero_samples_reach_rank_one(self):
+        samples = [DenseTensor.from_array(np.zeros((4, 3, 2))) for _ in range(3)]
+        assert rank_search(samples, 0.0) == (1, 1, 1)
+
+    def test_non_finite_sample_rejected(self):
+        rng = np.random.default_rng(181)
+        samples = [random_tensor(rng, (3, 3, 2)) for _ in range(2)]
+        samples.append(DenseTensor((3, 3, 2), [np.nan] + [0.0] * 17))
+        with pytest.raises(ValueError, match="hosvd input contains non-finite"):
+            rank_search(samples, 0.1)
+
+    def test_decomposes_each_sample_once(self, monkeypatch):
+        # the package re-exports ``hosvd``, shadowing the module attribute
+        module = importlib.import_module("telkit.hosvd")
+        calls = []
+        original = module.hosvd
+
+        def counting_hosvd(x, rank):
+            calls.append(tuple(rank))
+            return original(x, rank)
+
+        def no_reconstruct(f):
+            raise AssertionError("rank_search must not reconstruct")
+
+        monkeypatch.setattr(module, "hosvd", counting_hosvd)
+        monkeypatch.setattr(module, "reconstruct", no_reconstruct)
+        rng = np.random.default_rng(191)
+        samples = low_rank_samples(rng, (8, 8, 3), 5, 0.1)
+        rank = rank_search(samples, 0.3)
+        assert rank != (8, 8, 3)  # the search took several steps
+        assert calls == [(8, 8, 3)] * len(samples)
