@@ -26,7 +26,6 @@ from .learners import (
     accuracy,
     fit,
     grid_search_cv,
-    predict,
 )
 from .linalg import PcaModel, SvdResult, pca_fit, pca_transform, thin_svd, truncated_svd
 from .synth import BENCHMARK_SPEC, SyntheticSpec, synth_generate
@@ -62,7 +61,6 @@ __all__ = [
     "ClassifierSpec",
     "VectorDataset",
     "fit",
-    "predict",
     "accuracy",
     "grid_search_cv",
     "LabeledTensorDataset",

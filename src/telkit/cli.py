@@ -18,27 +18,22 @@ from .canonical import dump_canonical
 from .ensemble import (
     BaggingModel,
     TelviModel,
-    bagging_fit,
     bagging_predict,
     flatten_samples,
-    regroup,
-    telvi_fit,
     telvi_predict,
 )
 from .experiment import (
     ExperimentConfig,
     load_dataset,
     run_experiment,
-    tune_shared_spec,
+    train_model,
     write_learner_csv,
     write_report,
 )
 from .hosvd import hosvd, relative_error, reconstruct
 from .io import load_tensor_dataset, save_tensor_dataset
-from .learners import VectorDataset, accuracy, fit, grid_search_cv
-from .linalg import pca_fit, pca_transform
+from .learners import accuracy
 from .model_io import load_model, save_model
-from .seeding import mix_seed
 from .synth import SyntheticSpec, synth_generate
 
 
@@ -108,39 +103,7 @@ def _cmd_train(args) -> int:
             {**config.to_dict(), "seed": args.seed}
         )
     data = load_dataset(config)
-    tune_seed = mix_seed(config.seed, 2)
-    fit_seed = mix_seed(config.seed, 3)
-    if config.method == "telvi":
-        if config.rank is None:
-            raise ValueError("train with method telvi requires an explicit rank")
-        chosen = config.base_grid[0]
-        if len(config.base_grid) > 1:
-            decompositions = [hosvd(x, config.rank) for x in data.samples]
-            datasets = regroup(decompositions, data.labels)
-            chosen = tune_shared_spec(
-                config.base_grid, datasets, config.cv_folds, tune_seed
-            )
-        model = telvi_fit(data, config.rank, chosen, fit_seed)
-    elif config.method == "bagging":
-        chosen = config.base_grid[0]
-        if len(config.base_grid) > 1:
-            vectors = flatten_samples(data.samples)
-            pca = pca_fit(vectors, config.pca_dim)
-            reduced = VectorDataset(pca_transform(pca, vectors), data.labels)
-            chosen = grid_search_cv(
-                list(config.base_grid), reduced, config.cv_folds, tune_seed
-            )
-        model = bagging_fit(
-            data, config.n_estimators, config.pca_dim, chosen, fit_seed
-        )
-    else:
-        vectors = VectorDataset(flatten_samples(data.samples), data.labels)
-        chosen = config.base_grid[0]
-        if len(config.base_grid) > 1:
-            chosen = grid_search_cv(
-                list(config.base_grid), vectors, config.cv_folds, tune_seed
-            )
-        model = fit(chosen, vectors, fit_seed)
+    model, _ = train_model(config, data)
     save_model(model, args.out)
     print(f"trained {config.method} model on {data.n_samples} samples -> {args.out}")
     return 0

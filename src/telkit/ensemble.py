@@ -8,6 +8,9 @@ The tensor route trains one base learner per factor-matrix column:
 4. classify new samples by majority vote over the learners' labels for
    the sample's own factor columns.
 
+``telvi_fit`` runs steps 1-3; ``telvi_fit_regrouped`` runs step 3 alone, so
+a caller that tuned on the regrouped datasets does not decompose twice.
+
 The bagging baseline flattens samples column-major, reduces with PCA and
 trains the same base-learner kind on bootstrap resamples.  Both routes
 share the vote tally and its tie rule (lowest class label wins ties).
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -35,6 +38,7 @@ __all__ = [
     "majority_vote",
     "regroup",
     "telvi_fit",
+    "telvi_fit_regrouped",
     "telvi_predict",
     "bagging_fit",
     "bagging_predict",
@@ -162,25 +166,39 @@ def telvi_fit(
     base: ClassifierSpec,
     seed: int,
 ) -> TelviModel:
-    """Decompose, regroup and train one base learner per factor column.
+    """Decompose, regroup and train one base learner per factor column."""
+    decompositions = [hosvd(x, rank) for x in data.samples]
+    return telvi_fit_regrouped(
+        regroup(decompositions, data.labels), data.shape, base, seed
+    )
 
-    Learner (n, r) trains with seed mix_seed(seed, flat index), so a
-    parallel training schedule cannot change the result.
+
+def telvi_fit_regrouped(
+    datasets: Mapping[tuple[int, int], VectorDataset],
+    shape: tuple[int, ...],
+    base: ClassifierSpec,
+    seed: int,
+) -> TelviModel:
+    """Train one base learner per dataset from ``regroup`` of samples of
+    ``shape``.  Learner (n, r) trains with seed mix_seed(seed, flat index),
+    so a parallel training schedule cannot change the result.
     """
-    if data.n_samples < 2:
+    keys = sorted(datasets)
+    labels = datasets[keys[0]].labels
+    if labels.size < 2:
         raise ValueError("training needs at least two samples")
-    class_labels = np.unique(data.labels)
+    class_labels = np.unique(labels)
     if class_labels.size < 2:
         raise ValueError("training needs at least two classes")
-    decompositions = [hosvd(x, rank) for x in data.samples]
-    datasets = regroup(decompositions, data.labels)
     base_models = {
-        key: fit(base, dataset, mix_seed(seed, flat))
-        for flat, (key, dataset) in enumerate(sorted(datasets.items()))
+        key: fit(base, datasets[key], mix_seed(seed, flat))
+        for flat, key in enumerate(keys)
     }
+    # regroup makes datasets (n, 0) .. (n, R_n - 1) for every mode n
+    rank = tuple(sum(1 for m, _ in keys if m == n) for n in range(len(shape)))
     return TelviModel(
-        rank=decompositions[0].effective_rank,
-        shape=data.shape,
+        rank=rank,
+        shape=tuple(shape),
         base_spec=base,
         base_models=base_models,
         class_labels=class_labels,

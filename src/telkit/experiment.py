@@ -25,12 +25,13 @@ from .ensemble import (
     flatten_samples,
     majority_vote,
     regroup,
-    telvi_fit,
+    telvi_fit_regrouped,
     telvi_votes,
 )
 from .hosvd import MultilinearRank, hosvd, rank_search
 from .learners import (
     ClassifierSpec,
+    TrainedModel,
     VectorDataset,
     accuracy,
     cross_val_accuracy,
@@ -47,6 +48,7 @@ __all__ = [
     "ExperimentError",
     "tune_shared_spec",
     "train_test_split",
+    "train_model",
     "run_experiment",
     "write_report",
     "write_learner_csv",
@@ -285,42 +287,36 @@ def tune_shared_spec(
     return best_spec
 
 
-def _evaluate_telvi(
-    model: TelviModel, test: LabeledTensorDataset
-) -> tuple[list[dict[str, Any]], float]:
-    keys = sorted(model.base_models)
-    votes_per_key: dict[tuple[int, int], list[int]] = {k: [] for k in keys}
-    ensemble_hits = 0
-    for x, label in zip(test.samples, test.labels):
-        votes = telvi_votes(model, x)
-        for key in keys:
-            votes_per_key[key].append(votes[key])
-        tally = majority_vote([votes[key] for key in keys])
-        ensemble_hits += int(tally.winner == label)
-    per_learner = [
-        {
-            "mode": key[0],
-            "component": key[1],
-            "accuracy": accuracy(np.array(votes_per_key[key]), test.labels),
-        }
-        for key in keys
-    ]
-    return per_learner, ensemble_hits / test.n_samples
+def _votes(
+    model: TelviModel | BaggingModel | TrainedModel, test: LabeledTensorDataset
+) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Each voter's (mode, component) and its labels, one row per voter.
+
+    Flat voters (bagging estimators, the single learner) use mode -1.
+    """
+    if isinstance(model, TelviModel):
+        keys = sorted(model.base_models)
+        per_sample = [telvi_votes(model, x) for x in test.samples]
+        return keys, np.array([[votes[k] for votes in per_sample] for k in keys])
+    vectors = flatten_samples(test.samples)
+    if isinstance(model, BaggingModel):
+        vectors = pca_transform(model.pca, vectors)
+        keys = [(-1, e) for e in range(model.n_estimators)]
+        return keys, np.stack([est.predict(vectors) for est in model.estimators])
+    return [(-1, 0)], model.predict(vectors)[None, :]
 
 
-def _evaluate_bagging(
-    model: BaggingModel, test: LabeledTensorDataset
+def _evaluate(
+    model: TelviModel | BaggingModel | TrainedModel, test: LabeledTensorDataset
 ) -> tuple[list[dict[str, Any]], float]:
-    transformed = pca_transform(model.pca, flatten_samples(test.samples))
-    votes = np.stack([est.predict(transformed) for est in model.estimators])
+    """Per-voter accuracies and the accuracy of their majority vote."""
+    keys, votes = _votes(model, test)
     per_learner = [
-        {"mode": -1, "component": e, "accuracy": accuracy(votes[e], test.labels)}
-        for e in range(votes.shape[0])
+        {"mode": n, "component": r, "accuracy": accuracy(row, test.labels)}
+        for (n, r), row in zip(keys, votes)
     ]
-    winners = np.array(
-        [majority_vote(votes[:, i].tolist()).winner for i in range(test.n_samples)]
-    )
-    return per_learner, accuracy(winners, test.labels)
+    winners = [majority_vote(column.tolist()).winner for column in votes.T]
+    return per_learner, accuracy(np.array(winners), test.labels)
 
 
 @contextmanager
@@ -336,6 +332,57 @@ def _stage(name: str, timings: dict[str, float]):
     timings[f"{name}_s"] = time.perf_counter() - started
 
 
+def train_model(
+    config: ExperimentConfig,
+    data: LabeledTensorDataset,
+    timings: dict[str, float] | None = None,
+) -> tuple[TelviModel | BaggingModel | TrainedModel, ClassifierSpec]:
+    """Choose the rank, tune the spec and fit ``config.method`` on ``data``.
+
+    The one training path of ``run_experiment`` (on its train split) and
+    ``telkit train`` (on the whole dataset).  telvi decomposes each sample
+    once and tunes and fits on the same factor datasets.  Stage times go
+    into ``timings``; a failing stage raises ExperimentError naming it.
+    """
+    if timings is None:
+        timings = {}
+    grid = list(config.base_grid)
+    tune_seed = mix_seed(config.seed, _TUNE)
+    fit_seed = mix_seed(config.seed, _FIT)
+    if config.method == "telvi":
+        with _stage("decompose", timings):
+            rank = config.rank
+            if rank is None:
+                rank = rank_search(data.samples, config.rank_search_threshold)
+            decompositions = [hosvd(x, rank) for x in data.samples]
+            datasets = regroup(decompositions, data.labels)
+        with _stage("tune", timings):
+            chosen = tune_shared_spec(grid, datasets, config.cv_folds, tune_seed)
+        with _stage("fit", timings):
+            model = telvi_fit_regrouped(datasets, data.shape, chosen, fit_seed)
+        return model, chosen
+
+    with _stage("tune", timings):
+        vectors = VectorDataset(flatten_samples(data.samples), data.labels)
+        chosen = grid[0]
+        if len(grid) > 1:
+            tune_data = vectors
+            if config.method == "bagging":  # tune in the estimators' PCA space
+                pca = pca_fit(vectors.features, config.pca_dim)
+                tune_data = VectorDataset(
+                    pca_transform(pca, vectors.features), data.labels
+                )
+            chosen = grid_search_cv(grid, tune_data, config.cv_folds, tune_seed)
+    with _stage("fit", timings):
+        if config.method == "bagging":
+            model = bagging_fit(
+                data, config.n_estimators, config.pca_dim, chosen, fit_seed
+            )
+        else:  # single: one base learner on the raw flattened vectors
+            model = fit(chosen, vectors, fit_seed)
+    return model, chosen
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Execute one configured experiment end to end."""
     timings: dict[str, float] = {}
@@ -345,63 +392,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         train, test = train_test_split(
             data, config.train_fraction, mix_seed(config.seed, _SPLIT)
         )
-
-    effective_rank = None
-    if config.method == "telvi":
-        with _stage("decompose", timings):
-            if config.rank is not None:
-                rank = config.rank
-            else:
-                rank = rank_search(train.samples, config.rank_search_threshold)
-            decompositions = [hosvd(x, rank) for x in train.samples]
-            datasets = regroup(decompositions, train.labels)
-        with _stage("tune", timings):
-            chosen = tune_shared_spec(
-                config.base_grid, datasets, config.cv_folds,
-                mix_seed(config.seed, _TUNE),
-            )
-        with _stage("fit", timings):
-            model = telvi_fit(train, rank, chosen, mix_seed(config.seed, _FIT))
-        effective_rank = list(model.rank)
-        with _stage("evaluate", timings):
-            per_learner, ensemble_acc = _evaluate_telvi(model, test)
-    elif config.method == "bagging":
-        with _stage("tune", timings):
-            if len(config.base_grid) == 1:
-                chosen = config.base_grid[0]
-            else:
-                vectors = flatten_samples(train.samples)
-                pca = pca_fit(vectors, config.pca_dim)
-                tune_data = VectorDataset(pca_transform(pca, vectors), train.labels)
-                chosen = grid_search_cv(
-                    list(config.base_grid), tune_data, config.cv_folds,
-                    mix_seed(config.seed, _TUNE),
-                )
-        with _stage("fit", timings):
-            model = bagging_fit(
-                train, config.n_estimators, config.pca_dim, chosen,
-                mix_seed(config.seed, _FIT),
-            )
-        with _stage("evaluate", timings):
-            per_learner, ensemble_acc = _evaluate_bagging(model, test)
-    else:  # single: one base learner on the raw flattened vectors
-        tune_data = VectorDataset(flatten_samples(train.samples), train.labels)
-        with _stage("tune", timings):
-            if len(config.base_grid) == 1:
-                chosen = config.base_grid[0]
-            else:
-                chosen = grid_search_cv(
-                    list(config.base_grid), tune_data, config.cv_folds,
-                    mix_seed(config.seed, _TUNE),
-                )
-        with _stage("fit", timings):
-            model = fit(chosen, tune_data, mix_seed(config.seed, _FIT))
-        with _stage("evaluate", timings):
-            acc = accuracy(
-                model.predict(flatten_samples(test.samples)), test.labels
-            )
-        per_learner = [{"mode": -1, "component": 0, "accuracy": acc}]
-        ensemble_acc = acc
+    model, chosen = train_model(config, train, timings)
+    with _stage("evaluate", timings):
+        per_learner, ensemble_acc = _evaluate(model, test)
 
     return ExperimentReport(
         config=config.to_dict(),
@@ -413,7 +406,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         train_size=train.n_samples,
         test_size=test.n_samples,
         class_labels=[int(c) for c in np.unique(data.labels)],
-        effective_rank=effective_rank,
+        effective_rank=list(model.rank) if config.method == "telvi" else None,
         timings=timings,
     )
 

@@ -1,15 +1,14 @@
 """Supervised base classifiers on fixed-length vectors.
 
-Four kinds are available behind one ``fit``/``predict`` surface: KNN,
-CART decision trees, multinomial logistic regression and kernel SVM.
+Four kinds are available behind one ``fit`` dispatcher, each model with
+its own ``predict``: KNN, CART decision trees, multinomial logistic
+regression and kernel SVM.
 All training is deterministic given (spec, data, seed).
 """
 
 from __future__ import annotations
 
 from typing import Union
-
-import numpy as np
 
 from .base import Scaler, VectorDataset, accuracy, check_finite, majority_label
 from .grid import cross_val_accuracy, grid_search_cv, kfold_indices
@@ -32,7 +31,6 @@ __all__ = [
     "SvmModel",
     "BinarySvm",
     "fit",
-    "predict",
     "accuracy",
     "majority_label",
     "kernel_matrix",
@@ -59,8 +57,3 @@ def fit(spec: ClassifierSpec, data: VectorDataset, seed: int) -> TrainedModel:
         raise ValueError("cannot fit on an empty dataset")
     check_finite(data.features)
     return _FITTERS[spec.kind](spec, data, seed)
-
-
-def predict(model: TrainedModel, features: np.ndarray) -> np.ndarray:
-    """One label per feature row, always drawn from training labels."""
-    return model.predict(features)

@@ -10,7 +10,10 @@ evaluation of every threshold would choose.  Growth stops at a pure node,
 at ``max_depth`` or when fewer than ``min_samples_split`` samples remain;
 leaves carry the majority label (ties to the lowest label).  Tie-breaking
 between equally good splits: lowest feature index, then lowest threshold,
-so training is deterministic without any randomness.
+so training is deterministic without any randomness.  A midpoint that
+rounds or overflows past every value (adjacent floats at the top,
+magnitudes near the float64 limit) splits at the lower of its two values
+instead, so both children stay nonempty.
 """
 
 from __future__ import annotations
@@ -102,6 +105,10 @@ def _best_split(X: np.ndarray, y: np.ndarray) -> tuple[int, float] | None:
     moved_left = {}
     for f, k in zip(*np.nonzero(moved)):
         left = int(np.searchsorted(xs[f], thresholds[f, k], side="right"))
+        if left in (0, n):
+            # all on one side: scored as no split, so it wins only where no
+            # split is better, and then it splits at lo, which separates
+            thresholds[f, k] = lo[f, k]
         counts = np.bincount(ys[f, :left], minlength=totals.size)
         rest = totals - counts
         moved_left[f, k] = left

@@ -207,6 +207,22 @@ def model_from_dict(payload: dict[str, Any]):
         raise ValueError(f"unsupported model format version {version!r}")
     kind = payload.get("type")
     if kind == "telvi":
+        rank, shape = payload["rank"], payload["shape"]
+        if len(rank) != len(shape):
+            raise ValueError(
+                f"telvi rank {rank} has {len(rank)} modes but shape {shape} "
+                f"has {len(shape)}"
+            )
+        # one learner per factor column: keys "n,r" for r < rank[n], no others
+        keys = set(payload["base_models"])
+        expected = {f"{n},{r}" for n, r_n in enumerate(rank) for r in range(r_n)}
+        offending = sorted(keys ^ expected)
+        if offending:
+            key = offending[0]
+            problem = "unexpected" if key in keys else "missing"
+            raise ValueError(
+                f"telvi base_models key {key!r} is {problem} for rank {rank}"
+            )
         base_models = {}
         for key, sub in sorted(payload["base_models"].items()):
             n, r = (int(part) for part in key.split(","))

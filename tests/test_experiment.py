@@ -1,6 +1,8 @@
 """Experiment harness, canonical serialization, model files, CLI."""
 
 import json
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,20 +10,31 @@ import pytest
 import telkit as tk
 from telkit.canonical import canonical_json
 from telkit.cli import main
-from telkit.ensemble import LabeledTensorDataset, bagging_fit, telvi_fit
+from telkit.ensemble import (
+    LabeledTensorDataset,
+    bagging_fit,
+    flatten_samples,
+    regroup,
+    telvi_fit,
+)
 from telkit.experiment import (
     ExperimentConfig,
     run_experiment,
+    tune_shared_spec,
     write_learner_csv,
     write_report,
 )
-from telkit.learners import ClassifierSpec, VectorDataset, fit
+from telkit.hosvd import hosvd, rank_search
+from telkit.learners import ClassifierSpec, VectorDataset, fit, grid_search_cv
+from telkit.linalg import pca_fit, pca_transform
 from telkit.model_io import load_model, save_model
 from telkit.seeding import mix_seed
 from telkit.synth import BENCHMARK_SPEC
 from telkit.tensor import DenseTensor
 
 KNN3 = {"kind": "knn", "hyperparameters": {"k": 3}}
+# two specs, so the tune stage reads the training data
+TWO_SPEC_GRID = [{"kind": "tree", "hyperparameters": {"max_depth": 1}}, KNN3]
 
 
 def benchmark_config(**overrides):
@@ -251,6 +264,31 @@ class TestModelFiles:
         save_model(model, b)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda p: p["base_models"].pop("1,1"), "'1,1' is missing"),
+            (
+                lambda p: p["base_models"].update({"2,1": p["base_models"]["2,0"]}),
+                "'2,1' is unexpected",
+            ),
+            (lambda p: p["rank"].pop(), "has 2 modes but shape"),
+        ],
+        ids=["missing-key", "extra-key", "rank-shorter-than-shape"],
+    )
+    def test_tampered_telvi_model_rejected(self, tmp_path, tamper, message):
+        rng = np.random.default_rng(449)
+        model = telvi_fit(
+            tiny_tensor_dataset(rng), (2, 2, 1), ClassifierSpec("knn", {"k": 1}), 3
+        )
+        path = tmp_path / "telvi.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        tamper(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
+            load_model(path)
+
     def test_unknown_type_rejected(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text('{"format_version": 1, "type": "mystery"}')
@@ -333,6 +371,76 @@ class TestCli:
         save_model(model, lib_path)
         assert cli_path.read_bytes() == lib_path.read_bytes()
 
+    @pytest.mark.parametrize("method", ["telvi", "bagging", "single"])
+    def test_tuned_train_matches_library_composition(
+        self, tmp_path, capsys, method
+    ):
+        payload = {
+            "dataset": {"synthetic": BENCHMARK_SPEC.to_dict()},
+            "method": method, "base_grid": TWO_SPEC_GRID, "cv_folds": 3,
+            "seed": 7, "rank": [2, 2, 1], "pca_dim": 16, "n_estimators": 4,
+        }
+        if method != "telvi":
+            del payload["rank"]
+        config_path = tmp_path / "train.json"
+        config_path.write_text(json.dumps(payload))
+        cli_path = tmp_path / "cli_model.json"
+        lib_path = tmp_path / "lib_model.json"
+        assert main(["train", "--config", str(config_path), "--out", str(cli_path)]) == 0
+
+        # train tunes on the full dataset with slot 2 and fits with slot 3
+        data = tk.synth_generate(BENCHMARK_SPEC)
+        grid = [ClassifierSpec.from_dict(spec) for spec in TWO_SPEC_GRID]
+        tune_seed, fit_seed = mix_seed(7, 2), mix_seed(7, 3)
+        vectors = flatten_samples(data.samples)
+        if method == "telvi":
+            datasets = regroup([hosvd(x, (2, 2, 1)) for x in data.samples], data.labels)
+            chosen = tune_shared_spec(grid, datasets, 3, tune_seed)
+            model = telvi_fit(data, (2, 2, 1), chosen, fit_seed)
+        elif method == "bagging":
+            reduced = pca_transform(pca_fit(vectors, 16), vectors)
+            chosen = grid_search_cv(
+                grid, VectorDataset(reduced, data.labels), 3, tune_seed
+            )
+            model = bagging_fit(data, 4, 16, chosen, fit_seed)
+        else:
+            flat = VectorDataset(vectors, data.labels)
+            chosen = grid_search_cv(grid, flat, 3, tune_seed)
+            model = fit(chosen, flat, fit_seed)
+        assert chosen == grid[1]  # tuning moved off the first spec
+        save_model(model, lib_path)
+        assert cli_path.read_bytes() == lib_path.read_bytes()
+
+    def test_rank_search_train_matches_library_fit(self, tmp_path, capsys):
+        config_path = tmp_path / "train.json"
+        config_path.write_text(json.dumps({
+            "dataset": {"synthetic": BENCHMARK_SPEC.to_dict()},
+            "method": "telvi", "rank_search_threshold": 0.35,
+            "base_grid": [KNN3], "seed": 7,
+        }))
+        cli_path = tmp_path / "cli_model.json"
+        lib_path = tmp_path / "lib_model.json"
+        assert main(["train", "--config", str(config_path), "--out", str(cli_path)]) == 0
+        data = tk.synth_generate(BENCHMARK_SPEC)
+        rank = rank_search(data.samples, 0.35)
+        model = telvi_fit(
+            data, rank, ClassifierSpec.from_dict(KNN3), mix_seed(7, 3)
+        )
+        save_model(model, lib_path)
+        assert cli_path.read_bytes() == lib_path.read_bytes()
+
+    def test_train_failure_names_its_stage(self, tmp_path, capsys):
+        config_path = tmp_path / "train.json"
+        config_path.write_text(json.dumps({
+            "dataset": {"synthetic": BENCHMARK_SPEC.to_dict()},
+            "method": "bagging", "pca_dim": 0, "base_grid": [KNN3],
+        }))
+        out = tmp_path / "model.json"
+        assert main(["train", "--config", str(config_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ExperimentError: fit stage failed: ")
+        assert len(err.strip().splitlines()) == 1
+
     def test_experiment_writes_report_and_csv(self, config_files, capsys):
         tmp_path, _, experiment = config_files
         out = tmp_path / "report.json"
@@ -381,3 +489,59 @@ class TestCli:
         main(["synth", "--config", str(synth), "--out", str(a)])
         main(["synth", "--config", str(synth), "--seed", "8", "--out", str(b)])
         assert a.read_bytes() != b.read_bytes()
+
+
+def count_hosvd_calls(monkeypatch) -> list[tuple[int, ...]]:
+    """Record the requested rank of every ``hosvd`` call in telkit.
+
+    Each module that imported ``hosvd`` holds its own binding, so every
+    binding of the function is replaced.
+    """
+    original = sys.modules["telkit.hosvd"].hosvd
+    calls = []
+
+    def counting_hosvd(x, rank):
+        calls.append(tuple(rank))
+        return original(x, rank)
+
+    for name, module in list(sys.modules.items()):
+        if name == "telkit" or name.startswith("telkit."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting_hosvd)
+    return calls
+
+
+class TestDecomposeOnce:
+    """Training decomposes each sample once at the model rank; evaluation
+    decomposes each test sample once for its votes, and a rank search
+    adds one full-rank decomposition per training sample."""
+
+    def test_run_experiment_fixed_rank(self, monkeypatch):
+        calls = count_hosvd_calls(monkeypatch)
+        report = run_experiment(benchmark_config(base_grid=TWO_SPEC_GRID, cv_folds=3))
+        assert report.train_size == report.test_size == 80
+        assert Counter(calls) == {(2, 2, 1): 80 + 80}
+
+    def test_run_experiment_rank_search(self, monkeypatch):
+        calls = count_hosvd_calls(monkeypatch)
+        report = run_experiment(
+            benchmark_config(
+                rank=None, rank_search_threshold=0.35,
+                base_grid=TWO_SPEC_GRID, cv_folds=3,
+            )
+        )
+        assert report.effective_rank == [2, 2, 1]
+        assert Counter(calls) == {(8, 8, 3): 80, (2, 2, 1): 80 + 80}
+
+    def test_cli_train_with_two_spec_grid(self, tmp_path, capsys, monkeypatch):
+        config_path = tmp_path / "train.json"
+        config_path.write_text(json.dumps({
+            "dataset": {"synthetic": BENCHMARK_SPEC.to_dict()},
+            "method": "telvi", "rank": [2, 2, 1],
+            "base_grid": TWO_SPEC_GRID, "cv_folds": 3, "seed": 7,
+        }))
+        calls = count_hosvd_calls(monkeypatch)
+        out = tmp_path / "model.json"
+        assert main(["train", "--config", str(config_path), "--out", str(out)]) == 0
+        assert Counter(calls) == {(2, 2, 1): 160}

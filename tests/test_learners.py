@@ -16,7 +16,6 @@ from telkit.learners import (
     kernel_matrix,
     kfold_indices,
     majority_label,
-    predict,
 )
 from telkit.learners.logit import logit_gradient, logit_loss
 from telkit.learners.svm import _MIN_ALPHA_STEP, _SWEEP_CAP, SvmModel, _smo
@@ -58,6 +57,8 @@ def reference_best_split(X, y):
                 n_left * reference_gini(y[mask])
                 + (n - n_left) * reference_gini(y[~mask])
             ) / n
+            if n_left in (0, n):  # scored as no split, but splits at lo
+                threshold = lo
             key = (weighted, feature, threshold)
             if best is None or key < best:
                 best = key
@@ -168,6 +169,9 @@ def split_case(kind, seed):
     return X, y
 
 
+ONE_UP = np.nextafter(1.0, 2.0)
+TWO_UP = np.nextafter(ONE_UP, 2.0)  # (ONE_UP + TWO_UP) / 2 rounds to TWO_UP
+
 SPLIT_KINDS = [
     "gaussian",
     "integer-ties",
@@ -194,15 +198,26 @@ class TestSplitSearchExactness:
                 continue
             data = VectorDataset(X, y)
             with np.errstate(over="ignore"):
-                try:
-                    expected = reference_grow(X, y, 0, spec)
-                except ValueError:
-                    # a midpoint rounded onto the largest value left a child
-                    # empty; the library fails the same way
-                    with pytest.raises(ValueError):
-                        fit(spec, data, seed=0)
-                    continue
+                expected = reference_grow(X, y, 0, spec)
                 assert fit(spec, data, seed=0).root == expected, seed
+
+    @pytest.mark.parametrize(
+        "X",
+        [
+            [[1.7e308], [1.79e308]],  # the midpoint overflows to inf
+            [[ONE_UP], [TWO_UP]],  # the midpoint rounds onto the largest value
+            [[-1.79e308], [-1.7e308]],  # the midpoint overflows to -inf
+        ],
+        ids=["overflow", "adjacent-floats", "negative-overflow"],
+    )
+    def test_midpoint_past_every_value_splits_at_lower(self, X):
+        X = np.array(X)
+        y = np.array([0, 1])
+        with np.errstate(over="ignore"):
+            assert _best_split(X, y) == reference_best_split(X, y) == (0, X[0, 0])
+            model = fit(ClassifierSpec("tree", {"max_depth": 3}), VectorDataset(X, y), 0)
+        assert model.root.threshold == X[0, 0]
+        assert model.predict(X).tolist() == [0, 1]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -441,7 +456,7 @@ class TestPredictContracts:
         data = blobs(rng, [(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)], 8, spread=1.5)
         model = fit(spec, data, seed=7)
         probes = rng.standard_normal((40, 2)) * 4
-        out = predict(model, probes)
+        out = model.predict(probes)
         assert set(out.tolist()) <= set(model.class_labels.tolist())
 
     @pytest.mark.parametrize(
@@ -458,8 +473,8 @@ class TestPredictContracts:
         rng = np.random.default_rng(269)
         data = blobs(rng, [(0.0, 0.0), (3.0, 3.0)], 10)
         probes = rng.standard_normal((25, 2)) * 3
-        a = predict(fit(spec, data, seed=42), probes)
-        b = predict(fit(spec, data, seed=42), probes)
+        a = fit(spec, data, seed=42).predict(probes)
+        b = fit(spec, data, seed=42).predict(probes)
         assert np.array_equal(a, b)
 
 
