@@ -15,6 +15,7 @@ from .ensemble import (
     bagging_predict,
     majority_error_probability,
     majority_vote,
+    predict_votes,
     regroup,
     telvi_fit,
     telvi_predict,
@@ -72,6 +73,7 @@ __all__ = [
     "telvi_predict",
     "bagging_fit",
     "bagging_predict",
+    "predict_votes",
     "majority_vote",
     "majority_error_probability",
     "SyntheticSpec",

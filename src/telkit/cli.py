@@ -15,13 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .canonical import dump_canonical
-from .ensemble import (
-    BaggingModel,
-    TelviModel,
-    bagging_predict,
-    flatten_samples,
-    telvi_predict,
-)
+from .ensemble import majority_vote, predict_votes
 from .experiment import (
     ExperimentConfig,
     load_dataset,
@@ -112,12 +106,8 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
     data = _load_cli_dataset(args)
-    if isinstance(model, TelviModel):
-        predicted = [telvi_predict(model, x)[0] for x in data.samples]
-    elif isinstance(model, BaggingModel):
-        predicted = [bagging_predict(model, x)[0] for x in data.samples]
-    else:
-        predicted = model.predict(flatten_samples(data.samples)).tolist()
+    _, votes = predict_votes(model, data.samples)
+    predicted = [majority_vote(column.tolist()).winner for column in votes.T]
     lines = ["index,label"] + [
         f"{i},{label}" for i, label in enumerate(predicted)
     ]

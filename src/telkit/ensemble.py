@@ -12,8 +12,13 @@ The tensor route trains one base learner per factor-matrix column:
 a caller that tuned on the regrouped datasets does not decompose twice.
 
 The bagging baseline flattens samples column-major, reduces with PCA and
-trains the same base-learner kind on bootstrap resamples.  Both routes
-share the vote tally and its tie rule (lowest class label wins ties).
+trains the same base-learner kind on bootstrap resamples.
+
+``predict_votes`` is the one prediction path of every model kind, used by
+the harness, the CLI and ``telvi_predict``/``bagging_predict``; for step 4
+each learner predicts the stacked factor columns of a whole sample set in
+one call.  All routes share the vote tally and its tie rule (lowest class
+label wins ties).
 """
 
 from __future__ import annotations
@@ -41,7 +46,9 @@ __all__ = [
     "telvi_fit_regrouped",
     "telvi_predict",
     "bagging_fit",
+    "bagging_fit_reduced",
     "bagging_predict",
+    "predict_votes",
     "majority_error_probability",
 ]
 
@@ -206,18 +213,15 @@ def telvi_fit_regrouped(
     )
 
 
-def telvi_votes(model: TelviModel, x: DenseTensor) -> dict[tuple[int, int], int]:
-    """Each base learner's label for its factor column of ``x``."""
-    if x.shape != model.shape:
-        raise ValueError(
-            f"sample shape {x.shape} does not match training shape "
-            f"{model.shape}"
-        )
-    factors = hosvd(x, model.rank).factors
-    return {
-        (n, r): int(learner.predict(factors[n][:, r][None, :])[0])
-        for (n, r), learner in model.base_models.items()
-    }
+def telvi_votes(model: TelviModel, samples: Sequence[DenseTensor]) -> np.ndarray:
+    """Each learner's labels for its factor column of every sample (of the
+    model's shape): row k is learner k in sorted (mode, component) order.
+    """
+    factors = [hosvd(x, model.rank).factors for x in samples]
+    return np.stack([
+        model.base_models[(n, r)].predict(np.stack([f[n][:, r] for f in factors]))
+        for n, r in sorted(model.base_models)
+    ])
 
 
 def telvi_predict(
@@ -230,8 +234,8 @@ def telvi_predict(
     Optional per-voter ``weights`` follow the sorted (mode, component)
     key order; the default is uniform.
     """
-    votes = telvi_votes(model, x)
-    tally = majority_vote([votes[key] for key in sorted(votes)], weights)
+    _, votes = predict_votes(model, [x])
+    tally = majority_vote(votes[:, 0].tolist(), weights)
     return tally.winner, tally
 
 
@@ -273,26 +277,41 @@ def bagging_fit(
     """Vectorize, reduce with PCA, train on bootstrap resamples."""
     if data.n_samples < 2:
         raise ValueError("training needs at least two samples")
-    if n_estimators < 1:
-        raise ValueError(f"n_estimators must be >= 1, got {n_estimators}")
     vectors = flatten_samples(data.samples)
     pca = pca_fit(vectors, pca_dim)
-    transformed = pca_transform(pca, vectors)
+    reduced = VectorDataset(pca_transform(pca, vectors), data.labels)
+    return bagging_fit_reduced(pca, reduced, data.shape, n_estimators, base, seed)
+
+
+def bagging_fit_reduced(
+    pca: PcaModel,
+    reduced: VectorDataset,
+    shape: tuple[int, ...],
+    n_estimators: int,
+    base: ClassifierSpec,
+    seed: int,
+) -> BaggingModel:
+    """Train on bootstrap resamples of ``reduced``, the training samples of
+    ``shape`` flattened and projected by ``pca``.
+    """
+    if reduced.n_samples < 2:
+        raise ValueError("training needs at least two samples")
+    if n_estimators < 1:
+        raise ValueError(f"n_estimators must be >= 1, got {n_estimators}")
     estimators = []
     bootstrap_seeds = []
     for e in range(n_estimators):
         est_seed = mix_seed(seed, e)
         bootstrap_seeds.append(est_seed)
-        idx = bootstrap_indices(data.n_samples, est_seed)
-        resample = VectorDataset(transformed[idx], data.labels[idx])
-        estimators.append(fit(base, resample, mix_seed(est_seed, 1)))
+        idx = bootstrap_indices(reduced.n_samples, est_seed)
+        estimators.append(fit(base, reduced.subset(idx), mix_seed(est_seed, 1)))
     return BaggingModel(
-        shape=data.shape,
+        shape=tuple(shape),
         pca=pca,
         base_spec=base,
         estimators=estimators,
         bootstrap_seeds=bootstrap_seeds,
-        class_labels=np.unique(data.labels),
+        class_labels=np.unique(reduced.labels),
         seed=seed,
     )
 
@@ -303,15 +322,37 @@ def bagging_predict(
     weights: Sequence[float] | None = None,
 ) -> tuple[int, VoteTally]:
     """Flatten, project, and majority-vote the estimators."""
-    if x.shape != model.shape:
-        raise ValueError(
-            f"sample shape {x.shape} does not match training shape "
-            f"{model.shape}"
-        )
-    row = pca_transform(model.pca, x.data[None, :])
-    votes = [int(est.predict(row)[0]) for est in model.estimators]
-    tally = majority_vote(votes, weights)
+    _, votes = predict_votes(model, [x])
+    tally = majority_vote(votes[:, 0].tolist(), weights)
     return tally.winner, tally
+
+
+def predict_votes(
+    model: TelviModel | BaggingModel | TrainedModel,
+    samples: Sequence[DenseTensor],
+) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Every voter's label for every sample: ``(keys, votes)``, one row of
+    ``votes`` per key and one column per sample.  telvi voters are keyed
+    (mode, component), flat ones (bagging estimators, a single learner)
+    (-1, index).  Shapes are all checked before any sample is decomposed.
+    """
+    if len(samples) == 0:
+        raise ValueError("prediction needs at least one sample")
+    if isinstance(model, (TelviModel, BaggingModel)):
+        for index, x in enumerate(samples):
+            if x.shape != model.shape:
+                raise ValueError(
+                    f"sample {index} shape {x.shape} does not match training "
+                    f"shape {model.shape}"
+                )
+    if isinstance(model, TelviModel):
+        return sorted(model.base_models), telvi_votes(model, samples)
+    vectors = flatten_samples(samples)
+    if isinstance(model, BaggingModel):
+        vectors = pca_transform(model.pca, vectors)
+        keys = [(-1, e) for e in range(model.n_estimators)]
+        return keys, np.stack([est.predict(vectors) for est in model.estimators])
+    return [(-1, 0)], model.predict(vectors)[None, :]
 
 
 def majority_error_probability(p: float, n_voters: int) -> float:

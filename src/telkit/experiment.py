@@ -21,12 +21,12 @@ from .ensemble import (
     BaggingModel,
     LabeledTensorDataset,
     TelviModel,
-    bagging_fit,
+    bagging_fit_reduced,
     flatten_samples,
     majority_vote,
+    predict_votes,
     regroup,
     telvi_fit_regrouped,
-    telvi_votes,
 )
 from .hosvd import MultilinearRank, hosvd, rank_search
 from .learners import (
@@ -135,6 +135,8 @@ class ExperimentConfig:
             )
         if len(self.base_grid) == 0:
             raise ValueError("base_grid must not be empty")
+        if self.cv_folds < 2:
+            raise ValueError(f"cv_folds must be >= 2, got {self.cv_folds}")
         if self.method == "telvi":
             if (self.rank is None) == (self.rank_search_threshold is None):
                 raise ValueError(
@@ -287,30 +289,11 @@ def tune_shared_spec(
     return best_spec
 
 
-def _votes(
-    model: TelviModel | BaggingModel | TrainedModel, test: LabeledTensorDataset
-) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Each voter's (mode, component) and its labels, one row per voter.
-
-    Flat voters (bagging estimators, the single learner) use mode -1.
-    """
-    if isinstance(model, TelviModel):
-        keys = sorted(model.base_models)
-        per_sample = [telvi_votes(model, x) for x in test.samples]
-        return keys, np.array([[votes[k] for votes in per_sample] for k in keys])
-    vectors = flatten_samples(test.samples)
-    if isinstance(model, BaggingModel):
-        vectors = pca_transform(model.pca, vectors)
-        keys = [(-1, e) for e in range(model.n_estimators)]
-        return keys, np.stack([est.predict(vectors) for est in model.estimators])
-    return [(-1, 0)], model.predict(vectors)[None, :]
-
-
 def _evaluate(
     model: TelviModel | BaggingModel | TrainedModel, test: LabeledTensorDataset
 ) -> tuple[list[dict[str, Any]], float]:
     """Per-voter accuracies and the accuracy of their majority vote."""
-    keys, votes = _votes(model, test)
+    keys, votes = predict_votes(model, test.samples)
     per_learner = [
         {"mode": n, "component": r, "accuracy": accuracy(row, test.labels)}
         for (n, r), row in zip(keys, votes)
@@ -362,21 +345,24 @@ def train_model(
             model = telvi_fit_regrouped(datasets, data.shape, chosen, fit_seed)
         return model, chosen
 
+    def pca_reduce(vectors: VectorDataset):
+        pca = pca_fit(vectors.features, config.pca_dim)
+        return pca, VectorDataset(pca_transform(pca, vectors.features), data.labels)
+
+    pca = None
     with _stage("tune", timings):
         vectors = VectorDataset(flatten_samples(data.samples), data.labels)
         chosen = grid[0]
         if len(grid) > 1:
-            tune_data = vectors
             if config.method == "bagging":  # tune in the estimators' PCA space
-                pca = pca_fit(vectors.features, config.pca_dim)
-                tune_data = VectorDataset(
-                    pca_transform(pca, vectors.features), data.labels
-                )
-            chosen = grid_search_cv(grid, tune_data, config.cv_folds, tune_seed)
+                pca, vectors = pca_reduce(vectors)
+            chosen = grid_search_cv(grid, vectors, config.cv_folds, tune_seed)
     with _stage("fit", timings):
         if config.method == "bagging":
-            model = bagging_fit(
-                data, config.n_estimators, config.pca_dim, chosen, fit_seed
+            if pca is None:  # a one-spec grid skipped the tune-stage PCA
+                pca, vectors = pca_reduce(vectors)
+            model = bagging_fit_reduced(
+                pca, vectors, data.shape, config.n_estimators, chosen, fit_seed
             )
         else:  # single: one base learner on the raw flattened vectors
             model = fit(chosen, vectors, fit_seed)

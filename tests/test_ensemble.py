@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from telkit.ensemble import (
+    BaggingModel,
     LabeledTensorDataset,
     TelviModel,
     bagging_fit,
+    bagging_fit_reduced,
     bagging_predict,
     bootstrap_indices,
     flatten_samples,
     majority_error_probability,
     majority_vote,
+    predict_votes,
     regroup,
     telvi_fit,
     telvi_predict,
@@ -337,6 +340,108 @@ class TestBagging:
             top = max(counts.values())
             assert label == min(c for c, n in counts.items() if n == top)
             assert tally.total == 5
+
+    def test_reduced_fit_rejects_one_sample_and_no_estimators(self):
+        rng = np.random.default_rng(397)
+        data = random_dataset(rng, (3, 2), 4)
+        vectors = flatten_samples(data.samples)
+        pca = pca_fit(vectors, 3)
+        reduced = VectorDataset(pca_transform(pca, vectors), data.labels)
+        spec = ClassifierSpec("knn", {"k": 1})
+        with pytest.raises(ValueError, match="at least two samples"):
+            bagging_fit_reduced(pca, reduced.subset([0]), (3, 2), 3, spec, 0)
+        with pytest.raises(ValueError, match="n_estimators must be >= 1"):
+            bagging_fit_reduced(pca, reduced, (3, 2), 0, spec, 0)
+
+
+KINDS = {
+    "knn": ClassifierSpec("knn", {"k": 3}),
+    "tree": ClassifierSpec("tree", {"max_depth": 3}),
+    "logit": ClassifierSpec("logit", {"max_iterations": 100}),
+    "svm": ClassifierSpec("svm", {"kernel": "rbf", "C": 1.0}),
+}
+
+
+def one_row_votes(model, x):
+    """Each voter's label for ``x`` alone, predicted one row at a time as
+    ``telvi_predict``/``bagging_predict`` did before batching."""
+    if isinstance(model, TelviModel):
+        factors = hosvd(x, model.rank).factors
+        return [
+            int(model.base_models[(n, r)].predict(factors[n][:, r][None, :])[0])
+            for n, r in sorted(model.base_models)
+        ]
+    if isinstance(model, BaggingModel):
+        row = pca_transform(model.pca, x.data[None, :])
+        return [int(est.predict(row)[0]) for est in model.estimators]
+    return [int(model.predict(x.data[None, :])[0])]
+
+
+class TestPredictVotes:
+    @pytest.fixture(scope="class")
+    def data_and_probes(self):
+        rng = np.random.default_rng(409)
+        data = random_dataset(rng, (4, 3, 2), 8, classes=3, spread=1.5)
+        probes = [
+            DenseTensor((4, 3, 2), 2.0 * rng.standard_normal(24))
+            for _ in range(15)
+        ] + data.samples[::4]
+        return data, probes
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("method", ["telvi", "bagging", "single"])
+    def test_batch_columns_match_one_row_votes(self, data_and_probes, method, kind):
+        data, probes = data_and_probes
+        base = KINDS[kind]
+        if method == "telvi":
+            model = telvi_fit(data, (2, 2, 1), base, 5)
+            one_sample = telvi_predict
+        elif method == "bagging":
+            model = bagging_fit(data, 5, 6, base, 5)
+            one_sample = bagging_predict
+        else:
+            flat = VectorDataset(flatten_samples(data.samples), data.labels)
+            model = fit(base, flat, 5)
+            one_sample = None
+        keys, votes = predict_votes(model, probes)
+        assert votes.shape == (len(keys), len(probes))
+        for j, x in enumerate(probes):
+            assert votes[:, j].tolist() == one_row_votes(model, x)
+            if one_sample is not None:
+                label, tally = one_sample(model, x)
+                expected = majority_vote(votes[:, j].tolist())
+                assert (label, tally.counts) == (expected.winner, expected.counts)
+
+    def test_keys_follow_voters(self, data_and_probes):
+        data, probes = data_and_probes
+        telvi = telvi_fit(data, (2, 2, 1), KINDS["knn"], 5)
+        assert predict_votes(telvi, probes)[0] == sorted(telvi.base_models)
+        bagged = bagging_fit(data, 3, 6, KINDS["knn"], 5)
+        assert predict_votes(bagged, probes)[0] == [(-1, 0), (-1, 1), (-1, 2)]
+
+    @pytest.mark.parametrize("method", ["telvi", "bagging"])
+    def test_bad_last_sample_rejected_before_any_decomposition(
+        self, data_and_probes, method, monkeypatch
+    ):
+        data, probes = data_and_probes
+        if method == "telvi":
+            model = telvi_fit(data, (2, 2, 1), KINDS["knn"], 5)
+        else:
+            model = bagging_fit(data, 3, 6, KINDS["knn"], 5)
+        calls = []
+        monkeypatch.setattr(
+            "telkit.ensemble.hosvd", lambda *args: calls.append(args)
+        )
+        bad = probes + [DenseTensor((4, 2, 3), np.zeros(24))]
+        with pytest.raises(ValueError, match=f"sample {len(probes)} shape"):
+            predict_votes(model, bad)
+        assert calls == []
+
+    def test_empty_sample_set_rejected(self, data_and_probes):
+        data, _ = data_and_probes
+        model = telvi_fit(data, (2, 2, 1), KINDS["knn"], 5)
+        with pytest.raises(ValueError, match="at least one sample"):
+            predict_votes(model, [])
 
 
 class TestMajorityErrorProbability:

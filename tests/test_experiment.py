@@ -14,6 +14,8 @@ from telkit.ensemble import (
     LabeledTensorDataset,
     bagging_fit,
     flatten_samples,
+    majority_vote,
+    predict_votes,
     regroup,
     telvi_fit,
 )
@@ -25,7 +27,13 @@ from telkit.experiment import (
     write_report,
 )
 from telkit.hosvd import hosvd, rank_search
-from telkit.learners import ClassifierSpec, VectorDataset, fit, grid_search_cv
+from telkit.learners import (
+    ClassifierSpec,
+    KnnModel,
+    VectorDataset,
+    fit,
+    grid_search_cv,
+)
 from telkit.linalg import pca_fit, pca_transform
 from telkit.model_io import load_model, save_model
 from telkit.seeding import mix_seed
@@ -97,6 +105,12 @@ class TestConfigValidation:
     def test_round_trip(self):
         config = benchmark_config()
         assert ExperimentConfig.from_dict(config.to_dict()) == config
+
+    @pytest.mark.parametrize("folds", [0, 1, -1])
+    def test_cv_folds_below_two_rejected(self, folds):
+        # rejected even with a one-spec grid, which never cross-validates
+        with pytest.raises(ValueError, match=f"cv_folds must be >= 2, got {folds}"):
+            benchmark_config(method="single", cv_folds=folds)
 
 
 class TestRunExperiment:
@@ -441,6 +455,66 @@ class TestCli:
         assert err.startswith("error: ExperimentError: fit stage failed: ")
         assert len(err.strip().splitlines()) == 1
 
+    def test_train_rejects_cv_folds_below_two(self, tmp_path, capsys):
+        config_path = tmp_path / "train.json"
+        config_path.write_text(json.dumps({
+            "dataset": {"synthetic": BENCHMARK_SPEC.to_dict()},
+            "method": "single", "base_grid": [KNN3], "cv_folds": 0,
+        }))
+        out = tmp_path / "model.json"
+        assert main(["train", "--config", str(config_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: ValueError: cv_folds must be >= 2, got 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["telvi", "bagging", "single"])
+    def test_predict_csv_is_the_vote_of_predict_votes(
+        self, config_files, capsys, method
+    ):
+        tmp_path, synth, _ = config_files
+        data_path = tmp_path / "data.teld"
+        main(["synth", "--config", str(synth), "--out", str(data_path)])
+        config_path = tmp_path / "train.json"
+        config_path.write_text(json.dumps({
+            "dataset": {"path": str(data_path)}, "method": method,
+            "rank": [2, 2, 1] if method == "telvi" else None,
+            "pca_dim": 6, "n_estimators": 5, "base_grid": [KNN3], "seed": 7,
+        }))
+        model_path = tmp_path / "model.json"
+        csv_path = tmp_path / "pred.csv"
+        assert main(["train", "--config", str(config_path), "--out", str(model_path)]) == 0
+        assert main([
+            "predict", "--model", str(model_path), "--data", str(data_path),
+            "--out", str(csv_path),
+        ]) == 0
+        samples = tk.synth_generate(BENCHMARK_SPEC).samples
+        _, votes = predict_votes(load_model(model_path), samples)
+        winners = [majority_vote(column.tolist()).winner for column in votes.T]
+        rows = csv_path.read_text().splitlines()
+        assert rows == ["index,label"] + [f"{i},{w}" for i, w in enumerate(winners)]
+
+    def test_telvi_predict_calls_each_learner_once(
+        self, config_files, capsys, monkeypatch
+    ):
+        tmp_path, synth, experiment = config_files
+        data_path = tmp_path / "data.teld"
+        model_path = tmp_path / "model.json"
+        main(["synth", "--config", str(synth), "--out", str(data_path)])
+        assert main(["train", "--config", str(experiment), "--out", str(model_path)]) == 0
+        rows_per_call = []
+        knn_predict = KnnModel.predict
+
+        def counting_predict(model, X):
+            rows_per_call.append(len(X))
+            return knn_predict(model, X)
+
+        monkeypatch.setattr(KnnModel, "predict", counting_predict)
+        calls = count_hosvd_calls(monkeypatch)
+        assert main(["predict", "--model", str(model_path), "--data", str(data_path)]) == 0
+        assert load_model(model_path).n_learners == 5
+        assert rows_per_call == [160] * 5
+        assert Counter(calls) == {(2, 2, 1): 160}
+
     def test_experiment_writes_report_and_csv(self, config_files, capsys):
         tmp_path, _, experiment = config_files
         out = tmp_path / "report.json"
@@ -491,25 +565,30 @@ class TestCli:
         assert a.read_bytes() != b.read_bytes()
 
 
-def count_hosvd_calls(monkeypatch) -> list[tuple[int, ...]]:
-    """Record the requested rank of every ``hosvd`` call in telkit.
+def count_calls(monkeypatch, original, record) -> list:
+    """Record ``record(*args)`` for every call of ``original`` in telkit.
 
-    Each module that imported ``hosvd`` holds its own binding, so every
+    Each module that imported the function holds its own binding, so every
     binding of the function is replaced.
     """
-    original = sys.modules["telkit.hosvd"].hosvd
     calls = []
 
-    def counting_hosvd(x, rank):
-        calls.append(tuple(rank))
-        return original(x, rank)
+    def counting(*args):
+        calls.append(record(*args))
+        return original(*args)
 
     for name, module in list(sys.modules.items()):
         if name == "telkit" or name.startswith("telkit."):
             for attr, value in list(vars(module).items()):
                 if value is original:
-                    monkeypatch.setattr(module, attr, counting_hosvd)
+                    monkeypatch.setattr(module, attr, counting)
     return calls
+
+
+def count_hosvd_calls(monkeypatch) -> list[tuple[int, ...]]:
+    """Record the requested rank of every ``hosvd`` call in telkit."""
+    original = sys.modules["telkit.hosvd"].hosvd
+    return count_calls(monkeypatch, original, lambda x, rank: tuple(rank))
 
 
 class TestDecomposeOnce:
@@ -545,3 +624,17 @@ class TestDecomposeOnce:
         out = tmp_path / "model.json"
         assert main(["train", "--config", str(config_path), "--out", str(out)]) == 0
         assert Counter(calls) == {(2, 2, 1): 160}
+
+
+class TestPcaOnce:
+    def test_bagging_with_two_spec_grid_fits_one_pca(self, monkeypatch):
+        # tuning and the estimators share one PCA of the training split
+        calls = count_calls(monkeypatch, pca_fit, lambda data, r: data.shape)
+        report = run_experiment(
+            benchmark_config(
+                method="bagging", pca_dim=16, n_estimators=4,
+                base_grid=TWO_SPEC_GRID, cv_folds=3,
+            )
+        )
+        assert report.chosen_spec["kind"] == "knn"  # tuning read the PCA space
+        assert calls == [(80, 192)]
