@@ -9,6 +9,7 @@ and a deterministic experiment harness.
 from .ensemble import (
     BaggingModel,
     LabeledTensorDataset,
+    SingleModel,
     TelviModel,
     VoteTally,
     bagging_fit,
@@ -20,7 +21,14 @@ from .ensemble import (
     telvi_fit,
     telvi_predict,
 )
-from .hosvd import HosvdFactors, MultilinearRank, hosvd, rank_search, reconstruct
+from .hosvd import (
+    HosvdFactors,
+    MultilinearRank,
+    hosvd,
+    hosvd_factors,
+    rank_search,
+    reconstruct,
+)
 from .learners import (
     ClassifierSpec,
     VectorDataset,
@@ -57,6 +65,7 @@ __all__ = [
     "MultilinearRank",
     "HosvdFactors",
     "hosvd",
+    "hosvd_factors",
     "reconstruct",
     "rank_search",
     "ClassifierSpec",
@@ -67,6 +76,7 @@ __all__ = [
     "LabeledTensorDataset",
     "TelviModel",
     "BaggingModel",
+    "SingleModel",
     "VoteTally",
     "regroup",
     "telvi_fit",

@@ -2,8 +2,10 @@
 
 The tensor route trains one base learner per factor-matrix column:
 
-1. decompose every training sample by HOSVD at a shared multilinear rank;
-2. regroup column r of each sample's mode-n factor into dataset (n, r);
+1. decompose every training sample by HOSVD at a shared multilinear rank,
+   all samples in one ``hosvd_factors`` call (factors only, no cores);
+2. regroup column r of each sample's mode-n factor into dataset (n, r),
+   a slice of the mode-n factor stack;
 3. train one base learner per dataset (sum of ranks learners in total);
 4. classify new samples by majority vote over the learners' labels for
    the sample's own factor columns.
@@ -16,9 +18,10 @@ trains the same base-learner kind on bootstrap resamples.
 
 ``predict_votes`` is the one prediction path of every model kind, used by
 the harness, the CLI and ``telvi_predict``/``bagging_predict``; for step 4
-each learner predicts the stacked factor columns of a whole sample set in
-one call.  All routes share the vote tally and its tie rule (lowest class
-label wins ties).
+a whole sample set is decomposed in one ``hosvd_factors`` call and each
+learner predicts its factor column of every sample in one call.  All
+routes share the vote tally and its tie rule (lowest class label wins
+ties).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .hosvd import HosvdFactors, MultilinearRank, hosvd
+from .hosvd import MultilinearRank, hosvd_factors
 from .learners import ClassifierSpec, TrainedModel, VectorDataset, fit
 from .linalg import PcaModel, pca_fit, pca_transform
 from .seeding import mix_seed
@@ -39,6 +42,7 @@ __all__ = [
     "LabeledTensorDataset",
     "TelviModel",
     "BaggingModel",
+    "SingleModel",
     "VoteTally",
     "majority_vote",
     "regroup",
@@ -121,34 +125,25 @@ def majority_vote(
 
 
 def regroup(
-    decompositions: Sequence[HosvdFactors], labels: np.ndarray
+    factors: Sequence[np.ndarray], labels: np.ndarray
 ) -> dict[tuple[int, int], VectorDataset]:
     """Regroup factor columns into one dataset per (mode, component).
 
-    Dataset (n, r) holds, for each sample m, column r of sample m's
-    mode-n factor matrix, paired with the sample's unchanged label.
+    ``factors`` holds one ``(M, I_n, R_n)`` stack per mode, as returned by
+    ``hosvd_factors``.  Dataset (n, r) holds, for each sample m, column r
+    of sample m's mode-n factor matrix, paired with the sample's label.
     """
-    if len(decompositions) == 0:
-        raise ValueError("regroup needs at least one decomposition")
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.size != len(decompositions):
+    counts = {len(stack) for stack in factors}
+    if counts != {labels.size}:
         raise ValueError(
-            f"{len(decompositions)} decompositions but {labels.size} labels"
+            f"factor stacks of {sorted(counts)} samples but {labels.size} labels"
         )
-    rank = decompositions[0].effective_rank
-    shape = decompositions[0].shape
-    for d in decompositions:
-        if d.effective_rank != rank or d.shape != shape:
-            raise ValueError(
-                "decompositions disagree in effective rank or shape: "
-                f"{d.effective_rank}/{d.shape} vs {rank}/{shape}"
-            )
-    datasets: dict[tuple[int, int], VectorDataset] = {}
-    for n, r_n in enumerate(rank):
-        for r in range(r_n):
-            rows = np.stack([d.factors[n][:, r] for d in decompositions])
-            datasets[(n, r)] = VectorDataset(rows, labels.copy())
-    return datasets
+    return {
+        (n, r): VectorDataset(np.ascontiguousarray(stack[:, :, r]), labels.copy())
+        for n, stack in enumerate(factors)
+        for r in range(stack.shape[2])
+    }
 
 
 @dataclass(frozen=True)
@@ -174,10 +169,8 @@ def telvi_fit(
     seed: int,
 ) -> TelviModel:
     """Decompose, regroup and train one base learner per factor column."""
-    decompositions = [hosvd(x, rank) for x in data.samples]
-    return telvi_fit_regrouped(
-        regroup(decompositions, data.labels), data.shape, base, seed
-    )
+    factors, _ = hosvd_factors(data.samples, rank)
+    return telvi_fit_regrouped(regroup(factors, data.labels), data.shape, base, seed)
 
 
 def telvi_fit_regrouped(
@@ -217,9 +210,9 @@ def telvi_votes(model: TelviModel, samples: Sequence[DenseTensor]) -> np.ndarray
     """Each learner's labels for its factor column of every sample (of the
     model's shape): row k is learner k in sorted (mode, component) order.
     """
-    factors = [hosvd(x, model.rank).factors for x in samples]
+    factors, _ = hosvd_factors(samples, model.rank)
     return np.stack([
-        model.base_models[(n, r)].predict(np.stack([f[n][:, r] for f in factors]))
+        model.base_models[(n, r)].predict(np.ascontiguousarray(factors[n][:, :, r]))
         for n, r in sorted(model.base_models)
     ])
 
@@ -316,6 +309,14 @@ def bagging_fit_reduced(
     )
 
 
+@dataclass(frozen=True)
+class SingleModel:
+    """One base learner on the flattened samples of ``shape``."""
+
+    shape: tuple[int, ...]
+    learner: TrainedModel
+
+
 def bagging_predict(
     model: BaggingModel,
     x: DenseTensor,
@@ -328,17 +329,18 @@ def bagging_predict(
 
 
 def predict_votes(
-    model: TelviModel | BaggingModel | TrainedModel,
+    model: TelviModel | BaggingModel | SingleModel | TrainedModel,
     samples: Sequence[DenseTensor],
 ) -> tuple[list[tuple[int, int]], np.ndarray]:
     """Every voter's label for every sample: ``(keys, votes)``, one row of
     ``votes`` per key and one column per sample.  telvi voters are keyed
     (mode, component), flat ones (bagging estimators, a single learner)
-    (-1, index).  Shapes are all checked before any sample is decomposed.
+    (-1, index).  Shapes are all checked before any sample is decomposed;
+    a bare learner, which knows no shape, only checks the flattened width.
     """
     if len(samples) == 0:
         raise ValueError("prediction needs at least one sample")
-    if isinstance(model, (TelviModel, BaggingModel)):
+    if isinstance(model, (TelviModel, BaggingModel, SingleModel)):
         for index, x in enumerate(samples):
             if x.shape != model.shape:
                 raise ValueError(
@@ -352,7 +354,8 @@ def predict_votes(
         vectors = pca_transform(model.pca, vectors)
         keys = [(-1, e) for e in range(model.n_estimators)]
         return keys, np.stack([est.predict(vectors) for est in model.estimators])
-    return [(-1, 0)], model.predict(vectors)[None, :]
+    learner = model.learner if isinstance(model, SingleModel) else model
+    return [(-1, 0)], learner.predict(vectors)[None, :]
 
 
 def majority_error_probability(p: float, n_voters: int) -> float:

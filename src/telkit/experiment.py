@@ -20,6 +20,7 @@ from .canonical import canonical_json
 from .ensemble import (
     BaggingModel,
     LabeledTensorDataset,
+    SingleModel,
     TelviModel,
     bagging_fit_reduced,
     flatten_samples,
@@ -28,10 +29,9 @@ from .ensemble import (
     regroup,
     telvi_fit_regrouped,
 )
-from .hosvd import MultilinearRank, hosvd, rank_search
+from .hosvd import MultilinearRank, hosvd_factors, rank_search
 from .learners import (
     ClassifierSpec,
-    TrainedModel,
     VectorDataset,
     accuracy,
     cross_val_accuracy,
@@ -290,7 +290,7 @@ def tune_shared_spec(
 
 
 def _evaluate(
-    model: TelviModel | BaggingModel | TrainedModel, test: LabeledTensorDataset
+    model: TelviModel | BaggingModel | SingleModel, test: LabeledTensorDataset
 ) -> tuple[list[dict[str, Any]], float]:
     """Per-voter accuracies and the accuracy of their majority vote."""
     keys, votes = predict_votes(model, test.samples)
@@ -319,7 +319,7 @@ def train_model(
     config: ExperimentConfig,
     data: LabeledTensorDataset,
     timings: dict[str, float] | None = None,
-) -> tuple[TelviModel | BaggingModel | TrainedModel, ClassifierSpec]:
+) -> tuple[TelviModel | BaggingModel | SingleModel, ClassifierSpec]:
     """Choose the rank, tune the spec and fit ``config.method`` on ``data``.
 
     The one training path of ``run_experiment`` (on its train split) and
@@ -337,8 +337,8 @@ def train_model(
             rank = config.rank
             if rank is None:
                 rank = rank_search(data.samples, config.rank_search_threshold)
-            decompositions = [hosvd(x, rank) for x in data.samples]
-            datasets = regroup(decompositions, data.labels)
+            factors, _ = hosvd_factors(data.samples, rank)
+            datasets = regroup(factors, data.labels)
         with _stage("tune", timings):
             chosen = tune_shared_spec(grid, datasets, config.cv_folds, tune_seed)
         with _stage("fit", timings):
@@ -365,7 +365,7 @@ def train_model(
                 pca, vectors, data.shape, config.n_estimators, chosen, fit_seed
             )
         else:  # single: one base learner on the raw flattened vectors
-            model = fit(chosen, vectors, fit_seed)
+            model = SingleModel(data.shape, fit(chosen, vectors, fit_seed))
     return model, chosen
 
 

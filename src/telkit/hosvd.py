@@ -8,6 +8,12 @@ The decomposition of an order-N tensor X at rank (R_1, ..., R_N):
 
 Requested ranks are clamped per mode to min(I_n, prod of the other
 dimensions); the clamped tuple is reported as ``effective_rank``.
+
+``hosvd_factors`` is the one decomposition kernel: it unfolds a stack of
+same-shape samples per mode and makes one stacked LAPACK SVD call per
+chunk of samples and mode, keeping the factors only.  ``hosvd`` runs that
+kernel on a batch of one and adds the core, so every decomposition in
+telkit gives the same factor bits.
 """
 
 from __future__ import annotations
@@ -17,12 +23,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import truncated_svd
-from .tensor import DenseTensor, frobenius_norm, mode_n_product, unfold
+from .linalg import _canonicalize_signs
+from .tensor import DenseTensor, frobenius_norm, mode_n_product
 
-__all__ = ["MultilinearRank", "HosvdFactors", "hosvd", "reconstruct", "rank_search"]
+__all__ = [
+    "MultilinearRank",
+    "HosvdFactors",
+    "hosvd_factors",
+    "hosvd",
+    "reconstruct",
+    "rank_search",
+]
 
 MultilinearRank = tuple[int, ...]
+
+# Samples stacked per SVD call: the unfolding copies and the discarded
+# right singular vectors then hold 64 samples' worth, whatever the count.
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -46,6 +63,10 @@ class HosvdFactors:
 def clamp_rank(rank: Sequence[int], shape: Sequence[int]) -> MultilinearRank:
     """Clamp each R_n to min(I_n, prod of the other dimensions)."""
     shape = tuple(shape)
+    if len(rank) != len(shape):
+        raise ValueError(
+            f"rank tuple has length {len(rank)} but tensor has order {len(shape)}"
+        )
     clamped = []
     for n, r in enumerate(rank):
         if r < 1:
@@ -55,18 +76,57 @@ def clamp_rank(rank: Sequence[int], shape: Sequence[int]) -> MultilinearRank:
     return tuple(clamped)
 
 
+def hosvd_factors(
+    samples: Sequence[DenseTensor], rank: Sequence[int]
+) -> tuple[list[np.ndarray], MultilinearRank]:
+    """Factors of every sample at multilinear rank ``rank`` (clamped).
+
+    Returns one ``(M, I_n, R_n)`` stack per mode n, where ``[m]`` is
+    sample m's mode-n factor, and the clamped rank.  No core is built.
+    """
+    if len(samples) == 0:
+        raise ValueError("hosvd needs at least one sample")
+    shape = samples[0].shape
+    effective = clamp_rank(rank, shape)
+    for index, x in enumerate(samples):
+        if x.shape != shape:
+            raise ValueError(
+                f"sample {index} shape {x.shape} does not match {shape}"
+            )
+    order = len(shape)
+    stacks = [np.empty((len(samples), i, r)) for i, r in zip(shape, effective)]
+    for start in range(0, len(samples), _CHUNK):
+        chunk = np.stack([x.to_array() for x in samples[start : start + _CHUNK]])
+        finite = np.isfinite(chunk).reshape(len(chunk), -1).all(axis=1)
+        if not finite.all():
+            index = start + int(np.argmin(finite))
+            raise ValueError(
+                f"hosvd input contains non-finite entries in sample {index}"
+            )
+        for n, stack in enumerate(stacks):
+            # Kolda-Bader columns: the other axes reversed, so that a C-order
+            # reshape makes the lowest surviving index vary fastest
+            others = [a for a in range(order, 0, -1) if a != n + 1]
+            unfolded = chunk.transpose(0, n + 1, *others).reshape(
+                len(chunk), shape[n], -1
+            )
+            U = np.linalg.svd(unfolded, full_matrices=False)[0]
+            kept = stack[start : start + len(chunk)]
+            kept[...] = U[..., : effective[n]]
+            _canonicalize_signs(kept)
+    return stacks, effective
+
+
 def hosvd(x: DenseTensor, rank: Sequence[int]) -> HosvdFactors:
-    """Decompose ``x`` at multilinear rank ``rank`` (clamped per mode)."""
-    if len(rank) != x.order:
-        raise ValueError(
-            f"rank tuple has length {len(rank)} but tensor has order {x.order}"
-        )
-    if not np.all(np.isfinite(x.data)):
-        raise ValueError("hosvd input contains non-finite entries")
+    """Decompose ``x`` at multilinear rank ``rank`` (clamped per mode).
+
+    The factors are column slices of the kernel's full-rank factors of
+    ``x`` (rank-R factors are their prefixes): the rounding of the core's
+    products depends on the factors' memory layout, and slices keep it.
+    """
     effective = clamp_rank(rank, x.shape)
-    factors = [
-        truncated_svd(unfold(x, n), effective[n]).U for n in range(x.order)
-    ]
+    stacks, _ = hosvd_factors([x], x.shape)
+    factors = [stack[0, :, :r] for stack, r in zip(stacks, effective)]
     core = x
     for n, factor in enumerate(factors):
         core = mode_n_product(core, factor.T, n)

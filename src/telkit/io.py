@@ -4,7 +4,7 @@ TELD layout (all integers little-endian unsigned 32-bit):
 
     magic "TELD" | version | sample_count | order N | N dim sizes |
     dtype code (1 = little-endian float64) |
-    per sample: label | prod(dims) float64 scalars, column-major
+    per sample: label | prod(dims) finite float64 scalars, column-major
 
 Image ingestion walks one subdirectory per class, decoding binary PPM
 (P6) and PGM (P5) files with maxval 255 into (height, width, channels)
@@ -30,6 +30,7 @@ __all__ = [
     "UnsupportedDtypeError",
     "TruncatedFileError",
     "ShapeError",
+    "NonFiniteValueError",
     "ImageFormatError",
     "save_tensor_dataset",
     "load_tensor_dataset",
@@ -64,6 +65,10 @@ class TruncatedFileError(TeldError):
 
 
 class ShapeError(TeldError):
+    pass
+
+
+class NonFiniteValueError(TeldError):
     pass
 
 
@@ -147,6 +152,8 @@ def load_tensor_dataset(path: str | Path) -> LabeledTensorDataset:
         labels.append(reader.u32(f"label of sample {m}"))
         payload = reader.take(8 * n_elements, f"payload of sample {m}")
         values = np.frombuffer(payload, dtype="<f8")
+        if not np.isfinite(values).all():
+            raise NonFiniteValueError(f"sample {m} has a non-finite value")
         samples.append(DenseTensor(dims, values))
     return LabeledTensorDataset(samples, np.array(labels, dtype=np.int64))
 

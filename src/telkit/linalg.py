@@ -50,13 +50,17 @@ class PcaModel:
         return int(self.components.shape[1])
 
 
-def _canonicalize_signs(U: np.ndarray, V: np.ndarray) -> None:
-    """Flip column signs in-place so each U column's peak is nonnegative."""
-    for j in range(U.shape[1]):
-        peak = np.argmax(np.abs(U[:, j]))
-        if U[peak, j] < 0:
-            U[:, j] = -U[:, j]
-            V[:, j] = -V[:, j]
+def _canonicalize_signs(U: np.ndarray, *companions: np.ndarray) -> None:
+    """Flip column signs in place so each U column's peak is nonnegative.
+
+    Columns run along the last axis and any leading axes are a batch; the
+    peak is the entry of largest magnitude, ties to the lowest row.  The
+    same columns of every companion (e.g. V) are flipped with U's.
+    """
+    rows = np.abs(U).argmax(axis=-2)[..., None, :]
+    flip = np.take_along_axis(U, rows, axis=-2) < 0
+    for a in (U,) + companions:
+        np.negative(a, out=a, where=flip)
 
 
 def thin_svd(m: np.ndarray) -> SvdResult:
@@ -112,10 +116,7 @@ def pca_fit(data: np.ndarray, r: int) -> PcaModel:
     r = min(int(r), min(data.shape))
     svd = thin_svd(centered)
     components = svd.V[:, :r].copy()
-    for j in range(components.shape[1]):
-        peak = np.argmax(np.abs(components[:, j]))
-        if components[peak, j] < 0:
-            components[:, j] = -components[:, j]
+    _canonicalize_signs(components)
     return PcaModel(mean=mean, components=components)
 
 

@@ -3,7 +3,8 @@
 The on-disk form is a canonical JSON document (sorted keys, 17
 significant digits, which round-trips float64 exactly), so saving the
 same model twice produces identical bytes and a loaded model predicts
-identically to the original.
+identically to the original.  A single model file records the training
+shape; one without it (a bare learner) loads as the bare learner.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from .canonical import dump_canonical
-from .ensemble import BaggingModel, TelviModel
+from .ensemble import BaggingModel, SingleModel, TelviModel
 from .learners import (
     BinarySvm,
     ClassifierSpec,
@@ -194,11 +195,12 @@ def model_to_dict(model) -> dict[str, Any]:
             },
             "estimators": [_learner_to_dict(e) for e in model.estimators],
         }
-    return {
-        "format_version": MODEL_FORMAT_VERSION,
-        "type": "single",
-        "model": _learner_to_dict(model),
-    }
+    payload = {"format_version": MODEL_FORMAT_VERSION, "type": "single"}
+    if isinstance(model, SingleModel):
+        payload["shape"] = list(model.shape)
+        model = model.learner
+    payload["model"] = _learner_to_dict(model)
+    return payload
 
 
 def model_from_dict(payload: dict[str, Any]):
@@ -250,7 +252,10 @@ def model_from_dict(payload: dict[str, Any]):
             seed=int(payload["seed"]),
         )
     if kind == "single":
-        return _learner_from_dict(payload["model"])
+        learner = _learner_from_dict(payload["model"])
+        if "shape" not in payload:  # a bare learner, saved without its shape
+            return learner
+        return SingleModel(shape=tuple(payload["shape"]), learner=learner)
     raise ValueError(f"unknown model type {kind!r}")
 
 

@@ -1,8 +1,12 @@
 """Ensemble behavior: regrouping, voting, both fit/predict routes, Eq-style
 vote-error analysis against brute-force enumeration."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from telkit.ensemble import (
     BaggingModel,
@@ -20,7 +24,7 @@ from telkit.ensemble import (
     telvi_fit,
     telvi_predict,
 )
-from telkit.hosvd import hosvd
+from telkit.hosvd import hosvd, hosvd_factors
 from telkit.learners import ClassifierSpec, VectorDataset, fit
 from telkit.linalg import pca_fit, pca_transform
 from telkit.seeding import mix_seed
@@ -94,13 +98,30 @@ class TestMajorityVote:
         with pytest.raises(ValueError, match="at least one"):
             majority_vote([])
 
+    @given(data=st.data())
+    def test_heaviest_then_lowest_label_wins_property(self, data):
+        votes = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=15))
+        # small integer weights keep every per-label sum exact
+        weights = data.draw(
+            st.none()
+            | st.lists(st.integers(0, 3), min_size=len(votes), max_size=len(votes))
+        )
+        totals = Counter()
+        for vote, weight in zip(votes, weights or [1] * len(votes)):
+            totals[vote] += weight
+        top = max(totals.values())
+        tally = majority_vote(votes, weights)
+        assert tally.winner == min(label for label, t in totals.items() if t == top)
+        assert tally.counts == dict(totals)
+
 
 class TestRegroup:
     def test_single_sample(self):
         rng = np.random.default_rng(311)
         x = DenseTensor((3, 4, 2), rng.standard_normal(24))
         f = hosvd(x, (2, 2, 1))
-        datasets = regroup([f], np.array([5]))
+        factors, _ = hosvd_factors([x], (2, 2, 1))
+        datasets = regroup(factors, np.array([5]))
         assert set(datasets) == {(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)}
         for (n, r), ds in datasets.items():
             assert ds.n_samples == 1
@@ -109,11 +130,11 @@ class TestRegroup:
 
     def test_dataset_count_and_widths(self):
         rng = np.random.default_rng(313)
-        decomps = [
-            hosvd(DenseTensor((4, 5, 6), rng.standard_normal(120)), (2, 2, 2))
-            for _ in range(10)
+        samples = [
+            DenseTensor((4, 5, 6), rng.standard_normal(120)) for _ in range(10)
         ]
-        datasets = regroup(decomps, np.arange(10) % 2)
+        factors, _ = hosvd_factors(samples, (2, 2, 2))
+        datasets = regroup(factors, np.arange(10) % 2)
         assert len(datasets) == 6
         widths = sorted(ds.n_features for ds in datasets.values())
         assert widths == [4, 4, 5, 5, 6, 6]
@@ -122,17 +143,19 @@ class TestRegroup:
     def test_duplicated_samples_give_identical_rows(self):
         rng = np.random.default_rng(317)
         x = DenseTensor((3, 3, 3), rng.standard_normal(27))
-        decomps = [hosvd(x, (2, 2, 2)) for _ in range(4)]
-        datasets = regroup(decomps, np.zeros(4, dtype=int))
+        factors, _ = hosvd_factors([x] * 4, (2, 2, 2))
+        datasets = regroup(factors, np.zeros(4, dtype=int))
         for ds in datasets.values():
             assert np.array_equal(ds.features, np.tile(ds.features[0], (4, 1)))
 
-    def test_rank_mismatch_rejected(self):
+    def test_sample_count_mismatch_rejected(self):
         rng = np.random.default_rng(331)
-        a = hosvd(DenseTensor((3, 3), rng.standard_normal(9)), (2, 2))
-        b = hosvd(DenseTensor((3, 3), rng.standard_normal(9)), (1, 2))
-        with pytest.raises(ValueError, match="disagree"):
-            regroup([a, b], np.array([0, 1]))
+        samples = [DenseTensor((3, 3), rng.standard_normal(9)) for _ in range(2)]
+        factors, _ = hosvd_factors(samples, (2, 2))
+        with pytest.raises(ValueError, match="samples but 3 labels"):
+            regroup(factors, np.array([0, 1, 0]))
+        with pytest.raises(ValueError, match=r"stacks of \[1, 2\] samples"):
+            regroup([factors[0][:1], factors[1]], np.array([0, 1]))
 
 
 class TestTelviFit:
@@ -248,8 +271,8 @@ class TestTelviPredict:
     def test_invariant_to_training_order(self, model_and_data):
         rng, data, model = model_and_data
         # retrain each learner in reverse order with the same derived seeds
-        decomps = [hosvd(x, model.rank) for x in data.samples]
-        datasets = regroup(decomps, data.labels)
+        factors, _ = hosvd_factors(data.samples, model.rank)
+        datasets = regroup(factors, data.labels)
         keys = sorted(datasets)
         reordered = {}
         for flat in reversed(range(len(keys))):
@@ -430,7 +453,7 @@ class TestPredictVotes:
             model = bagging_fit(data, 3, 6, KINDS["knn"], 5)
         calls = []
         monkeypatch.setattr(
-            "telkit.ensemble.hosvd", lambda *args: calls.append(args)
+            "telkit.ensemble.hosvd_factors", lambda *args: calls.append(args)
         )
         bad = probes + [DenseTensor((4, 2, 3), np.zeros(24))]
         with pytest.raises(ValueError, match=f"sample {len(probes)} shape"):

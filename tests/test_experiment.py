@@ -6,12 +6,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import telkit as tk
 from telkit.canonical import canonical_json
 from telkit.cli import main
 from telkit.ensemble import (
     LabeledTensorDataset,
+    SingleModel,
     bagging_fit,
     flatten_samples,
     majority_vote,
@@ -26,7 +29,8 @@ from telkit.experiment import (
     write_learner_csv,
     write_report,
 )
-from telkit.hosvd import hosvd, rank_search
+from telkit.hosvd import hosvd_factors, rank_search
+from telkit.io import save_tensor_dataset
 from telkit.learners import (
     ClassifierSpec,
     KnnModel,
@@ -70,6 +74,22 @@ class TestCanonicalJson:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             canonical_json(float("nan"))
+
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.text()
+            | st.floats(allow_nan=False, allow_infinity=False),
+            lambda inner: st.lists(inner, max_size=4)
+            | st.dictionaries(st.text(), inner, max_size=4),
+            max_leaves=20,
+        )
+    )
+    def test_round_trip_property(self, value):
+        text = canonical_json(value)
+        # "-0" is a float's negative zero; a plain json.loads reads int 0
+        back = json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
+        assert back == value
+        assert canonical_json(back) == text  # every float bit came back
 
 
 class TestConfigValidation:
@@ -248,6 +268,21 @@ class TestModelFiles:
         probes = rng.standard_normal((30, 3)) * 3
         assert np.array_equal(model.predict(probes), loaded.predict(probes))
 
+    def test_single_model_records_its_shape(self, tmp_path):
+        rng = np.random.default_rng(431)
+        data = tiny_tensor_dataset(rng)
+        flat = VectorDataset(flatten_samples(data.samples), data.labels)
+        model = SingleModel(data.shape, fit(ClassifierSpec("knn", {"k": 1}), flat, 1))
+        path = tmp_path / "single.json"
+        save_model(model, path)
+        assert json.loads(path.read_text())["shape"] == list(data.shape)
+        loaded = load_model(path)
+        assert loaded.shape == data.shape
+        assert np.array_equal(
+            predict_votes(model, data.samples)[1],
+            predict_votes(loaded, data.samples)[1],
+        )
+
     def test_telvi_round_trip(self, tmp_path):
         rng = np.random.default_rng(433)
         data = tiny_tensor_dataset(rng)
@@ -408,7 +443,8 @@ class TestCli:
         tune_seed, fit_seed = mix_seed(7, 2), mix_seed(7, 3)
         vectors = flatten_samples(data.samples)
         if method == "telvi":
-            datasets = regroup([hosvd(x, (2, 2, 1)) for x in data.samples], data.labels)
+            factors, _ = hosvd_factors(data.samples, (2, 2, 1))
+            datasets = regroup(factors, data.labels)
             chosen = tune_shared_spec(grid, datasets, 3, tune_seed)
             model = telvi_fit(data, (2, 2, 1), chosen, fit_seed)
         elif method == "bagging":
@@ -420,7 +456,7 @@ class TestCli:
         else:
             flat = VectorDataset(vectors, data.labels)
             chosen = grid_search_cv(grid, flat, 3, tune_seed)
-            model = fit(chosen, flat, fit_seed)
+            model = SingleModel(data.shape, fit(chosen, flat, fit_seed))
         assert chosen == grid[1]  # tuning moved off the first spec
         save_model(model, lib_path)
         assert cli_path.read_bytes() == lib_path.read_bytes()
@@ -493,6 +529,33 @@ class TestCli:
         rows = csv_path.read_text().splitlines()
         assert rows == ["index,label"] + [f"{i},{w}" for i, w in enumerate(winners)]
 
+    def test_single_predict_rejects_another_shape(self, config_files, capsys):
+        # the same values relabelled 3x8x8 have the trained 8x8x3 size
+        tmp_path, synth, _ = config_files
+        data_path = tmp_path / "data.teld"
+        main(["synth", "--config", str(synth), "--out", str(data_path)])
+        config_path = tmp_path / "train.json"
+        config_path.write_text(json.dumps({
+            "dataset": {"path": str(data_path)}, "method": "single",
+            "base_grid": [KNN3], "seed": 7,
+        }))
+        model_path = tmp_path / "model.json"
+        assert main(["train", "--config", str(config_path), "--out", str(model_path)]) == 0
+        data = tk.synth_generate(BENCHMARK_SPEC)
+        relabelled = LabeledTensorDataset(
+            [DenseTensor((3, 8, 8), x.data) for x in data.samples], data.labels
+        )
+        other_path = tmp_path / "other.teld"
+        save_tensor_dataset(relabelled, other_path)
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--data", str(other_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: ValueError: sample 0 shape (3, 8, 8) does not match "
+            "training shape (8, 8, 3)\n"
+        )
+        with pytest.raises(ValueError, match="sample 0 shape"):
+            predict_votes(load_model(model_path), relabelled.samples)
+
     def test_telvi_predict_calls_each_learner_once(
         self, config_files, capsys, monkeypatch
     ):
@@ -509,11 +572,11 @@ class TestCli:
             return knn_predict(model, X)
 
         monkeypatch.setattr(KnnModel, "predict", counting_predict)
-        calls = count_hosvd_calls(monkeypatch)
+        calls = count_decompositions(monkeypatch)
         assert main(["predict", "--model", str(model_path), "--data", str(data_path)]) == 0
         assert load_model(model_path).n_learners == 5
         assert rows_per_call == [160] * 5
-        assert Counter(calls) == {(2, 2, 1): 160}
+        assert calls == [((2, 2, 1), 160)]  # one kernel call for the whole set
 
     def test_experiment_writes_report_and_csv(self, config_files, capsys):
         tmp_path, _, experiment = config_files
@@ -585,10 +648,20 @@ def count_calls(monkeypatch, original, record) -> list:
     return calls
 
 
-def count_hosvd_calls(monkeypatch) -> list[tuple[int, ...]]:
-    """Record the requested rank of every ``hosvd`` call in telkit."""
-    original = sys.modules["telkit.hosvd"].hosvd
-    return count_calls(monkeypatch, original, lambda x, rank: tuple(rank))
+def count_decompositions(monkeypatch) -> list[tuple[tuple[int, ...], int]]:
+    """Record (requested rank, sample count) of every ``hosvd_factors`` call
+    in telkit, ``hosvd``'s batches of one included."""
+    original = sys.modules["telkit.hosvd"].hosvd_factors
+    return count_calls(
+        monkeypatch, original, lambda samples, rank: (tuple(rank), len(samples))
+    )
+
+
+def samples_per_rank(calls) -> Counter:
+    totals = Counter()
+    for rank, count in calls:
+        totals[rank] += count
+    return totals
 
 
 class TestDecomposeOnce:
@@ -597,13 +670,13 @@ class TestDecomposeOnce:
     adds one full-rank decomposition per training sample."""
 
     def test_run_experiment_fixed_rank(self, monkeypatch):
-        calls = count_hosvd_calls(monkeypatch)
+        calls = count_decompositions(monkeypatch)
         report = run_experiment(benchmark_config(base_grid=TWO_SPEC_GRID, cv_folds=3))
         assert report.train_size == report.test_size == 80
-        assert Counter(calls) == {(2, 2, 1): 80 + 80}
+        assert samples_per_rank(calls) == {(2, 2, 1): 80 + 80}
 
     def test_run_experiment_rank_search(self, monkeypatch):
-        calls = count_hosvd_calls(monkeypatch)
+        calls = count_decompositions(monkeypatch)
         report = run_experiment(
             benchmark_config(
                 rank=None, rank_search_threshold=0.35,
@@ -611,7 +684,7 @@ class TestDecomposeOnce:
             )
         )
         assert report.effective_rank == [2, 2, 1]
-        assert Counter(calls) == {(8, 8, 3): 80, (2, 2, 1): 80 + 80}
+        assert samples_per_rank(calls) == {(8, 8, 3): 80, (2, 2, 1): 80 + 80}
 
     def test_cli_train_with_two_spec_grid(self, tmp_path, capsys, monkeypatch):
         config_path = tmp_path / "train.json"
@@ -620,10 +693,10 @@ class TestDecomposeOnce:
             "method": "telvi", "rank": [2, 2, 1],
             "base_grid": TWO_SPEC_GRID, "cv_folds": 3, "seed": 7,
         }))
-        calls = count_hosvd_calls(monkeypatch)
+        calls = count_decompositions(monkeypatch)
         out = tmp_path / "model.json"
         assert main(["train", "--config", str(config_path), "--out", str(out)]) == 0
-        assert Counter(calls) == {(2, 2, 1): 160}
+        assert calls == [((2, 2, 1), 160)]  # one kernel call for the whole set
 
 
 class TestPcaOnce:

@@ -11,6 +11,7 @@ from telkit.hosvd import (
     _tail_errors,
     clamp_rank,
     hosvd,
+    hosvd_factors,
     rank_search,
     reconstruct,
     relative_error,
@@ -179,6 +180,102 @@ class TestHosvd:
             grown = base[:n] + (base[n] + 1,) + base[n + 1 :]
             grown_err = relative_error(x, reconstruct(hosvd(x, grown)))
             assert grown_err <= base_err + 1e-10
+
+
+# the package re-exports ``hosvd``, shadowing the module attribute
+HOSVD_MODULE = importlib.import_module("telkit.hosvd")
+
+
+def reference_factors(x: DenseTensor, rank) -> list[np.ndarray]:
+    """Per-sample factors as ``hosvd`` computed them before the batched
+    kernel: a thin SVD of each unfolding, the per-column sign loop over
+    every column of U, then the leading R_n columns."""
+    factors = []
+    for n, r in enumerate(clamp_rank(rank, x.shape)):
+        U = np.linalg.svd(unfold(x, n), full_matrices=False)[0].copy()
+        for j in range(U.shape[1]):
+            peak = np.argmax(np.abs(U[:, j]))
+            if U[peak, j] < 0:
+                U[:, j] = -U[:, j]
+        factors.append(U[:, :r])
+    return factors
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal bytes, so signed zeros must match too."""
+    return a.shape == b.shape and (
+        np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+    )
+
+
+def kernel_samples(rng, shape, m=20) -> list[DenseTensor]:
+    """Gaussian samples of mixed scale, one all-zero and one whose
+    integer entries make ties in the sign rule likely."""
+    samples = [
+        random_tensor(rng, shape) if k % 3 else
+        DenseTensor.from_array(1e-3 * rng.standard_normal(shape))
+        for k in range(m)
+    ]
+    samples[4] = DenseTensor.from_array(np.zeros(shape))
+    samples[11] = DenseTensor.from_array(np.round(rng.standard_normal(shape)))
+    return samples
+
+
+class TestHosvdFactors:
+    CASES = [
+        ((5, 7), (3, 4)),
+        ((6, 5, 4), (2, 3, 2)),
+        ((3, 4, 2, 3), (2, 3, 1, 2)),
+        ((10, 2, 2), (5, 2, 2)),  # mode 0 clamps to 4
+        ((8, 8, 3), (2, 2, 1)),  # the benchmark spec
+    ]
+
+    @pytest.mark.parametrize("chunk", [1, 7, 20, 64])
+    @pytest.mark.parametrize("shape, rank", CASES)
+    def test_matches_per_sample_reference(self, monkeypatch, shape, rank, chunk):
+        monkeypatch.setattr(HOSVD_MODULE, "_CHUNK", chunk)
+        rng = np.random.default_rng(113)
+        samples = kernel_samples(rng, shape)
+        stacks, effective = hosvd_factors(samples, rank)
+        assert effective == clamp_rank(rank, shape)
+        assert [s.shape for s in stacks] == [
+            (len(samples), i, r) for i, r in zip(shape, effective)
+        ]
+        for m, x in enumerate(samples):
+            expected = reference_factors(x, rank)
+            for n, stack in enumerate(stacks):
+                assert same_bits(stack[m], expected[n])
+            assert all(
+                same_bits(f, e) for f, e in zip(hosvd(x, rank).factors, expected)
+            )
+
+    @pytest.mark.parametrize("shape, rank", CASES)
+    def test_hosvd_core_matches_reference(self, shape, rank):
+        rng = np.random.default_rng(127)
+        for x in kernel_samples(rng, shape, m=12):
+            core = x
+            for n, factor in enumerate(reference_factors(x, rank)):
+                core = mode_n_product(core, factor.T, n)
+            assert same_bits(hosvd(x, rank).core.to_array(), core.to_array())
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_names_the_sample(self, monkeypatch, value):
+        monkeypatch.setattr(HOSVD_MODULE, "_CHUNK", 7)
+        rng = np.random.default_rng(131)
+        samples = kernel_samples(rng, (3, 4, 2))
+        poisoned = samples[9].data.copy()
+        poisoned[5] = value
+        samples[9] = DenseTensor((3, 4, 2), poisoned)
+        with pytest.raises(ValueError, match="non-finite entries in sample 9"):
+            hosvd_factors(samples, (2, 2, 1))
+
+    def test_mixed_shapes_and_empty_input_rejected(self):
+        rng = np.random.default_rng(137)
+        samples = [random_tensor(rng, (3, 4, 2)), random_tensor(rng, (4, 3, 2))]
+        with pytest.raises(ValueError, match=r"sample 1 shape \(4, 3, 2\)"):
+            hosvd_factors(samples, (2, 2, 1))
+        with pytest.raises(ValueError, match="at least one sample"):
+            hosvd_factors([], (2, 2, 1))
 
 
 class TestReconstruct:

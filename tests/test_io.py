@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from telkit.ensemble import LabeledTensorDataset
 from telkit.experiment import train_test_split
@@ -11,6 +13,7 @@ from telkit.hosvd import hosvd
 from telkit.io import (
     BadMagicError,
     ImageFormatError,
+    NonFiniteValueError,
     ShapeError,
     TruncatedFileError,
     UnsupportedDtypeError,
@@ -96,6 +99,18 @@ class TestTeldFormat:
         with pytest.raises(ShapeError, match="overflow"):
             load_tensor_dataset(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        rng = np.random.default_rng(419)
+        data = random_dataset(rng, shape=(3, 2), n=4)
+        poisoned = data.samples[2].data.copy()
+        poisoned[5] = value
+        samples = data.samples[:2] + [DenseTensor((3, 2), poisoned)] + data.samples[3:]
+        path = tmp_path / "poisoned.teld"
+        save_tensor_dataset(LabeledTensorDataset(samples, data.labels), path)
+        with pytest.raises(NonFiniteValueError, match="sample 2 has a non-finite"):
+            load_tensor_dataset(path)
+
     def test_layout_is_the_documented_binary_grammar(self, tmp_path):
         # one 2x2 sample, label 3, values 1..4 column-major
         data = LabeledTensorDataset(
@@ -112,6 +127,38 @@ class TestTeldFormat:
             + struct.pack("<4d", 1.0, 2.0, 3.0, 4.0)
         )
         assert path.read_bytes() == expected
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def teld_datasets(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    size = int(np.prod(shape))
+    n = draw(st.integers(1, 5))
+    samples = [
+        DenseTensor(shape, draw(st.lists(finite_floats, min_size=size, max_size=size)))
+        for _ in range(n)
+    ]
+    labels = draw(st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n))
+    return LabeledTensorDataset(samples, np.array(labels, dtype=np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=teld_datasets(), cut=st.floats(0.0, 1.0, exclude_max=True))
+def test_teld_round_trip_property(tmp_path_factory, data, cut):
+    path = tmp_path_factory.mktemp("teld") / "ds.teld"
+    save_tensor_dataset(data, path)
+    back = load_tensor_dataset(path)
+    assert back.labels.tolist() == data.labels.tolist()
+    for a, b in zip(back.samples, data.samples):
+        assert a.shape == b.shape and a.data.tobytes() == b.data.tobytes()
+    # every proper prefix of the file is a truncation, never a dataset
+    blob = path.read_bytes()
+    path.write_bytes(blob[: int(cut * len(blob))])
+    with pytest.raises(TruncatedFileError):
+        load_tensor_dataset(path)
 
 
 RED_2X2_P6 = b"P6\n2 2\n255\n" + bytes([255, 0, 0] * 4)

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from telkit.linalg import pca_fit, pca_transform, thin_svd, truncated_svd
+from telkit.linalg import (
+    _canonicalize_signs,
+    pca_fit,
+    pca_transform,
+    thin_svd,
+    truncated_svd,
+)
 
 
 def reconstruction(svd):
@@ -12,6 +18,83 @@ def reconstruction(svd):
 
 def orthonormality_residual(m):
     return np.linalg.norm(m.T @ m - np.eye(m.shape[1]))
+
+
+def reference_canonicalize_signs(U, *companions):
+    """The per-column sign loop the library ran before the rule was
+    vectorised: flip column j of U (and of each companion) when the
+    first entry of largest |U[:, j]| is negative."""
+    for j in range(U.shape[1]):
+        peak = np.argmax(np.abs(U[:, j]))
+        if U[peak, j] < 0:
+            U[:, j] = -U[:, j]
+            for c in companions:
+                c[:, j] = -c[:, j]
+
+
+def same_bits(a, b):
+    """Equal shapes and equal bytes, so signed zeros must match too."""
+    return a.shape == b.shape and (
+        np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+    )
+
+
+class TestSignRule:
+    def check(self, U, V):
+        expected_U, expected_V = U.copy(), V.copy()
+        batch = U.shape[:-2]
+        for index in np.ndindex(batch):
+            reference_canonicalize_signs(expected_U[index], expected_V[index])
+        _canonicalize_signs(U, V)
+        assert same_bits(U, expected_U)
+        assert same_bits(V, expected_V)
+
+    def test_random_matrices(self):
+        rng = np.random.default_rng(97)
+        for _ in range(50):
+            rows, cols = rng.integers(1, 12, size=2)
+            self.check(
+                rng.standard_normal((rows, cols)),
+                rng.standard_normal((int(rng.integers(1, 12)), cols)),
+            )
+
+    def test_exact_peak_ties(self):
+        rng = np.random.default_rng(101)
+        for _ in range(50):
+            # entries in {-0.5, 0, 0.5}: most columns tie on |peak|
+            U = 0.5 * rng.integers(-1, 2, size=(5, 7)).astype(float)
+            self.check(U, rng.standard_normal((3, 7)))
+        U = np.array([[0.5, -0.5], [-0.5, 0.5]])
+        _canonicalize_signs(U)
+        assert U.tolist() == [[0.5, 0.5], [-0.5, -0.5]]  # first row wins
+
+    def test_all_zero_columns(self):
+        U = np.array([[0.0, -0.0, 1.0], [-0.0, -0.0, -2.0], [0.0, 0.0, 0.0]])
+        V = np.array([[1.0, -1.0, 0.0], [-0.0, 2.0, 3.0]])
+        self.check(U, V)
+
+    def test_stacks(self):
+        rng = np.random.default_rng(103)
+        U = rng.standard_normal((3, 4, 6, 5))
+        U[0, 1, :, 2] = 0.0
+        U[2, 3] = np.round(U[2, 3])
+        self.check(U, rng.standard_normal((3, 4, 2, 5)))
+
+    def test_thin_svd_and_pca_follow_the_reference(self):
+        rng = np.random.default_rng(107)
+        for _ in range(20):
+            m = rng.standard_normal(tuple(rng.integers(2, 10, size=2)))
+            U, s, Vt = np.linalg.svd(m, full_matrices=False)
+            U, V = U.copy(), Vt.T.copy()
+            reference_canonicalize_signs(U, V)
+            svd = thin_svd(m)
+            assert same_bits(svd.U, U) and same_bits(svd.V, V)
+
+            r = int(rng.integers(1, min(m.shape) + 1))
+            centered = m - m.mean(axis=0)
+            components = thin_svd(centered).V[:, :r].copy()
+            reference_canonicalize_signs(components)
+            assert same_bits(pca_fit(m, r).components, components)
 
 
 class TestThinSvd:

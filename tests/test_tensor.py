@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from telkit.tensor import (
     DenseTensor,
@@ -117,6 +119,19 @@ class TestFold:
     def test_inconsistent_dimensions(self):
         with pytest.raises(ValueError, match="inconsistent"):
             fold(np.ones((2, 3)), 0, (2, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fold_inverts_unfold_property(data):
+    shape = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    size = int(np.prod(shape))
+    values = data.draw(st.lists(st.floats(), min_size=size, max_size=size))
+    x = DenseTensor(shape, values)
+    for n in range(len(shape)):
+        back = fold(unfold(x, n), n, shape)
+        assert back.shape == shape
+        assert back.data.tobytes() == x.data.tobytes()  # NaN and -0.0 included
 
 
 class TestModeNProduct:
