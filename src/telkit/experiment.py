@@ -1,4 +1,4 @@
-"""Experiment orchestration: load, split, tune, fit, evaluate, report.
+"""Experiment orchestration: load, split, decompose, tune, fit, evaluate.
 
 Reports serialize canonically (sorted keys, fixed float formatting) so a
 rerun with the same config and seed writes byte-identical files.  Wall
@@ -12,7 +12,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .learners import (
     ClassifierSpec,
     VectorDataset,
     accuracy,
-    cross_val_accuracy,
     fit,
     grid_search_cv,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "ExperimentError",
-    "tune_shared_spec",
     "train_test_split",
     "train_model",
     "run_experiment",
@@ -260,35 +258,6 @@ def load_dataset(config: ExperimentConfig) -> LabeledTensorDataset:
     return synth_generate(config.synthetic)
 
 
-def tune_shared_spec(
-    grid: Sequence[ClassifierSpec],
-    datasets: Mapping[tuple[int, int], VectorDataset],
-    folds: int,
-    seed: int,
-) -> ClassifierSpec:
-    """Pick one spec for all factor-column datasets.
-
-    The regrouped datasets have different widths, so they cannot be
-    concatenated; the score of a candidate is instead its mean CV
-    accuracy across the datasets.  Ties go to the earliest grid entry.
-    """
-    if len(grid) == 1:
-        return grid[0]
-    best_spec = None
-    best_score = -1.0
-    keys = sorted(datasets)
-    for spec in grid:
-        score = float(
-            np.mean(
-                [cross_val_accuracy(spec, datasets[k], folds, seed) for k in keys]
-            )
-        )
-        if score > best_score:
-            best_score = score
-            best_spec = spec
-    return best_spec
-
-
 def _evaluate(
     model: TelviModel | BaggingModel | SingleModel, test: LabeledTensorDataset
 ) -> tuple[list[dict[str, Any]], float]:
@@ -320,52 +289,50 @@ def train_model(
     data: LabeledTensorDataset,
     timings: dict[str, float] | None = None,
 ) -> tuple[TelviModel | BaggingModel | SingleModel, ClassifierSpec]:
-    """Choose the rank, tune the spec and fit ``config.method`` on ``data``.
+    """Decompose, tune and fit ``config.method`` on ``data``.
 
     The one training path of ``run_experiment`` (on its train split) and
-    ``telkit train`` (on the whole dataset).  telvi decomposes each sample
-    once and tunes and fits on the same factor datasets.  Stage times go
-    into ``timings``; a failing stage raises ExperimentError naming it.
+    ``telkit train`` (whole dataset).  ``decompose`` builds the learners'
+    datasets once: telvi's factor columns, or one flat dataset keyed
+    (-1, 0), PCA-projected for bagging; ``tune`` and ``fit`` share them.
+    Stage times go into ``timings``; a failing stage raises
+    ExperimentError naming it.
     """
     if timings is None:
         timings = {}
-    grid = list(config.base_grid)
-    tune_seed = mix_seed(config.seed, _TUNE)
-    fit_seed = mix_seed(config.seed, _FIT)
-    if config.method == "telvi":
-        with _stage("decompose", timings):
+    grid = config.base_grid
+    pca = None
+    with _stage("decompose", timings):
+        if config.method == "telvi":
             rank = config.rank
             if rank is None:
                 rank = rank_search(data.samples, config.rank_search_threshold)
             factors, _ = hosvd_factors(data.samples, rank)
             datasets = regroup(factors, data.labels)
-        with _stage("tune", timings):
-            chosen = tune_shared_spec(grid, datasets, config.cv_folds, tune_seed)
-        with _stage("fit", timings):
-            model = telvi_fit_regrouped(datasets, data.shape, chosen, fit_seed)
-        return model, chosen
-
-    def pca_reduce(vectors: VectorDataset):
-        pca = pca_fit(vectors.features, config.pca_dim)
-        return pca, VectorDataset(pca_transform(pca, vectors.features), data.labels)
-
-    pca = None
+        else:
+            features = flatten_samples(data.samples)
+            if config.method == "bagging":
+                pca = pca_fit(features, config.pca_dim)
+                features = pca_transform(pca, features)
+            datasets = {(-1, 0): VectorDataset(features, data.labels)}
     with _stage("tune", timings):
-        vectors = VectorDataset(flatten_samples(data.samples), data.labels)
         chosen = grid[0]
-        if len(grid) > 1:
-            if config.method == "bagging":  # tune in the estimators' PCA space
-                pca, vectors = pca_reduce(vectors)
-            chosen = grid_search_cv(grid, vectors, config.cv_folds, tune_seed)
-    with _stage("fit", timings):
-        if config.method == "bagging":
-            if pca is None:  # a one-spec grid skipped the tune-stage PCA
-                pca, vectors = pca_reduce(vectors)
-            model = bagging_fit_reduced(
-                pca, vectors, data.shape, config.n_estimators, chosen, fit_seed
+        if len(grid) > 1:  # a one-spec grid never reads the data
+            chosen = grid_search_cv(
+                grid, [datasets[key] for key in sorted(datasets)],
+                config.cv_folds, mix_seed(config.seed, _TUNE),
             )
-        else:  # single: one base learner on the raw flattened vectors
-            model = SingleModel(data.shape, fit(chosen, vectors, fit_seed))
+    fit_seed = mix_seed(config.seed, _FIT)
+    with _stage("fit", timings):
+        if config.method == "telvi":
+            model = telvi_fit_regrouped(datasets, data.shape, chosen, fit_seed)
+        elif config.method == "bagging":
+            model = bagging_fit_reduced(
+                pca, datasets[(-1, 0)], data.shape, config.n_estimators,
+                chosen, fit_seed,
+            )
+        else:
+            model = SingleModel(data.shape, fit(chosen, datasets[(-1, 0)], fit_seed))
     return model, chosen
 
 

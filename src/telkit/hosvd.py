@@ -204,10 +204,14 @@ def rank_search(
             f"max_relative_error must be in [0, 1), got {max_relative_error}"
         )
     shape = samples[0].shape
-    for x in samples:
+    for index, x in enumerate(samples):
         if x.shape != shape:
             raise ValueError(
                 f"samples disagree in shape: {x.shape} vs {shape}"
+            )
+        if not np.isfinite(x.data).all():  # index in the set, not the batch
+            raise ValueError(
+                f"hosvd input contains non-finite entries in sample {index}"
             )
     current = clamp_rank(shape, shape)  # full rank, clamped
     energy = np.stack([hosvd(x, current).core.to_array() ** 2 for x in samples])

@@ -1,6 +1,7 @@
 """Exhaustive grid search with k-fold cross validation.
 
-Folds are contiguous blocks of a seeded shuffle, identical for every
+``grid_search_cv`` is the one tuner, over one or more datasets.  Folds
+are contiguous blocks of a seeded shuffle, identical for every
 candidate, so two identical specs score identically and the earliest
 grid position wins ties.
 """
@@ -50,19 +51,27 @@ def cross_val_accuracy(
 
 
 def grid_search_cv(
-    grid: Sequence[ClassifierSpec], data: VectorDataset, folds: int, seed: int
+    grid: Sequence[ClassifierSpec],
+    datasets: Sequence[VectorDataset],
+    folds: int,
+    seed: int,
 ) -> ClassifierSpec:
-    """The grid entry with highest mean CV accuracy (ties: earliest)."""
+    """The grid entry with highest mean CV accuracy (ties: earliest).
+
+    A spec scores the mean of its CV accuracies over ``datasets``, added
+    in the given order; the datasets may differ in width (telvi's factor
+    columns).  A one-spec grid is returned once the folds are validated.
+    """
     if len(grid) == 0:
         raise ValueError("grid must not be empty")
+    if len(datasets) == 0:
+        raise ValueError("datasets must not be empty")
     if len(grid) == 1:
-        kfold_indices(data.n_samples, folds, seed)  # still validate folds
+        for data in datasets:  # still validate folds
+            kfold_indices(data.n_samples, folds, seed)
         return grid[0]
-    best_spec = None
-    best_score = -1.0
-    for spec in grid:
-        score = cross_val_accuracy(spec, data, folds, seed)
-        if score > best_score:
-            best_score = score
-            best_spec = spec
-    return best_spec
+    scores = [
+        np.mean([cross_val_accuracy(spec, d, folds, seed) for d in datasets])
+        for spec in grid
+    ]
+    return grid[int(np.argmax(scores))]  # argmax: the first of equal maxima

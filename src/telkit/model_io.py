@@ -10,6 +10,7 @@ shape; one without it (a bare learner) loads as the bare learner.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -263,6 +264,21 @@ def save_model(model, path: str | Path) -> None:
     dump_canonical(model_to_dict(model), path)
 
 
+def _parse_int(token: str):
+    # canonical_json writes -0.0 as "-0"; no integer field is negative zero
+    return -0.0 if token == "-0" else int(token)
+
+
+def _finite(token: str) -> float:
+    value = float(token)  # the constants "NaN" and "Infinity" parse too
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {token} in model file")
+    return value
+
+
 def load_model(path: str | Path):
+    """Read a model file, rejecting values canonical JSON never writes."""
     with open(path, "r", encoding="utf-8") as handle:
-        return model_from_dict(json.load(handle))
+        return model_from_dict(json.load(
+            handle, parse_int=_parse_int, parse_float=_finite, parse_constant=_finite
+        ))

@@ -25,7 +25,6 @@ from telkit.ensemble import (
 from telkit.experiment import (
     ExperimentConfig,
     run_experiment,
-    tune_shared_spec,
     write_learner_csv,
     write_report,
 )
@@ -213,6 +212,14 @@ class TestRunExperiment:
         assert (int(mode), int(component)) == (0, 0)
         assert 0.0 <= float(acc) <= 1.0
 
+    @pytest.mark.parametrize("method", ["telvi", "bagging", "single"])
+    def test_every_method_times_the_same_stages(self, method):
+        extra = {} if method == "telvi" else {"rank": None, "pca_dim": 16}
+        report = run_experiment(benchmark_config(method=method, **extra))
+        assert sorted(report.timings) == [
+            "decompose_s", "evaluate_s", "fit_s", "load_s", "split_s", "tune_s"
+        ]
+
     def test_report_canonical_dict_excludes_timings(self):
         report = run_experiment(benchmark_config())
         assert report.timings  # measured...
@@ -312,6 +319,31 @@ class TestModelFiles:
         save_model(model, a)
         save_model(model, b)
         assert a.read_bytes() == b.read_bytes()
+
+    @staticmethod
+    def _knn_with_negative_zero():
+        features = np.array([[-0.0, 1.0], [0.25, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        data = VectorDataset(features, np.array([0, 0, 1, 1]))
+        return SingleModel((2,), fit(ClassifierSpec("knn", {"k": 1}), data, 0))
+
+    def test_negative_zero_survives_a_round_trip(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        save_model(self._knn_with_negative_zero(), a)
+        assert "[[-0,1]," in a.read_text()  # canonical JSON writes -0.0 as -0
+        loaded = load_model(a)
+        assert np.signbit(loaded.learner.train_features[0, 0])
+        save_model(loaded, b)
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "1e999"])
+    def test_non_finite_number_rejected(self, tmp_path, token):
+        path = tmp_path / "single.json"
+        save_model(self._knn_with_negative_zero(), path)
+        text = path.read_text()
+        assert text.count("0.25") == 1
+        path.write_text(text.replace("0.25", token))
+        with pytest.raises(ValueError, match=f"non-finite number {token} "):
+            load_model(path)
 
     @pytest.mark.parametrize(
         "tamper, message",
@@ -445,17 +477,19 @@ class TestCli:
         if method == "telvi":
             factors, _ = hosvd_factors(data.samples, (2, 2, 1))
             datasets = regroup(factors, data.labels)
-            chosen = tune_shared_spec(grid, datasets, 3, tune_seed)
+            chosen = grid_search_cv(
+                grid, [datasets[k] for k in sorted(datasets)], 3, tune_seed
+            )
             model = telvi_fit(data, (2, 2, 1), chosen, fit_seed)
         elif method == "bagging":
             reduced = pca_transform(pca_fit(vectors, 16), vectors)
             chosen = grid_search_cv(
-                grid, VectorDataset(reduced, data.labels), 3, tune_seed
+                grid, [VectorDataset(reduced, data.labels)], 3, tune_seed
             )
             model = bagging_fit(data, 4, 16, chosen, fit_seed)
         else:
             flat = VectorDataset(vectors, data.labels)
-            chosen = grid_search_cv(grid, flat, 3, tune_seed)
+            chosen = grid_search_cv(grid, [flat], 3, tune_seed)
             model = SingleModel(data.shape, fit(chosen, flat, fit_seed))
         assert chosen == grid[1]  # tuning moved off the first spec
         save_model(model, lib_path)
@@ -479,17 +513,36 @@ class TestCli:
         save_model(model, lib_path)
         assert cli_path.read_bytes() == lib_path.read_bytes()
 
-    def test_train_failure_names_its_stage(self, tmp_path, capsys):
+    @staticmethod
+    def _bagging_train_error(tmp_path, capsys, **knobs):
         config_path = tmp_path / "train.json"
         config_path.write_text(json.dumps({
             "dataset": {"synthetic": BENCHMARK_SPEC.to_dict()},
-            "method": "bagging", "pca_dim": 0, "base_grid": [KNN3],
+            "method": "bagging", "base_grid": [KNN3], "cv_folds": 3, **knobs,
         }))
         out = tmp_path / "model.json"
         assert main(["train", "--config", str(config_path), "--out", str(out)]) == 1
+        assert not out.exists()
         err = capsys.readouterr().err
-        assert err.startswith("error: ExperimentError: fit stage failed: ")
         assert len(err.strip().splitlines()) == 1
+        return err
+
+    def test_train_failure_names_its_stage(self, tmp_path, capsys):
+        err = self._bagging_train_error(tmp_path, capsys, pca_dim=0)
+        assert err.startswith("error: ExperimentError: decompose stage failed: ")
+
+    @pytest.mark.parametrize(
+        "knobs, stage",
+        [
+            # the PCA fails in one stage whatever the grid's size
+            ({"pca_dim": 0, "base_grid": TWO_SPEC_GRID}, "decompose"),
+            ({"pca_dim": 16, "n_estimators": 0}, "fit"),
+        ],
+        ids=["pca_dim-two-specs", "n_estimators"],
+    )
+    def test_train_failure_stage_per_cause(self, tmp_path, capsys, knobs, stage):
+        err = self._bagging_train_error(tmp_path, capsys, **knobs)
+        assert err.startswith(f"error: ExperimentError: {stage} stage failed: ")
 
     def test_train_rejects_cv_folds_below_two(self, tmp_path, capsys):
         config_path = tmp_path / "train.json"

@@ -437,7 +437,9 @@ class TestRankSearch:
         rng = np.random.default_rng(181)
         samples = [random_tensor(rng, (3, 3, 2)) for _ in range(2)]
         samples.append(DenseTensor((3, 3, 2), [np.nan] + [0.0] * 17))
-        with pytest.raises(ValueError, match="hosvd input contains non-finite"):
+        with pytest.raises(
+            ValueError, match="hosvd input contains non-finite entries in sample 2"
+        ):
             rank_search(samples, 0.1)
 
     def test_decomposes_each_sample_once(self, monkeypatch):

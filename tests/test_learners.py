@@ -11,6 +11,7 @@ from telkit.learners import (
     TreeNode,
     VectorDataset,
     accuracy,
+    cross_val_accuracy,
     fit,
     grid_search_cv,
     kernel_matrix,
@@ -517,7 +518,7 @@ class TestGridSearch:
         rng = np.random.default_rng(271)
         data = blobs(rng, [(0.0,), (4.0,)], 6)
         spec = ClassifierSpec("knn", {"k": 1})
-        assert grid_search_cv([spec], data, folds=3, seed=0) is spec
+        assert grid_search_cv([spec], [data], folds=3, seed=0) is spec
 
     def test_small_k_beats_degenerate_large_k(self):
         # each class is one point duplicated; a huge k only ever votes
@@ -531,20 +532,48 @@ class TestGridSearch:
             ClassifierSpec("knn", {"k": 999}),
             ClassifierSpec("knn", {"k": 1}),
         ]
-        winner = grid_search_cv(grid, data, folds=4, seed=13)
+        winner = grid_search_cv(grid, [data], folds=4, seed=13)
         assert winner["k"] == 1
 
     def test_identical_specs_tie_to_first(self):
         rng = np.random.default_rng(277)
         data = blobs(rng, [(0.0,), (5.0,)], 8)
         grid = [ClassifierSpec("knn", {"k": 3}), ClassifierSpec("knn", {"k": 3})]
-        assert grid_search_cv(grid, data, folds=4, seed=1) is grid[0]
+        assert grid_search_cv(grid, [data], folds=4, seed=1) is grid[0]
 
     def test_too_many_folds_rejected(self):
         rng = np.random.default_rng(281)
         data = blobs(rng, [(0.0,), (5.0,)], 2)
         with pytest.raises(ValueError, match="folds"):
-            grid_search_cv([ClassifierSpec("knn")], data, folds=5, seed=0)
+            grid_search_cv([ClassifierSpec("knn")], [data], folds=5, seed=0)
+
+    def test_scores_the_mean_over_datasets(self):
+        rng = np.random.default_rng(283)
+        # a stump beats 1-NN on a threshold with three flipped labels...
+        x = np.sort(rng.uniform(-1.0, 1.0, 24))
+        y = (x > 0).astype(int)
+        y[[2, 9, 20]] ^= 1
+        threshold = VectorDataset(x[:, None], y)
+        # ...and loses to it on XOR clusters, which no single split separates
+        corners = 4.0 * np.array([[0, 0], [1, 1], [0, 1], [1, 0]])
+        xor = VectorDataset(
+            np.vstack([c + 0.3 * rng.standard_normal((6, 2)) for c in corners]),
+            np.repeat([0, 0, 1, 1], 6),
+        )
+        grid = [
+            ClassifierSpec("tree", {"max_depth": 1}), ClassifierSpec("knn", {"k": 1})
+        ]
+        assert grid_search_cv(grid, [threshold], folds=4, seed=5) is grid[0]
+        assert grid_search_cv(grid, [threshold, xor], folds=4, seed=5) is grid[1]
+        means = [
+            np.mean([cross_val_accuracy(s, d, 4, 5) for d in (threshold, xor)])
+            for s in grid
+        ]
+        assert means[1] > means[0]
+
+    def test_empty_dataset_list_rejected(self):
+        with pytest.raises(ValueError, match="datasets must not be empty"):
+            grid_search_cv([ClassifierSpec("knn")], [], folds=2, seed=0)
 
     def test_fold_blocks_partition_the_data(self):
         blocks = kfold_indices(11, 3, seed=9)
