@@ -35,6 +35,7 @@ from .learners import (
     accuracy,
     fit,
     grid_search_cv,
+    majority_labels,
 )
 from .linalg import PcaModel, SvdResult, pca_fit, pca_transform, thin_svd, truncated_svd
 from .synth import BENCHMARK_SPEC, SyntheticSpec, synth_generate
@@ -73,6 +74,7 @@ __all__ = [
     "fit",
     "accuracy",
     "grid_search_cv",
+    "majority_labels",
     "LabeledTensorDataset",
     "TelviModel",
     "BaggingModel",

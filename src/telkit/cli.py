@@ -8,6 +8,7 @@ and exit 1.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .canonical import dump_canonical
-from .ensemble import majority_vote, predict_votes
+from .ensemble import predict_votes
 from .experiment import (
     ExperimentConfig,
     load_dataset,
@@ -26,7 +27,7 @@ from .experiment import (
 )
 from .hosvd import hosvd, relative_error, reconstruct
 from .io import load_tensor_dataset, save_tensor_dataset
-from .learners import accuracy
+from .learners import accuracy, majority_labels
 from .model_io import load_model, save_model
 from .synth import SyntheticSpec, synth_generate
 
@@ -34,6 +35,14 @@ from .synth import SyntheticSpec, synth_generate
 def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
+
+
+def _read_config(cls, args):
+    """The ``cls`` config at ``--config``, its seed overridden by ``--seed``."""
+    config = cls.from_dict(_read_json(args.config))
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
+    return config
 
 
 def _parse_rank(text: str) -> tuple[int, ...]:
@@ -44,10 +53,7 @@ def _parse_rank(text: str) -> tuple[int, ...]:
 
 
 def _cmd_synth(args) -> int:
-    spec = SyntheticSpec.from_dict(_read_json(args.config))
-    if args.seed is not None:
-        spec = SyntheticSpec.from_dict({**spec.to_dict(), "seed": args.seed})
-    data = synth_generate(spec)
+    data = synth_generate(_read_config(SyntheticSpec, args))
     save_tensor_dataset(data, args.out)
     print(f"wrote {data.n_samples} samples of shape {data.shape} to {args.out}")
     return 0
@@ -91,11 +97,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_train(args) -> int:
     """Train on the full configured dataset (no split) and save the model."""
-    config = ExperimentConfig.from_dict(_read_json(args.config))
-    if args.seed is not None:
-        config = ExperimentConfig.from_dict(
-            {**config.to_dict(), "seed": args.seed}
-        )
+    config = _read_config(ExperimentConfig, args)
     data = load_dataset(config)
     model, _ = train_model(config, data)
     save_model(model, args.out)
@@ -107,7 +109,7 @@ def _cmd_predict(args) -> int:
     model = load_model(args.model)
     data = _load_cli_dataset(args)
     _, votes = predict_votes(model, data.samples)
-    predicted = [majority_vote(column.tolist()).winner for column in votes.T]
+    predicted = majority_labels(votes)
     lines = ["index,label"] + [
         f"{i},{label}" for i, label in enumerate(predicted)
     ]
@@ -116,16 +118,13 @@ def _cmd_predict(args) -> int:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    score = accuracy(np.array(predicted), data.labels)
+    score = accuracy(predicted, data.labels)
     print(f"accuracy={score:.6g} n={data.n_samples}", file=sys.stderr)
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    payload = _read_json(args.config)
-    if args.seed is not None:
-        payload["seed"] = args.seed
-    config = ExperimentConfig.from_dict(payload)
+    config = _read_config(ExperimentConfig, args)
     report = run_experiment(config)
     out = args.out or config.output
     if out is None:
@@ -183,43 +182,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=False, data=False, out_required=False):
-        if config:
-            p.add_argument("--config", help="JSON config path")
+    def seed_and_out(p, out_required=False):
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument(
-            "--out", required=out_required, help="output file path"
-        )
-        if data:
-            p.add_argument("--data", help="TELD dataset path")
+        p.add_argument("--out", required=out_required, help="output file path")
+
+    def dataset_source(p):
+        p.add_argument("--config", help="experiment config JSON naming the dataset")
+        p.add_argument("--data", help="TELD dataset path")
 
     p = sub.add_parser("synth", help="generate a synthetic TELD dataset")
     p.add_argument("--config", required=True, help="SyntheticSpec JSON path")
-    common(p, out_required=True)
+    seed_and_out(p, out_required=True)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("decompose", help="HOSVD a dataset and report error")
-    common(p, config=True, data=True)
+    dataset_source(p)
     p.add_argument("--rank", required=True, help="comma-separated rank, e.g. 2,2,1")
+    p.add_argument("--out", help="output file path")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("train", help="train a model on a full dataset")
     p.add_argument("--config", required=True, help="experiment config JSON")
-    common(p, out_required=True)
+    seed_and_out(p, out_required=True)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="predict labels with a saved model")
     p.add_argument("--model", required=True, help="model JSON path")
-    common(p, config=True, data=True)
+    dataset_source(p)
+    p.add_argument("--out", help="output file path")
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("experiment", help="run a full experiment to a report")
     p.add_argument("--config", required=True, help="experiment config JSON")
-    common(p)
+    seed_and_out(p)
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("inspect", help="summarize a TELD/model/report file")
-    common(p, config=True, data=True)
+    dataset_source(p)
     p.set_defaults(func=_cmd_inspect)
     return parser
 

@@ -19,9 +19,11 @@ trains the same base-learner kind on bootstrap resamples.
 ``predict_votes`` is the one prediction path of every model kind, used by
 the harness, the CLI and ``telvi_predict``/``bagging_predict``; for step 4
 a whole sample set is decomposed in one ``hosvd_factors`` call and each
-learner predicts its factor column of every sample in one call.  All
-routes share the vote tally and its tie rule (lowest class label wins
-ties).
+learner predicts its factor column of every sample in one call.  The
+harness and the CLI combine a whole vote matrix with
+``learners.majority_labels``; ``majority_vote`` is the weighted tally of
+one sample's votes behind ``telvi_predict`` and ``bagging_predict``.
+Both give ties to the lowest class label.
 """
 
 from __future__ import annotations

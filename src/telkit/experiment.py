@@ -16,7 +16,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .canonical import canonical_json
+from .canonical import dump_canonical
 from .ensemble import (
     BaggingModel,
     LabeledTensorDataset,
@@ -24,18 +24,19 @@ from .ensemble import (
     TelviModel,
     bagging_fit_reduced,
     flatten_samples,
-    majority_vote,
     predict_votes,
     regroup,
     telvi_fit_regrouped,
 )
 from .hosvd import MultilinearRank, hosvd_factors, rank_search
+from .io import load_ppm_dir, load_tensor_dataset
 from .learners import (
     ClassifierSpec,
     VectorDataset,
     accuracy,
     fit,
     grid_search_cv,
+    majority_labels,
 )
 from .linalg import pca_fit, pca_transform
 from .seeding import mix_seed
@@ -135,6 +136,10 @@ class ExperimentConfig:
             raise ValueError("base_grid must not be empty")
         if self.cv_folds < 2:
             raise ValueError(f"cv_folds must be >= 2, got {self.cv_folds}")
+        if self.n_estimators < 1:
+            raise ValueError(
+                f"n_estimators must be >= 1, got {self.n_estimators}"
+            )
         if self.method == "telvi":
             if (self.rank is None) == (self.rank_search_threshold is None):
                 raise ValueError(
@@ -248,9 +253,6 @@ class ExperimentReport:
 
 
 def load_dataset(config: ExperimentConfig) -> LabeledTensorDataset:
-    # imported here: io depends on ensemble, which this module also uses
-    from .io import load_ppm_dir, load_tensor_dataset
-
     if config.dataset_path is not None:
         return load_tensor_dataset(config.dataset_path)
     if config.image_dir is not None:
@@ -267,8 +269,7 @@ def _evaluate(
         {"mode": n, "component": r, "accuracy": accuracy(row, test.labels)}
         for (n, r), row in zip(keys, votes)
     ]
-    winners = [majority_vote(column.tolist()).winner for column in votes.T]
-    return per_learner, accuracy(np.array(winners), test.labels)
+    return per_learner, accuracy(majority_labels(votes), test.labels)
 
 
 @contextmanager
@@ -366,9 +367,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 def write_report(report: ExperimentReport, path: str | Path) -> None:
     """Write the canonical report JSON (timings excluded by design)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(canonical_json(report.to_canonical_dict()))
-        handle.write("\n")
+    dump_canonical(report.to_canonical_dict(), path)
 
 
 def write_learner_csv(report: ExperimentReport, path: str | Path) -> None:

@@ -1,16 +1,18 @@
 """Supervised base classifiers on fixed-length vectors.
 
 Four kinds are available behind one ``fit`` dispatcher, each model with
-its own ``predict``: KNN, CART decision trees, multinomial logistic
-regression and kernel SVM.
+its own ``predict`` and ``n_features``: KNN, CART decision trees,
+multinomial logistic regression and kernel SVM.
 All training is deterministic given (spec, data, seed).
+``majority_labels`` is telkit's one plurality vote.
 """
 
 from __future__ import annotations
 
 from typing import Union
 
-from .base import Scaler, VectorDataset, accuracy, check_finite, majority_label
+from .base import (Scaler, VectorDataset, accuracy, check_finite,
+                   majority_label, majority_labels)
 from .grid import cross_val_accuracy, grid_search_cv, kfold_indices
 from .knn import KnnModel, fit_knn
 from .logit import LogitModel, fit_logit, logit_gradient, logit_loss
@@ -33,6 +35,7 @@ __all__ = [
     "fit",
     "accuracy",
     "majority_label",
+    "majority_labels",
     "kernel_matrix",
     "logit_loss",
     "logit_gradient",

@@ -1,4 +1,4 @@
-"""Shared learner plumbing: datasets, standardization, vote helpers."""
+"""Shared learner plumbing: datasets, standardization, the plurality vote."""
 
 from __future__ import annotations
 
@@ -6,8 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["VectorDataset", "Scaler", "standardize_fit", "majority_label",
-           "check_finite", "check_features", "accuracy"]
+__all__ = ["VectorDataset", "Scaler", "standardize_fit", "majority_labels",
+           "majority_label", "two_class_labels", "check_finite",
+           "check_features", "accuracy"]
 
 
 @dataclass(frozen=True)
@@ -59,10 +60,35 @@ def standardize_fit(X: np.ndarray) -> Scaler:
     return Scaler(mean=X.mean(axis=0), std=X.std(axis=0))
 
 
+def majority_labels(votes: np.ndarray) -> np.ndarray:
+    """Plurality label of each column of a ``(voters, samples)`` label
+    array; ties go to the lowest label."""
+    n_voters, n_samples = np.shape(votes)
+    if n_samples == 0:
+        return np.empty(0, dtype=np.int64)
+    if n_voters == 0:
+        raise ValueError("majority_labels needs at least one voter")
+    values, codes = np.unique(votes, return_inverse=True)
+    # row j counts sample j's votes; argmax picks the first, lowest, label
+    cells = codes.reshape(n_voters, n_samples) + values.size * np.arange(n_samples)
+    counts = np.bincount(cells.ravel(), minlength=n_samples * values.size)
+    return values[np.argmax(counts.reshape(n_samples, values.size), axis=1)]
+
+
 def majority_label(labels: np.ndarray) -> int:
     """Most frequent label; ties go to the lowest label."""
-    values, counts = np.unique(labels, return_counts=True)
-    return int(values[np.argmax(counts)])
+    return int(majority_labels(np.asarray(labels)[:, None])[0])
+
+
+def two_class_labels(data: VectorDataset, kind: str) -> np.ndarray:
+    """Class labels of a ``kind`` learner's training set of >= 2 samples
+    and >= 2 classes."""
+    if data.n_samples < 2:
+        raise ValueError(f"{kind} needs at least two training samples")
+    class_labels = np.unique(data.labels)
+    if class_labels.size < 2:
+        raise ValueError(f"{kind} needs at least two classes")
+    return class_labels
 
 
 def check_finite(X: np.ndarray) -> None:

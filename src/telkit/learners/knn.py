@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import VectorDataset, check_features
+from .base import VectorDataset, check_features, majority_labels
 from .spec import ClassifierSpec
 
 __all__ = ["KnnModel", "fit_knn"]
@@ -24,18 +24,19 @@ class KnnModel:
     train_features: np.ndarray
     train_labels: np.ndarray
 
+    @property
+    def n_features(self) -> int:
+        return int(self.train_features.shape[1])
+
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = check_features(X, self.train_features.shape[1])
+        X = check_features(X, self.n_features)
         k = min(self.spec["k"], self.train_features.shape[0])
-        out = np.empty(X.shape[0], dtype=np.int64)
+        nearest = np.empty((k, X.shape[0]), dtype=np.int64)
         for i, row in enumerate(X):
             dists = np.linalg.norm(self.train_features - row, axis=1)
             # stable sort keeps the lower index first on distance ties
-            nearest = np.argsort(dists, kind="stable")[:k]
-            votes = self.train_labels[nearest]
-            values, counts = np.unique(votes, return_counts=True)
-            out[i] = values[np.argmax(counts)]
-        return out
+            nearest[:, i] = np.argsort(dists, kind="stable")[:k]
+        return majority_labels(self.train_labels[nearest])
 
 
 def fit_knn(spec: ClassifierSpec, data: VectorDataset, seed: int) -> KnnModel:

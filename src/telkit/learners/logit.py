@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import Scaler, VectorDataset, check_features, standardize_fit
+from .base import (Scaler, VectorDataset, check_features, standardize_fit,
+                   two_class_labels)
 from .spec import ClassifierSpec
 
 __all__ = ["LogitModel", "fit_logit", "logit_loss", "logit_gradient"]
@@ -28,15 +29,16 @@ class LogitModel:
     weights: np.ndarray  # features x classes
     bias: np.ndarray  # classes
 
+    @property
+    def n_features(self) -> int:
+        return int(self.weights.shape[0])
+
     def decision_values(self, X: np.ndarray) -> np.ndarray:
-        X = check_features(X, self.weights.shape[0])
+        X = check_features(X, self.n_features)
         return self.scaler.transform(X) @ self.weights + self.bias
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        scores = self.decision_values(X)
-        if scores.shape[0] == 0:
-            return np.empty(0, dtype=np.int64)
-        return self.class_labels[np.argmax(scores, axis=1)]
+        return self.class_labels[np.argmax(self.decision_values(X), axis=1)]
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -66,11 +68,7 @@ def logit_gradient(
 
 
 def fit_logit(spec: ClassifierSpec, data: VectorDataset, seed: int) -> LogitModel:
-    if data.n_samples < 2:
-        raise ValueError("logit needs at least two training samples")
-    class_labels = np.unique(data.labels)
-    if class_labels.size < 2:
-        raise ValueError("logit needs at least two classes")
+    class_labels = two_class_labels(data, "logit")
     scaler = standardize_fit(data.features)
     X = scaler.transform(data.features)
     Y = (data.labels[:, None] == class_labels[None, :]).astype(np.float64)

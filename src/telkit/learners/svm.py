@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..seeding import mix_seed
-from .base import Scaler, VectorDataset, check_features, standardize_fit
+from .base import (Scaler, VectorDataset, check_features, standardize_fit,
+                   two_class_labels)
 from .spec import ClassifierSpec
 
 __all__ = ["BinarySvm", "SvmModel", "fit_svm", "kernel_matrix"]
@@ -80,10 +81,7 @@ class SvmModel:
         )
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        scores = self.decision_values(X)
-        if scores.shape[0] == 0:
-            return np.empty(0, dtype=np.int64)
-        return self.class_labels[np.argmax(scores, axis=1)]
+        return self.class_labels[np.argmax(self.decision_values(X), axis=1)]
 
 
 def _smo(
@@ -166,11 +164,7 @@ def _smo(
 
 
 def fit_svm(spec: ClassifierSpec, data: VectorDataset, seed: int) -> SvmModel:
-    if data.n_samples < 2:
-        raise ValueError("svm needs at least two training samples")
-    class_labels = np.unique(data.labels)
-    if class_labels.size < 2:
-        raise ValueError("svm needs at least two classes")
+    class_labels = two_class_labels(data, "svm")
     scaler = standardize_fit(data.features)
     X = scaler.transform(data.features)
     K = kernel_matrix(spec, X, X)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import VectorDataset, check_features, majority_label
+from .base import VectorDataset, check_features, majority_label, two_class_labels
 from .spec import ClassifierSpec
 
 __all__ = ["TreeNode", "TreeModel", "fit_tree"]
@@ -154,11 +154,7 @@ def _grow(X: np.ndarray, y: np.ndarray, depth: int, spec: ClassifierSpec) -> Tre
 
 
 def fit_tree(spec: ClassifierSpec, data: VectorDataset, seed: int) -> TreeModel:
-    if data.n_samples < 2:
-        raise ValueError("tree needs at least two training samples")
-    class_labels = np.unique(data.labels)
-    if class_labels.size < 2:
-        raise ValueError("tree needs at least two classes")
+    class_labels = two_class_labels(data, "tree")
     root = _grow(data.features, data.labels, 0, spec)
     return TreeModel(
         spec=spec,

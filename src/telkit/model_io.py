@@ -5,6 +5,8 @@ significant digits, which round-trips float64 exactly), so saving the
 same model twice produces identical bytes and a loaded model predicts
 identically to the original.  A single model file records the training
 shape; one without it (a bare learner) loads as the bare learner.
+Loading checks that every learner takes the width its place in the model
+feeds it and knows only the model's class labels.
 """
 
 from __future__ import annotations
@@ -36,14 +38,6 @@ __all__ = ["save_model", "load_model", "model_to_dict", "model_from_dict"]
 MODEL_FORMAT_VERSION = 1
 
 
-def _matrix(a: np.ndarray) -> list[list[float]]:
-    return [[float(v) for v in row] for row in np.asarray(a, dtype=np.float64)]
-
-
-def _vector(a: np.ndarray) -> list:
-    return [v.item() for v in np.asarray(a)]
-
-
 def _tree_node_to_dict(node: TreeNode) -> dict[str, Any]:
     if node.is_leaf:
         return {"label": int(node.label)}
@@ -67,7 +61,7 @@ def _tree_node_from_dict(payload: dict[str, Any]) -> TreeNode:
 
 
 def _scaler_to_dict(scaler: Scaler) -> dict[str, Any]:
-    return {"mean": _vector(scaler.mean), "std": _vector(scaler.std)}
+    return {"mean": scaler.mean.tolist(), "std": scaler.std.tolist()}
 
 
 def _scaler_from_dict(payload: dict[str, Any]) -> Scaler:
@@ -78,46 +72,39 @@ def _scaler_from_dict(payload: dict[str, Any]) -> Scaler:
 
 
 def _learner_to_dict(model: TrainedModel) -> dict[str, Any]:
-    spec = model.spec.to_dict()
-    labels = _vector(model.class_labels)
     if isinstance(model, KnnModel):
-        return {
-            "spec": spec,
-            "class_labels": labels,
-            "train_features": _matrix(model.train_features),
-            "train_labels": _vector(model.train_labels),
+        fields = {
+            "train_features": model.train_features.tolist(),
+            "train_labels": model.train_labels.tolist(),
         }
-    if isinstance(model, TreeModel):
-        return {
-            "spec": spec,
-            "class_labels": labels,
+    elif isinstance(model, TreeModel):
+        fields = {
             "root": _tree_node_to_dict(model.root),
             "n_features": model.n_features,
         }
-    if isinstance(model, LogitModel):
-        return {
-            "spec": spec,
-            "class_labels": labels,
+    elif isinstance(model, LogitModel):
+        fields = {
             "scaler": _scaler_to_dict(model.scaler),
-            "weights": _matrix(model.weights),
-            "bias": _vector(model.bias),
+            "weights": model.weights.tolist(),
+            "bias": model.bias.tolist(),
         }
-    if isinstance(model, SvmModel):
-        return {
-            "spec": spec,
-            "class_labels": labels,
+    elif isinstance(model, SvmModel):
+        fields = {
             "scaler": _scaler_to_dict(model.scaler),
             "n_features": model.n_features,
             "binaries": [
                 {
-                    "support_vectors": _matrix(b.support_vectors),
-                    "dual_coefs": _vector(b.dual_coefs),
+                    "support_vectors": b.support_vectors.tolist(),
+                    "dual_coefs": b.dual_coefs.tolist(),
                     "bias": float(b.bias),
                 }
                 for b in model.binaries
             ],
         }
-    raise TypeError(f"unknown model type {type(model).__name__}")
+    else:
+        raise TypeError(f"unknown model type {type(model).__name__}")
+    spec, labels = model.spec.to_dict(), model.class_labels.tolist()
+    return {"spec": spec, "class_labels": labels, **fields}
 
 
 def _learner_from_dict(payload: dict[str, Any]) -> TrainedModel:
@@ -165,6 +152,21 @@ def _learner_from_dict(payload: dict[str, Any]) -> TrainedModel:
     raise ValueError(f"unknown learner kind {spec.kind!r}")
 
 
+def _load_learner(payload: dict[str, Any], where: str, width: int, class_labels=None):
+    """The learner ``payload`` describes, checked to take ``width`` features
+    and to know only the enclosing model's ``class_labels``, if given."""
+    learner = _learner_from_dict(payload)
+    if learner.n_features != width:
+        raise ValueError(f"{where} has width {learner.n_features}, expected {width}")
+    known = learner.class_labels if class_labels is None else class_labels
+    if np.setdiff1d(learner.class_labels, known).size:
+        raise ValueError(
+            f"{where} has class labels {learner.class_labels.tolist()} "
+            f"outside the model's {class_labels.tolist()}"
+        )
+    return learner
+
+
 def model_to_dict(model) -> dict[str, Any]:
     """Serializable form of a single learner or a whole ensemble."""
     if isinstance(model, TelviModel):
@@ -174,7 +176,7 @@ def model_to_dict(model) -> dict[str, Any]:
             "rank": list(model.rank),
             "shape": list(model.shape),
             "base_spec": model.base_spec.to_dict(),
-            "class_labels": _vector(model.class_labels),
+            "class_labels": model.class_labels.tolist(),
             "seed": model.seed,
             "base_models": {
                 f"{n},{r}": _learner_to_dict(learner)
@@ -187,12 +189,12 @@ def model_to_dict(model) -> dict[str, Any]:
             "type": "bagging",
             "shape": list(model.shape),
             "base_spec": model.base_spec.to_dict(),
-            "class_labels": _vector(model.class_labels),
+            "class_labels": model.class_labels.tolist(),
             "seed": model.seed,
             "bootstrap_seeds": list(model.bootstrap_seeds),
             "pca": {
-                "mean": _vector(model.pca.mean),
-                "components": _matrix(model.pca.components),
+                "mean": model.pca.mean.tolist(),
+                "components": model.pca.components.tolist(),
             },
             "estimators": [_learner_to_dict(e) for e in model.estimators],
         }
@@ -226,37 +228,51 @@ def model_from_dict(payload: dict[str, Any]):
             raise ValueError(
                 f"telvi base_models key {key!r} is {problem} for rank {rank}"
             )
+        class_labels = np.asarray(payload["class_labels"], dtype=np.int64)
         base_models = {}
         for key, sub in sorted(payload["base_models"].items()):
             n, r = (int(part) for part in key.split(","))
-            base_models[(n, r)] = _learner_from_dict(sub)
+            base_models[(n, r)] = _load_learner(
+                sub, f"telvi base_models key {key!r}", shape[n], class_labels
+            )
         return TelviModel(
-            rank=tuple(payload["rank"]),
-            shape=tuple(payload["shape"]),
+            rank=tuple(rank),
+            shape=tuple(shape),
             base_spec=ClassifierSpec.from_dict(payload["base_spec"]),
             base_models=base_models,
-            class_labels=np.asarray(payload["class_labels"], dtype=np.int64),
+            class_labels=class_labels,
             seed=int(payload["seed"]),
         )
     if kind == "bagging":
-        components = np.asarray(payload["pca"]["components"], dtype=np.float64)
+        shape = tuple(payload["shape"])
+        pca = PcaModel(
+            mean=np.asarray(payload["pca"]["mean"], dtype=np.float64),
+            components=np.asarray(payload["pca"]["components"], dtype=np.float64),
+        )
+        if pca.mean.size != math.prod(shape):
+            raise ValueError(
+                f"bagging pca mean has length {pca.mean.size}, expected "
+                f"{math.prod(shape)} for shape {list(shape)}"
+            )
+        class_labels = np.asarray(payload["class_labels"], dtype=np.int64)
         return BaggingModel(
-            shape=tuple(payload["shape"]),
-            pca=PcaModel(
-                mean=np.asarray(payload["pca"]["mean"], dtype=np.float64),
-                components=components,
-            ),
+            shape=shape,
+            pca=pca,
             base_spec=ClassifierSpec.from_dict(payload["base_spec"]),
-            estimators=[_learner_from_dict(e) for e in payload["estimators"]],
+            estimators=[
+                _load_learner(sub, f"bagging estimator {e}", pca.retained, class_labels)
+                for e, sub in enumerate(payload["estimators"])
+            ],
             bootstrap_seeds=[int(s) for s in payload["bootstrap_seeds"]],
-            class_labels=np.asarray(payload["class_labels"], dtype=np.int64),
+            class_labels=class_labels,
             seed=int(payload["seed"]),
         )
     if kind == "single":
-        learner = _learner_from_dict(payload["model"])
         if "shape" not in payload:  # a bare learner, saved without its shape
-            return learner
-        return SingleModel(shape=tuple(payload["shape"]), learner=learner)
+            return _learner_from_dict(payload["model"])
+        shape = tuple(payload["shape"])
+        learner = _load_learner(payload["model"], "single model", math.prod(shape))
+        return SingleModel(shape=shape, learner=learner)
     raise ValueError(f"unknown model type {kind!r}")
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from telkit.ensemble import (
     BaggingModel,
@@ -25,7 +26,7 @@ from telkit.ensemble import (
     telvi_predict,
 )
 from telkit.hosvd import hosvd, hosvd_factors
-from telkit.learners import ClassifierSpec, VectorDataset, fit
+from telkit.learners import ClassifierSpec, VectorDataset, fit, majority_labels
 from telkit.linalg import pca_fit, pca_transform
 from telkit.seeding import mix_seed
 from telkit.tensor import DenseTensor, outer_product
@@ -97,6 +98,24 @@ class TestMajorityVote:
     def test_empty_votes_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             majority_vote([])
+        with pytest.raises(ValueError, match="at least one voter"):
+            majority_labels(np.empty((0, 3), dtype=np.int64))
+
+    @pytest.mark.parametrize("voters", [1, 5])
+    def test_majority_labels_of_no_samples_is_empty(self, voters):
+        out = majority_labels(np.zeros((voters, 0), dtype=np.int64))
+        assert out.dtype == np.int64 and out.shape == (0,)
+
+    @given(
+        votes=hnp.arrays(
+            np.int64,
+            st.tuples(st.integers(1, 9), st.integers(1, 12)),
+            elements=st.integers(-4, 4),  # VectorDataset allows negative labels
+        )
+    )
+    def test_majority_labels_is_the_tally_of_each_column_property(self, votes):
+        expected = [majority_vote(column.tolist()).winner for column in votes.T]
+        assert majority_labels(votes).tolist() == expected
 
     @given(data=st.data())
     def test_heaviest_then_lowest_label_wins_property(self, data):

@@ -354,21 +354,77 @@ class TestModelFiles:
                 "'2,1' is unexpected",
             ),
             (lambda p: p["rank"].pop(), "has 2 modes but shape"),
+            (
+                lambda p: p["base_models"].update({"0,0": p["base_models"]["1,0"]}),
+                r"key '0,0' has width 4, expected 3$",
+            ),
+            (
+                lambda p: p["base_models"]["0,1"]["class_labels"].append(7),
+                r"key '0,1' has class labels \[0, 1, 7\] outside the model's \[0, 1\]",
+            ),
         ],
-        ids=["missing-key", "extra-key", "rank-shorter-than-shape"],
+        ids=[
+            "missing-key", "extra-key", "rank-shorter-than-shape",
+            "learner-width", "learner-class-labels",
+        ],
     )
     def test_tampered_telvi_model_rejected(self, tmp_path, tamper, message):
         rng = np.random.default_rng(449)
         model = telvi_fit(
             tiny_tensor_dataset(rng), (2, 2, 1), ClassifierSpec("knn", {"k": 1}), 3
         )
-        path = tmp_path / "telvi.json"
+        with pytest.raises(ValueError, match=message):
+            load_model(self._tampered_file(tmp_path, model, tamper))
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (
+                lambda p: p["estimators"][1].update(train_features=[
+                    row[:-1] for row in p["estimators"][1]["train_features"]
+                ]),
+                r"^bagging estimator 1 has width 5, expected 6$",
+            ),
+            (
+                lambda p: p["pca"]["mean"].pop(),
+                r"^bagging pca mean has length 23, expected 24 for shape \[3, 4, 2\]$",
+            ),
+            (
+                lambda p: p["estimators"][0]["class_labels"].append(5),
+                r"^bagging estimator 0 has class labels \[0, 1, 5\] outside",
+            ),
+        ],
+        ids=["estimator-width", "pca-mean-length", "estimator-class-labels"],
+    )
+    def test_tampered_bagging_model_rejected(self, tmp_path, tamper, message):
+        rng = np.random.default_rng(457)
+        model = bagging_fit(
+            tiny_tensor_dataset(rng), 3, 6, ClassifierSpec("knn", {"k": 1}), 5
+        )
+        with pytest.raises(ValueError, match=message):
+            load_model(self._tampered_file(tmp_path, model, tamper))
+
+    def test_tampered_single_model_rejected(self, tmp_path):
+        rng = np.random.default_rng(461)
+        data = tiny_tensor_dataset(rng)
+        flat = VectorDataset(flatten_samples(data.samples), data.labels)
+        model = SingleModel(data.shape, fit(ClassifierSpec("tree"), flat, 1))
+        path = self._tampered_file(
+            tmp_path, model, lambda p: p.update(shape=[3, 4, 3])
+        )
+        with pytest.raises(ValueError, match="^single model has width 24, expected 36$"):
+            load_model(path)
+
+    @staticmethod
+    def _tampered_file(tmp_path, model, tamper):
+        """Save ``model``, apply ``tamper`` to its JSON payload and return
+        the rewritten file's path."""
+        path = tmp_path / "model.json"
         save_model(model, path)
         payload = json.loads(path.read_text())
         tamper(payload)
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=message):
-            load_model(path)
+        return path
 
     def test_unknown_type_rejected(self, tmp_path):
         path = tmp_path / "x.json"
@@ -536,25 +592,41 @@ class TestCli:
         [
             # the PCA fails in one stage whatever the grid's size
             ({"pca_dim": 0, "base_grid": TWO_SPEC_GRID}, "decompose"),
-            ({"pca_dim": 16, "n_estimators": 0}, "fit"),
+            (
+                {
+                    "dataset": {"synthetic": {**BENCHMARK_SPEC.to_dict(), "classes": 1}},
+                    "pca_dim": 16, "base_grid": [{"kind": "svm"}],
+                },
+                "fit",
+            ),
         ],
-        ids=["pca_dim-two-specs", "n_estimators"],
+        ids=["pca_dim-two-specs", "one-class-svm"],
     )
     def test_train_failure_stage_per_cause(self, tmp_path, capsys, knobs, stage):
         err = self._bagging_train_error(tmp_path, capsys, **knobs)
         assert err.startswith(f"error: ExperimentError: {stage} stage failed: ")
 
-    def test_train_rejects_cv_folds_below_two(self, tmp_path, capsys):
+    @staticmethod
+    def _train_load_error(tmp_path, capsys, **knobs):
         config_path = tmp_path / "train.json"
         config_path.write_text(json.dumps({
             "dataset": {"synthetic": BENCHMARK_SPEC.to_dict()},
-            "method": "single", "base_grid": [KNN3], "cv_folds": 0,
+            "base_grid": [KNN3], **knobs,
         }))
         out = tmp_path / "model.json"
         assert main(["train", "--config", str(config_path), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err == "error: ValueError: cv_folds must be >= 2, got 0\n"
         assert not out.exists()
+        return capsys.readouterr().err
+
+    def test_train_rejects_cv_folds_below_two(self, tmp_path, capsys):
+        err = self._train_load_error(tmp_path, capsys, method="single", cv_folds=0)
+        assert err == "error: ValueError: cv_folds must be >= 2, got 0\n"
+
+    def test_train_rejects_n_estimators_below_one(self, tmp_path, capsys):
+        err = self._train_load_error(
+            tmp_path, capsys, method="bagging", pca_dim=16, n_estimators=0
+        )
+        assert err == "error: ValueError: n_estimators must be >= 1, got 0\n"
 
     @pytest.mark.parametrize("method", ["telvi", "bagging", "single"])
     def test_predict_csv_is_the_vote_of_predict_votes(
@@ -671,6 +743,22 @@ class TestCli:
         _, _, experiment = config_files
         assert main(["inspect", "--config", str(experiment)]) == 0
         assert "samples=160" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--data", "d.teld", "--rank", "2,2,1", "--seed", "1"],
+            ["predict", "--model", "m.json", "--data", "d.teld", "--seed", "1"],
+            ["inspect", "--data", "d.teld", "--seed", "1"],
+            ["inspect", "--data", "d.teld", "--out", "x.json"],
+        ],
+        ids=["decompose-seed", "predict-seed", "inspect-seed", "inspect-out"],
+    )
+    def test_parser_rejects_flags_a_command_ignores(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: " in capsys.readouterr().err
 
     def test_seed_override_changes_dataset(self, config_files, capsys):
         tmp_path, synth, _ = config_files

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from telkit.learners import (
+    KINDS,
     ClassifierSpec,
     TreeNode,
     VectorDataset,
@@ -292,9 +293,12 @@ class TestKnn:
         assert np.array_equal(model.predict(data.features), data.labels)
 
     def test_empty_feature_matrix(self):
+        # every kind: an empty (k, 0) neighbour vote or (0, classes) argmax
         data = VectorDataset(np.eye(3), np.array([0, 1, 2]))
-        model = fit(ClassifierSpec("knn", {"k": 1}), data, seed=0)
-        assert model.predict(np.empty((0, 3))).size == 0
+        for kind in KINDS:
+            model = fit(ClassifierSpec(kind), data, seed=0)
+            predicted = model.predict(np.empty((0, 3)))
+            assert predicted.dtype == np.int64 and predicted.shape == (0,), kind
 
     def test_distance_tie_goes_to_lower_index(self):
         # two training points equidistant from the query
