@@ -14,8 +14,8 @@ from .ensemble import (
     VoteTally,
     bagging_fit,
     bagging_predict,
+    factor_columns,
     majority_error_probability,
-    majority_vote,
     predict_votes,
     regroup,
     telvi_fit,
@@ -80,13 +80,13 @@ __all__ = [
     "BaggingModel",
     "SingleModel",
     "VoteTally",
+    "factor_columns",
     "regroup",
     "telvi_fit",
     "telvi_predict",
     "bagging_fit",
     "bagging_predict",
     "predict_votes",
-    "majority_vote",
     "majority_error_probability",
     "SyntheticSpec",
     "BENCHMARK_SPEC",

@@ -2,15 +2,17 @@
 
 Keys are sorted, floats are rendered with 17 significant digits (enough
 to round-trip IEEE doubles exactly), and there is no insignificant
-whitespace, so equal content always produces equal bytes.
+whitespace, so equal content always produces equal bytes.  Config
+objects read back in go through ``check_keys``, so a typo'd key fails.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from typing import Iterable, Mapping
 
-__all__ = ["canonical_json", "dump_canonical"]
+__all__ = ["canonical_json", "dump_canonical", "check_keys"]
 
 
 def _render(value) -> str:
@@ -45,3 +47,10 @@ def dump_canonical(value, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(canonical_json(value))
         handle.write("\n")
+
+
+def check_keys(payload: Mapping, known: Iterable[str], where: str) -> None:
+    """Reject the first key of ``payload`` (sorted) that ``known`` lacks."""
+    unknown = sorted(set(payload) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {where} key {unknown[0]!r}")

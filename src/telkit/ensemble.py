@@ -4,26 +4,26 @@ The tensor route trains one base learner per factor-matrix column:
 
 1. decompose every training sample by HOSVD at a shared multilinear rank,
    all samples in one ``hosvd_factors`` call (factors only, no cores);
-2. regroup column r of each sample's mode-n factor into dataset (n, r),
-   a slice of the mode-n factor stack;
+2. regroup column r of each sample's mode-n factor into dataset (n, r);
 3. train one base learner per dataset (sum of ranks learners in total);
 4. classify new samples by majority vote over the learners' labels for
    the sample's own factor columns.
 
-``telvi_fit`` runs steps 1-3; ``telvi_fit_regrouped`` runs step 3 alone, so
-a caller that tuned on the regrouped datasets does not decompose twice.
+Each step has one home.  ``factor_columns`` runs steps 1-2 for training
+(through ``regroup``) and prediction alike; ``telvi_fit_regrouped`` runs
+step 3, so a caller that tuned on the regrouped datasets does not
+decompose twice, and ``telvi_fit`` is ``regroup`` then step 3.
 
 The bagging baseline flattens samples column-major, reduces with PCA and
-trains the same base-learner kind on bootstrap resamples.
+trains the same base-learner kind on bootstrap resamples.  Both methods
+check their training set with one ``_training_classes``.
 
 ``predict_votes`` is the one prediction path of every model kind, used by
 the harness, the CLI and ``telvi_predict``/``bagging_predict``; for step 4
-a whole sample set is decomposed in one ``hosvd_factors`` call and each
-learner predicts its factor column of every sample in one call.  The
-harness and the CLI combine a whole vote matrix with
-``learners.majority_labels``; ``majority_vote`` is the weighted tally of
-one sample's votes behind ``telvi_predict`` and ``bagging_predict``.
-Both give ties to the lowest class label.
+each learner predicts its factor column of every sample in one call.
+Every vote, a whole vote matrix or one sample's, is combined by
+``learners.majority_labels`` (ties to the lowest class label);
+``telvi_predict`` and ``bagging_predict`` add the per-label tally.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .hosvd import MultilinearRank, hosvd_factors
-from .learners import ClassifierSpec, TrainedModel, VectorDataset, fit
+from .learners import (ClassifierSpec, TrainedModel, VectorDataset, fit,
+                       majority_labels)
 from .linalg import PcaModel, pca_fit, pca_transform
 from .seeding import mix_seed
 from .tensor import DenseTensor
@@ -46,7 +47,7 @@ __all__ = [
     "BaggingModel",
     "SingleModel",
     "VoteTally",
-    "majority_vote",
+    "factor_columns",
     "regroup",
     "telvi_fit",
     "telvi_fit_regrouped",
@@ -99,7 +100,7 @@ class LabeledTensorDataset:
 
 @dataclass(frozen=True)
 class VoteTally:
-    """Per-class vote weight and the winning label."""
+    """Votes per class label and the winning label."""
 
     counts: dict[int, float]
     winner: int
@@ -109,42 +110,36 @@ class VoteTally:
         return float(sum(self.counts.values()))
 
 
-def majority_vote(
-    votes: Sequence[int], weights: Sequence[float] | None = None
-) -> VoteTally:
-    """Tally votes; the heaviest label wins, ties to the lowest label."""
-    if len(votes) == 0:
-        raise ValueError("majority_vote needs at least one vote")
-    if weights is None:
-        weights = [1.0] * len(votes)
-    if len(weights) != len(votes):
-        raise ValueError("one weight per vote required")
-    counts: dict[int, float] = {}
-    for vote, weight in zip(votes, weights):
-        counts[int(vote)] = counts.get(int(vote), 0.0) + float(weight)
-    winner = min(counts, key=lambda label: (-counts[label], label))
-    return VoteTally(counts=counts, winner=winner)
+def _vote(votes: np.ndarray) -> tuple[int, VoteTally]:
+    """Winner and tally of one sample's ``(voters, 1)`` votes."""
+    winner = int(majority_labels(votes)[0])
+    labels, counts = np.unique(votes, return_counts=True)
+    tally = {int(label): float(count) for label, count in zip(labels, counts)}
+    return winner, VoteTally(counts=tally, winner=winner)
+
+
+def factor_columns(
+    samples: Sequence[DenseTensor], rank: Sequence[int]
+) -> dict[tuple[int, int], np.ndarray]:
+    """Steps 1-2 of TEL: the ``(M, I_n)`` matrix (n, r) holds column r of
+    each sample's mode-n factor at ``rank`` (clamped), one row per sample.
+    """
+    factors, _ = hosvd_factors(samples, rank)
+    return {
+        (n, r): np.ascontiguousarray(stack[:, :, r])
+        for n, stack in enumerate(factors)
+        for r in range(stack.shape[2])
+    }
 
 
 def regroup(
-    factors: Sequence[np.ndarray], labels: np.ndarray
+    data: LabeledTensorDataset, rank: Sequence[int]
 ) -> dict[tuple[int, int], VectorDataset]:
-    """Regroup factor columns into one dataset per (mode, component).
-
-    ``factors`` holds one ``(M, I_n, R_n)`` stack per mode, as returned by
-    ``hosvd_factors``.  Dataset (n, r) holds, for each sample m, column r
-    of sample m's mode-n factor matrix, paired with the sample's label.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    counts = {len(stack) for stack in factors}
-    if counts != {labels.size}:
-        raise ValueError(
-            f"factor stacks of {sorted(counts)} samples but {labels.size} labels"
-        )
+    """One dataset per (mode, component): ``factor_columns`` of the
+    samples, each row paired with its sample's label."""
     return {
-        (n, r): VectorDataset(np.ascontiguousarray(stack[:, :, r]), labels.copy())
-        for n, stack in enumerate(factors)
-        for r in range(stack.shape[2])
+        key: VectorDataset(column, data.labels)
+        for key, column in factor_columns(data.samples, rank).items()
     }
 
 
@@ -171,8 +166,17 @@ def telvi_fit(
     seed: int,
 ) -> TelviModel:
     """Decompose, regroup and train one base learner per factor column."""
-    factors, _ = hosvd_factors(data.samples, rank)
-    return telvi_fit_regrouped(regroup(factors, data.labels), data.shape, base, seed)
+    return telvi_fit_regrouped(regroup(data, rank), data.shape, base, seed)
+
+
+def _training_classes(labels: np.ndarray) -> np.ndarray:
+    """Class labels of a training set of >= 2 samples and >= 2 classes."""
+    if labels.size < 2:
+        raise ValueError("training needs at least two samples")
+    class_labels = np.unique(labels)
+    if class_labels.size < 2:
+        raise ValueError("training needs at least two classes")
+    return class_labels
 
 
 def telvi_fit_regrouped(
@@ -186,12 +190,7 @@ def telvi_fit_regrouped(
     so a parallel training schedule cannot change the result.
     """
     keys = sorted(datasets)
-    labels = datasets[keys[0]].labels
-    if labels.size < 2:
-        raise ValueError("training needs at least two samples")
-    class_labels = np.unique(labels)
-    if class_labels.size < 2:
-        raise ValueError("training needs at least two classes")
+    class_labels = _training_classes(datasets[keys[0]].labels)
     base_models = {
         key: fit(base, datasets[key], mix_seed(seed, flat))
         for flat, key in enumerate(keys)
@@ -208,30 +207,9 @@ def telvi_fit_regrouped(
     )
 
 
-def telvi_votes(model: TelviModel, samples: Sequence[DenseTensor]) -> np.ndarray:
-    """Each learner's labels for its factor column of every sample (of the
-    model's shape): row k is learner k in sorted (mode, component) order.
-    """
-    factors, _ = hosvd_factors(samples, model.rank)
-    return np.stack([
-        model.base_models[(n, r)].predict(np.ascontiguousarray(factors[n][:, :, r]))
-        for n, r in sorted(model.base_models)
-    ])
-
-
-def telvi_predict(
-    model: TelviModel,
-    x: DenseTensor,
-    weights: Sequence[float] | None = None,
-) -> tuple[int, VoteTally]:
-    """Majority vote of the base learners on the sample's factor columns.
-
-    Optional per-voter ``weights`` follow the sorted (mode, component)
-    key order; the default is uniform.
-    """
-    _, votes = predict_votes(model, [x])
-    tally = majority_vote(votes[:, 0].tolist(), weights)
-    return tally.winner, tally
+def telvi_predict(model: TelviModel, x: DenseTensor) -> tuple[int, VoteTally]:
+    """Majority vote of the base learners on the sample's factor columns."""
+    return _vote(predict_votes(model, [x])[1])
 
 
 def flatten_samples(samples: Sequence[DenseTensor]) -> np.ndarray:
@@ -270,8 +248,6 @@ def bagging_fit(
     seed: int,
 ) -> BaggingModel:
     """Vectorize, reduce with PCA, train on bootstrap resamples."""
-    if data.n_samples < 2:
-        raise ValueError("training needs at least two samples")
     vectors = flatten_samples(data.samples)
     pca = pca_fit(vectors, pca_dim)
     reduced = VectorDataset(pca_transform(pca, vectors), data.labels)
@@ -289,8 +265,7 @@ def bagging_fit_reduced(
     """Train on bootstrap resamples of ``reduced``, the training samples of
     ``shape`` flattened and projected by ``pca``.
     """
-    if reduced.n_samples < 2:
-        raise ValueError("training needs at least two samples")
+    class_labels = _training_classes(reduced.labels)
     if n_estimators < 1:
         raise ValueError(f"n_estimators must be >= 1, got {n_estimators}")
     estimators = []
@@ -306,7 +281,7 @@ def bagging_fit_reduced(
         base_spec=base,
         estimators=estimators,
         bootstrap_seeds=bootstrap_seeds,
-        class_labels=np.unique(reduced.labels),
+        class_labels=class_labels,
         seed=seed,
     )
 
@@ -319,15 +294,9 @@ class SingleModel:
     learner: TrainedModel
 
 
-def bagging_predict(
-    model: BaggingModel,
-    x: DenseTensor,
-    weights: Sequence[float] | None = None,
-) -> tuple[int, VoteTally]:
+def bagging_predict(model: BaggingModel, x: DenseTensor) -> tuple[int, VoteTally]:
     """Flatten, project, and majority-vote the estimators."""
-    _, votes = predict_votes(model, [x])
-    tally = majority_vote(votes[:, 0].tolist(), weights)
-    return tally.winner, tally
+    return _vote(predict_votes(model, [x])[1])
 
 
 def predict_votes(
@@ -350,7 +319,9 @@ def predict_votes(
                     f"shape {model.shape}"
                 )
     if isinstance(model, TelviModel):
-        return sorted(model.base_models), telvi_votes(model, samples)
+        keys = sorted(model.base_models)
+        columns = factor_columns(samples, model.rank)
+        return keys, np.stack([model.base_models[k].predict(columns[k]) for k in keys])
     vectors = flatten_samples(samples)
     if isinstance(model, BaggingModel):
         vectors = pca_transform(model.pca, vectors)

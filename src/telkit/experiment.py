@@ -16,7 +16,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .canonical import dump_canonical
+from .canonical import check_keys, dump_canonical
 from .ensemble import (
     BaggingModel,
     LabeledTensorDataset,
@@ -28,7 +28,7 @@ from .ensemble import (
     regroup,
     telvi_fit_regrouped,
 )
-from .hosvd import MultilinearRank, hosvd_factors, rank_search
+from .hosvd import MultilinearRank, rank_search
 from .io import load_ppm_dir, load_tensor_dataset
 from .learners import (
     ClassifierSpec,
@@ -56,6 +56,11 @@ __all__ = [
 REPORT_FORMAT_VERSION = 1
 
 METHODS = ("telvi", "bagging", "single")
+
+# the keys ExperimentConfig.from_dict reads, at the top level and in "dataset"
+_CONFIG_KEYS = ("dataset", "train_fraction", "method", "rank", "rank_search_threshold",
+                "base_grid", "cv_folds", "n_estimators", "pca_dim", "seed", "output")
+_DATASET_KEYS = ("path", "image_dir", "synthetic")
 
 # purpose tags for stage-level seed derivation
 _SPLIT = 1
@@ -155,7 +160,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ExperimentConfig":
+        check_keys(payload, _CONFIG_KEYS, "experiment config")
         source = payload.get("dataset", {})
+        check_keys(source, _DATASET_KEYS, "dataset")
         synthetic = source.get("synthetic")
         return cls(
             dataset_path=source.get("path"),
@@ -308,8 +315,7 @@ def train_model(
             rank = config.rank
             if rank is None:
                 rank = rank_search(data.samples, config.rank_search_threshold)
-            factors, _ = hosvd_factors(data.samples, rank)
-            datasets = regroup(factors, data.labels)
+            datasets = regroup(data, rank)
         else:
             features = flatten_samples(data.samples)
             if config.method == "bagging":

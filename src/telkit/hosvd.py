@@ -13,7 +13,8 @@ dimensions); the clamped tuple is reported as ``effective_rank``.
 same-shape samples per mode and makes one stacked LAPACK SVD call per
 chunk of samples and mode, keeping the factors only.  ``hosvd`` runs that
 kernel on a batch of one and adds the core, so every decomposition in
-telkit gives the same factor bits.
+telkit gives the same factor bits.  ``_multiply``, the one "tensor times
+matrices" loop (Kolda & Bader, 2009), builds every core and reconstruction.
 """
 
 from __future__ import annotations
@@ -117,6 +118,13 @@ def hosvd_factors(
     return stacks, effective
 
 
+def _multiply(x: DenseTensor, matrices: Sequence[np.ndarray]) -> DenseTensor:
+    """``x`` times ``matrices[n]`` along every mode n."""
+    for n, matrix in enumerate(matrices):
+        x = mode_n_product(x, matrix, n)
+    return x
+
+
 def hosvd(x: DenseTensor, rank: Sequence[int]) -> HosvdFactors:
     """Decompose ``x`` at multilinear rank ``rank`` (clamped per mode).
 
@@ -127,9 +135,7 @@ def hosvd(x: DenseTensor, rank: Sequence[int]) -> HosvdFactors:
     effective = clamp_rank(rank, x.shape)
     stacks, _ = hosvd_factors([x], x.shape)
     factors = [stack[0, :, :r] for stack, r in zip(stacks, effective)]
-    core = x
-    for n, factor in enumerate(factors):
-        core = mode_n_product(core, factor.T, n)
+    core = _multiply(x, [factor.T for factor in factors])
     return HosvdFactors(core=core, factors=factors, effective_rank=effective)
 
 
@@ -146,10 +152,7 @@ def reconstruct(f: HosvdFactors) -> DenseTensor:
                 f"factor {n} has {factor.shape[1]} columns but core mode "
                 f"{n} has size {f.core.shape[n]}"
             )
-    result = f.core
-    for n, factor in enumerate(f.factors):
-        result = mode_n_product(result, factor, n)
-    return result
+    return _multiply(f.core, f.factors)
 
 
 def relative_error(x: DenseTensor, approx: DenseTensor) -> float:
@@ -191,7 +194,8 @@ def rank_search(
     Ties go to smaller storage (prod(R) + sum(I_n * R_n)), then to the
     lower mode; an unattainable threshold (e.g. 0) returns full rank.
 
-    Exact, from one full-rank HOSVD per sample and then O(M * prod(I))
+    Exact, from one full-rank ``hosvd_factors`` call over all samples
+    (each core equal to ``hosvd``'s bit for bit) and then O(M * prod(I))
     per candidate: rank-R factors are prefixes of the full-rank ones, so
     X_R = X x_n U_n U_n^T is an orthogonal projection and ||X - X_R||^2
     is the energy of the full core (||G|| = ||X||) outside its leading
@@ -204,17 +208,11 @@ def rank_search(
             f"max_relative_error must be in [0, 1), got {max_relative_error}"
         )
     shape = samples[0].shape
-    for index, x in enumerate(samples):
-        if x.shape != shape:
-            raise ValueError(
-                f"samples disagree in shape: {x.shape} vs {shape}"
-            )
-        if not np.isfinite(x.data).all():  # index in the set, not the batch
-            raise ValueError(
-                f"hosvd input contains non-finite entries in sample {index}"
-            )
-    current = clamp_rank(shape, shape)  # full rank, clamped
-    energy = np.stack([hosvd(x, current).core.to_array() ** 2 for x in samples])
+    stacks, current = hosvd_factors(samples, shape)  # full rank, clamped
+    energy = np.stack([
+        _multiply(x, [stack[m].T for stack in stacks]).to_array() ** 2
+        for m, x in enumerate(samples)
+    ])
     norms = np.array([frobenius_norm(x) for x in samples])
     while True:
         best = None  # (mean_error, storage, mode, candidate)

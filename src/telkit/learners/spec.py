@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from ..canonical import check_keys
+
 __all__ = ["ClassifierSpec", "KINDS"]
 
 KINDS = ("knn", "tree", "logit", "svm")
@@ -62,6 +64,7 @@ class ClassifierSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ClassifierSpec":
+        check_keys(payload, ("kind", "hyperparameters"), "classifier spec")
         return cls(payload["kind"], payload.get("hyperparameters", {}))
 
 

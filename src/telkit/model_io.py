@@ -254,6 +254,12 @@ def model_from_dict(payload: dict[str, Any]):
                 f"bagging pca mean has length {pca.mean.size}, expected "
                 f"{math.prod(shape)} for shape {list(shape)}"
             )
+        components = pca.components.shape
+        if len(components) != 2 or components[0] != math.prod(shape):
+            raise ValueError(
+                f"bagging pca components have shape {list(components)}, "
+                f"expected [{math.prod(shape)}, k] for shape {list(shape)}"
+            )
         class_labels = np.asarray(payload["class_labels"], dtype=np.int64)
         return BaggingModel(
             shape=shape,

@@ -1,22 +1,24 @@
 """Seeded synthetic tensor datasets with per-class low-rank structure.
 
 Each class gets its own random orthonormal factor matrices and a base
-core tensor; a sample is the reconstruction of a slightly perturbed core
-plus elementwise Gaussian noise.  Cores are scaled so the clean samples
+core tensor; a sample is the ``hosvd.reconstruct`` of a slightly perturbed
+core plus elementwise Gaussian noise.  Cores are scaled so the clean samples
 have unit-RMS entries, which makes ``noise_std`` directly comparable
 across shapes and ranks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Mapping
 
 import numpy as np
 
+from .canonical import check_keys
 from .ensemble import LabeledTensorDataset
+from .hosvd import HosvdFactors, reconstruct
 from .seeding import mix_seed
-from .tensor import DenseTensor, mode_n_product
+from .tensor import DenseTensor
 
 __all__ = ["SyntheticSpec", "synth_generate", "BENCHMARK_SPEC"]
 
@@ -64,6 +66,7 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "SyntheticSpec":
+        check_keys(payload, [f.name for f in fields(cls)], "synthetic spec")
         return cls(
             shape=tuple(payload["shape"]),
             classes=int(payload["classes"]),
@@ -85,13 +88,6 @@ BENCHMARK_SPEC = SyntheticSpec(
 )
 
 
-def _reconstruct_core(core: np.ndarray, factors: list[np.ndarray]) -> DenseTensor:
-    result = DenseTensor.from_array(core)
-    for n, factor in enumerate(factors):
-        result = mode_n_product(result, factor, n)
-    return result
-
-
 def synth_generate(spec: SyntheticSpec) -> LabeledTensorDataset:
     """Deterministically generate the dataset described by ``spec``."""
     samples = []
@@ -109,7 +105,8 @@ def synth_generate(spec: SyntheticSpec) -> LabeledTensorDataset:
         for m in range(spec.samples_per_class):
             sample_rng = np.random.default_rng(mix_seed(spec.seed, k, m))
             jitter = CORE_JITTER * scale * sample_rng.standard_normal(spec.rank)
-            clean = _reconstruct_core(base_core + jitter, factors)
+            core = DenseTensor.from_array(base_core + jitter)
+            clean = reconstruct(HosvdFactors(core, factors, spec.rank))
             noise = spec.noise_std * sample_rng.standard_normal(spec.shape)
             samples.append(DenseTensor.from_array(clean.to_array() + noise))
             labels.append(k)

@@ -13,13 +13,15 @@ from telkit.ensemble import (
     BaggingModel,
     LabeledTensorDataset,
     TelviModel,
+    VoteTally,
+    _vote,
     bagging_fit,
     bagging_fit_reduced,
     bagging_predict,
     bootstrap_indices,
+    factor_columns,
     flatten_samples,
     majority_error_probability,
-    majority_vote,
     predict_votes,
     regroup,
     telvi_fit,
@@ -30,6 +32,24 @@ from telkit.learners import ClassifierSpec, VectorDataset, fit, majority_labels
 from telkit.linalg import pca_fit, pca_transform
 from telkit.seeding import mix_seed
 from telkit.tensor import DenseTensor, outer_product
+
+
+def majority_vote(votes) -> VoteTally:
+    """Reference tally of one sample's votes, label by label in Python:
+    the most frequent label wins, ties to the lowest label."""
+    counts: dict[int, float] = {}
+    for vote in votes:
+        counts[int(vote)] = counts.get(int(vote), 0.0) + 1.0
+    winner = min(counts, key=lambda label: (-counts[label], label))
+    return VoteTally(counts=counts, winner=winner)
+
+
+def tally(votes) -> VoteTally:
+    """The tally ``telvi_predict``/``bagging_predict`` give one sample's
+    votes, checked against the winner it returns."""
+    winner, result = _vote(np.asarray(votes, dtype=np.int64)[:, None])
+    assert winner == result.winner
+    return result
 
 
 def random_dataset(rng, shape, n_per_class, classes=2, spread=4.0):
@@ -63,41 +83,34 @@ class TestLabeledTensorDataset:
 
 class TestMajorityVote:
     def test_unanimous(self):
-        tally = majority_vote([4] * 9)
-        assert tally.winner == 4
-        assert tally.counts == {4: 9.0}
-        assert tally.total == 9
+        result = tally([4] * 9)
+        assert result.winner == 4
+        assert result.counts == {4: 9.0}
+        assert result.total == 9
 
     def test_even_split_goes_to_lower_label(self):
-        tally = majority_vote([0] * 6 + [1] * 6)
-        assert tally.winner == 0
+        assert tally([1] * 6 + [0] * 6).winner == 0
 
     def test_counts_sum_to_voters(self):
         rng = np.random.default_rng(307)
         for _ in range(50):
             votes = rng.integers(0, 4, size=rng.integers(1, 12)).tolist()
-            tally = majority_vote(votes)
-            assert tally.total == len(votes)
+            assert tally(votes).total == len(votes)
 
     def test_tie_rule_by_exhaustive_enumeration(self):
         import itertools
 
         for length in range(1, 5):
             for votes in itertools.product(range(3), repeat=length):
-                tally = majority_vote(list(votes))
                 counts = {c: votes.count(c) for c in set(votes)}
                 top = max(counts.values())
                 expected = min(c for c, n in counts.items() if n == top)
-                assert tally.winner == expected
-
-    def test_weights_shift_the_outcome(self):
-        tally = majority_vote([0, 1, 1], weights=[5.0, 1.0, 1.0])
-        assert tally.winner == 0
-        assert tally.total == 7.0
+                assert tally(list(votes)).winner == expected
+                assert majority_vote(votes).winner == expected
 
     def test_empty_votes_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            majority_vote([])
+        with pytest.raises(ValueError, match="at least one voter"):
+            tally([])
         with pytest.raises(ValueError, match="at least one voter"):
             majority_labels(np.empty((0, 3), dtype=np.int64))
 
@@ -117,21 +130,13 @@ class TestMajorityVote:
         expected = [majority_vote(column.tolist()).winner for column in votes.T]
         assert majority_labels(votes).tolist() == expected
 
-    @given(data=st.data())
-    def test_heaviest_then_lowest_label_wins_property(self, data):
-        votes = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=15))
-        # small integer weights keep every per-label sum exact
-        weights = data.draw(
-            st.none()
-            | st.lists(st.integers(0, 3), min_size=len(votes), max_size=len(votes))
-        )
-        totals = Counter()
-        for vote, weight in zip(votes, weights or [1] * len(votes)):
-            totals[vote] += weight
+    @given(votes=st.lists(st.integers(0, 5), min_size=1, max_size=15))
+    def test_heaviest_then_lowest_label_wins_property(self, votes):
+        totals = Counter(votes)
         top = max(totals.values())
-        tally = majority_vote(votes, weights)
-        assert tally.winner == min(label for label, t in totals.items() if t == top)
-        assert tally.counts == dict(totals)
+        result = tally(votes)
+        assert result.winner == min(label for label, t in totals.items() if t == top)
+        assert result.counts == dict(totals)
 
 
 class TestRegroup:
@@ -139,8 +144,7 @@ class TestRegroup:
         rng = np.random.default_rng(311)
         x = DenseTensor((3, 4, 2), rng.standard_normal(24))
         f = hosvd(x, (2, 2, 1))
-        factors, _ = hosvd_factors([x], (2, 2, 1))
-        datasets = regroup(factors, np.array([5]))
+        datasets = regroup(LabeledTensorDataset([x], np.array([5])), (2, 2, 1))
         assert set(datasets) == {(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)}
         for (n, r), ds in datasets.items():
             assert ds.n_samples == 1
@@ -152,29 +156,34 @@ class TestRegroup:
         samples = [
             DenseTensor((4, 5, 6), rng.standard_normal(120)) for _ in range(10)
         ]
-        factors, _ = hosvd_factors(samples, (2, 2, 2))
-        datasets = regroup(factors, np.arange(10) % 2)
+        data = LabeledTensorDataset(samples, np.arange(10) % 2)
+        datasets = regroup(data, (2, 2, 2))
         assert len(datasets) == 6
         widths = sorted(ds.n_features for ds in datasets.values())
         assert widths == [4, 4, 5, 5, 6, 6]
         assert all(ds.n_samples == 10 for ds in datasets.values())
+        for ds in datasets.values():
+            assert ds.labels.tolist() == data.labels.tolist()
 
     def test_duplicated_samples_give_identical_rows(self):
         rng = np.random.default_rng(317)
         x = DenseTensor((3, 3, 3), rng.standard_normal(27))
-        factors, _ = hosvd_factors([x] * 4, (2, 2, 2))
-        datasets = regroup(factors, np.zeros(4, dtype=int))
+        datasets = regroup(LabeledTensorDataset([x] * 4, np.zeros(4)), (2, 2, 2))
         for ds in datasets.values():
             assert np.array_equal(ds.features, np.tile(ds.features[0], (4, 1)))
 
-    def test_sample_count_mismatch_rejected(self):
+    def test_factor_columns_are_contiguous_slices_of_one_kernel_call(self):
+        # (5, 2, 2) clamps mode 0 to rank 4; 70 samples span two chunks
         rng = np.random.default_rng(331)
-        samples = [DenseTensor((3, 3), rng.standard_normal(9)) for _ in range(2)]
-        factors, _ = hosvd_factors(samples, (2, 2))
-        with pytest.raises(ValueError, match="samples but 3 labels"):
-            regroup(factors, np.array([0, 1, 0]))
-        with pytest.raises(ValueError, match=r"stacks of \[1, 2\] samples"):
-            regroup([factors[0][:1], factors[1]], np.array([0, 1]))
+        samples = [DenseTensor((5, 2, 2), rng.standard_normal(20)) for _ in range(70)]
+        stacks, effective = hosvd_factors(samples, (5, 2, 1))
+        columns = factor_columns(samples, (5, 2, 1))
+        assert effective == (4, 2, 1)
+        assert sorted(columns) == [(0, r) for r in range(4)] + [(1, 0), (1, 1), (2, 0)]
+        for (n, r), column in columns.items():
+            assert column.flags.c_contiguous
+            assert column.shape == (70, samples[0].shape[n])
+            assert np.array_equal(column, stacks[n][:, :, r])
 
 
 class TestTelviFit:
@@ -290,8 +299,7 @@ class TestTelviPredict:
     def test_invariant_to_training_order(self, model_and_data):
         rng, data, model = model_and_data
         # retrain each learner in reverse order with the same derived seeds
-        factors, _ = hosvd_factors(data.samples, model.rank)
-        datasets = regroup(factors, data.labels)
+        datasets = regroup(data, model.rank)
         keys = sorted(datasets)
         reordered = {}
         for flat in reversed(range(len(keys))):
@@ -392,6 +400,9 @@ class TestBagging:
         spec = ClassifierSpec("knn", {"k": 1})
         with pytest.raises(ValueError, match="at least two samples"):
             bagging_fit_reduced(pca, reduced.subset([0]), (3, 2), 3, spec, 0)
+        one_class = reduced.subset(np.flatnonzero(data.labels == 0))
+        with pytest.raises(ValueError, match="training needs at least two classes"):
+            bagging_fit_reduced(pca, one_class, (3, 2), 3, spec, 0)
         with pytest.raises(ValueError, match="n_estimators must be >= 1"):
             bagging_fit_reduced(pca, reduced, (3, 2), 0, spec, 0)
 
@@ -450,9 +461,9 @@ class TestPredictVotes:
         for j, x in enumerate(probes):
             assert votes[:, j].tolist() == one_row_votes(model, x)
             if one_sample is not None:
-                label, tally = one_sample(model, x)
-                expected = majority_vote(votes[:, j].tolist())
-                assert (label, tally.counts) == (expected.winner, expected.counts)
+                label, result = one_sample(model, x)
+                expected = majority_vote(votes[:, j])
+                assert (label, result.counts) == (expected.winner, expected.counts)
 
     def test_keys_follow_voters(self, data_and_probes):
         data, probes = data_and_probes

@@ -17,7 +17,6 @@ from telkit.ensemble import (
     SingleModel,
     bagging_fit,
     flatten_samples,
-    majority_vote,
     predict_votes,
     regroup,
     telvi_fit,
@@ -28,7 +27,7 @@ from telkit.experiment import (
     write_learner_csv,
     write_report,
 )
-from telkit.hosvd import hosvd_factors, rank_search
+from telkit.hosvd import rank_search
 from telkit.io import save_tensor_dataset
 from telkit.learners import (
     ClassifierSpec,
@@ -36,6 +35,7 @@ from telkit.learners import (
     VectorDataset,
     fit,
     grid_search_cv,
+    majority_labels,
 )
 from telkit.linalg import pca_fit, pca_transform
 from telkit.model_io import load_model, save_model
@@ -124,6 +124,29 @@ class TestConfigValidation:
     def test_round_trip(self):
         config = benchmark_config()
         assert ExperimentConfig.from_dict(config.to_dict()) == config
+
+    @pytest.mark.parametrize(
+        "where, key",
+        [
+            ("experiment config", "n_estimator"),
+            ("dataset", "paths"),
+            ("synthetic spec", "noise"),
+            ("classifier spec", "hyperparams"),
+        ],
+        ids=["config", "dataset", "synthetic", "base-grid-spec"],
+    )
+    def test_unknown_key_rejected(self, where, key):
+        # a misspelt key used to fall back to the default without a word
+        payload = benchmark_config(method="bagging", pca_dim=16).to_dict()
+        target = {
+            "experiment config": payload,
+            "dataset": payload["dataset"],
+            "synthetic spec": payload["dataset"]["synthetic"],
+            "classifier spec": payload["base_grid"][0],
+        }[where]
+        target[key] = 5
+        with pytest.raises(ValueError, match=f"^unknown {where} key '{key}'$"):
+            ExperimentConfig.from_dict(payload)
 
     @pytest.mark.parametrize("folds", [0, 1, -1])
     def test_cv_folds_below_two_rejected(self, folds):
@@ -390,11 +413,23 @@ class TestModelFiles:
                 r"^bagging pca mean has length 23, expected 24 for shape \[3, 4, 2\]$",
             ),
             (
+                lambda p: p["pca"]["components"].pop(),
+                r"^bagging pca components have shape \[23, 6\], expected "
+                r"\[24, k\] for shape \[3, 4, 2\]$",
+            ),
+            (
+                lambda p: p["pca"].update(components=sum(p["pca"]["components"], [])),
+                r"^bagging pca components have shape \[144\], expected",
+            ),
+            (
                 lambda p: p["estimators"][0]["class_labels"].append(5),
                 r"^bagging estimator 0 has class labels \[0, 1, 5\] outside",
             ),
         ],
-        ids=["estimator-width", "pca-mean-length", "estimator-class-labels"],
+        ids=[
+            "estimator-width", "pca-mean-length", "pca-components-rows",
+            "pca-components-flat", "estimator-class-labels",
+        ],
     )
     def test_tampered_bagging_model_rejected(self, tmp_path, tamper, message):
         rng = np.random.default_rng(457)
@@ -531,8 +566,7 @@ class TestCli:
         tune_seed, fit_seed = mix_seed(7, 2), mix_seed(7, 3)
         vectors = flatten_samples(data.samples)
         if method == "telvi":
-            factors, _ = hosvd_factors(data.samples, (2, 2, 1))
-            datasets = regroup(factors, data.labels)
+            datasets = regroup(data, (2, 2, 1))
             chosen = grid_search_cv(
                 grid, [datasets[k] for k in sorted(datasets)], 3, tune_seed
             )
@@ -650,7 +684,7 @@ class TestCli:
         ]) == 0
         samples = tk.synth_generate(BENCHMARK_SPEC).samples
         _, votes = predict_votes(load_model(model_path), samples)
-        winners = [majority_vote(column.tolist()).winner for column in votes.T]
+        winners = majority_labels(votes).tolist()
         rows = csv_path.read_text().splitlines()
         assert rows == ["index,label"] + [f"{i},{w}" for i, w in enumerate(winners)]
 

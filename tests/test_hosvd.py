@@ -358,7 +358,9 @@ class TestRankSearch:
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(157)
         samples = [random_tensor(rng, (2, 2)), random_tensor(rng, (3, 2))]
-        with pytest.raises(ValueError, match="disagree"):
+        with pytest.raises(
+            ValueError, match=r"sample 1 shape \(3, 2\) does not match"
+        ):
             rank_search(samples, 0.1)
 
     def test_threshold_domain(self):
@@ -446,19 +448,42 @@ class TestRankSearch:
         # the package re-exports ``hosvd``, shadowing the module attribute
         module = importlib.import_module("telkit.hosvd")
         calls = []
-        original = module.hosvd
+        original = module.hosvd_factors
 
-        def counting_hosvd(x, rank):
-            calls.append(tuple(rank))
-            return original(x, rank)
+        def counting_factors(samples, rank):
+            calls.append((len(samples), tuple(rank)))
+            return original(samples, rank)
 
-        def no_reconstruct(f):
-            raise AssertionError("rank_search must not reconstruct")
+        def forbidden(*args):
+            raise AssertionError("rank_search must not call hosvd or reconstruct")
 
-        monkeypatch.setattr(module, "hosvd", counting_hosvd)
-        monkeypatch.setattr(module, "reconstruct", no_reconstruct)
+        monkeypatch.setattr(module, "hosvd_factors", counting_factors)
+        monkeypatch.setattr(module, "hosvd", forbidden)
+        monkeypatch.setattr(module, "reconstruct", forbidden)
         rng = np.random.default_rng(191)
         samples = low_rank_samples(rng, (8, 8, 3), 5, 0.1)
         rank = rank_search(samples, 0.3)
         assert rank != (8, 8, 3)  # the search took several steps
-        assert calls == [(8, 8, 3)] * len(samples)
+        assert calls == [(len(samples), (8, 8, 3))]  # one call, full rank
+
+    @pytest.mark.parametrize(
+        "shape", [(10, 2, 2), (8, 8, 3), (5, 4, 3, 2), (7, 1, 3)]
+    )
+    def test_full_rank_cores_equal_hosvd_cores_bitwise(self, shape, monkeypatch):
+        # one kernel call over more than one chunk of samples; the squared
+        # cores rank_search scores must be those of per-sample ``hosvd``
+        module = importlib.import_module("telkit.hosvd")
+        energies = []
+        original = module._tail_errors
+
+        def capturing(energy, norms, rank):
+            energies.append(energy)
+            return original(energy, norms, rank)
+
+        monkeypatch.setattr(module, "_tail_errors", capturing)
+        rng = np.random.default_rng([199, *shape])
+        samples = [random_tensor(rng, shape) for _ in range(130)]
+        rank_search(samples, 0.5)
+        full = clamp_rank(shape, shape)
+        expected = np.stack([hosvd(x, full).core.to_array() ** 2 for x in samples])
+        assert energies and all(np.array_equal(e, expected) for e in energies)
