@@ -11,16 +11,18 @@ dimensions); the clamped tuple is reported as ``effective_rank``.
 
 ``hosvd_factors`` is the one decomposition kernel: it unfolds a stack of
 same-shape samples per mode and makes one stacked LAPACK SVD call per
-chunk of samples and mode, keeping the factors only.  ``hosvd`` runs that
-kernel on a batch of one and adds the core, so every decomposition in
-telkit gives the same factor bits.  ``_multiply``, the one "tensor times
+chunk of samples and mode, keeping the factors only.  ``_decompositions``
+adds each sample's core from column slices of one full-rank kernel call;
+``hosvd`` runs it on a batch of one, ``rank_search`` and ``telkit
+decompose`` on a whole sample set, so every decomposition in telkit gives
+the same factor and core bits.  ``_multiply``, the one "tensor times
 matrices" loop (Kolda & Bader, 2009), builds every core and reconstruction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -125,18 +127,31 @@ def _multiply(x: DenseTensor, matrices: Sequence[np.ndarray]) -> DenseTensor:
     return x
 
 
-def hosvd(x: DenseTensor, rank: Sequence[int]) -> HosvdFactors:
-    """Decompose ``x`` at multilinear rank ``rank`` (clamped per mode).
+def _decompositions(
+    samples: Sequence[DenseTensor], rank: Sequence[int]
+) -> Iterator[HosvdFactors]:
+    """Each sample's decomposition at ``rank`` (clamped), in order, from
+    one full-rank ``hosvd_factors`` call.
 
-    The factors are column slices of the kernel's full-rank factors of
-    ``x`` (rank-R factors are their prefixes): the rounding of the core's
-    products depends on the factors' memory layout, and slices keep it.
+    The factors are column slices of the kernel's full-rank factors (rank-R
+    factors are their prefixes): the rounding of the core's products
+    depends on the factors' memory layout, and slices keep it, so a core
+    has the same bits whatever the batch it was decomposed in.
     """
-    effective = clamp_rank(rank, x.shape)
-    stacks, _ = hosvd_factors([x], x.shape)
-    factors = [stack[0, :, :r] for stack, r in zip(stacks, effective)]
-    core = _multiply(x, [factor.T for factor in factors])
-    return HosvdFactors(core=core, factors=factors, effective_rank=effective)
+    if len(samples) == 0:
+        raise ValueError("hosvd needs at least one sample")
+    shape = samples[0].shape
+    effective = clamp_rank(rank, shape)
+    stacks, _ = hosvd_factors(samples, shape)
+    for m, x in enumerate(samples):
+        factors = [stack[m, :, :r] for stack, r in zip(stacks, effective)]
+        core = _multiply(x, [factor.T for factor in factors])
+        yield HosvdFactors(core=core, factors=factors, effective_rank=effective)
+
+
+def hosvd(x: DenseTensor, rank: Sequence[int]) -> HosvdFactors:
+    """Decompose ``x`` at multilinear rank ``rank`` (clamped per mode)."""
+    return next(_decompositions([x], rank))
 
 
 def reconstruct(f: HosvdFactors) -> DenseTensor:
@@ -208,10 +223,9 @@ def rank_search(
             f"max_relative_error must be in [0, 1), got {max_relative_error}"
         )
     shape = samples[0].shape
-    stacks, current = hosvd_factors(samples, shape)  # full rank, clamped
+    current = clamp_rank(shape, shape)
     energy = np.stack([
-        _multiply(x, [stack[m].T for stack in stacks]).to_array() ** 2
-        for m, x in enumerate(samples)
+        f.core.to_array() ** 2 for f in _decompositions(samples, current)
     ])
     norms = np.array([frobenius_norm(x) for x in samples])
     while True:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Any, Mapping
 
 from ..canonical import check_keys
@@ -34,8 +35,9 @@ _INTEGRAL = {"k", "max_depth", "min_samples_split", "max_iterations",
 class ClassifierSpec:
     """A base-learner recipe.
 
-    Unspecified hyperparameters take documented defaults; unknown keys
-    and non-positive numeric values are rejected at construction.
+    Unspecified hyperparameters take documented defaults; unknown keys,
+    numeric keys given a non-number (a str or bool too) and non-positive
+    numeric values are rejected at construction.
     """
 
     kind: str
@@ -70,8 +72,11 @@ class ClassifierSpec:
 
 def _validate(kind: str, params: dict[str, Any]) -> None:
     for key, value in params.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        default = _DEFAULTS[kind][key]
+        if isinstance(default, str):
             continue
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise ValueError(f"{key} must be a number, got {value!r}")
         if key in _INTEGRAL:
             if int(value) != value:
                 raise ValueError(f"{key} must be an integer, got {value!r}")

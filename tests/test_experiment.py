@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import telkit as tk
-from telkit.canonical import canonical_json
+from telkit.canonical import canonical_json, dump_canonical
 from telkit.cli import main
 from telkit.ensemble import (
     LabeledTensorDataset,
@@ -23,11 +23,12 @@ from telkit.ensemble import (
 )
 from telkit.experiment import (
     ExperimentConfig,
+    load_dataset,
     run_experiment,
     write_learner_csv,
     write_report,
 )
-from telkit.hosvd import rank_search
+from telkit.hosvd import hosvd, rank_search, reconstruct, relative_error
 from telkit.io import save_tensor_dataset
 from telkit.learners import (
     ClassifierSpec,
@@ -872,6 +873,35 @@ class TestDecomposeOnce:
         out = tmp_path / "model.json"
         assert main(["train", "--config", str(config_path), "--out", str(out)]) == 0
         assert calls == [((2, 2, 1), 160)]  # one kernel call for the whole set
+
+    @pytest.mark.parametrize("rank", [(2, 2, 1), (8, 8, 3), (3, 5, 2)])
+    def test_cli_decompose(self, rank, tmp_path, capsys, monkeypatch):
+        # one full-rank kernel call; the JSON is byte-identical to the one
+        # built from per-sample ``hosvd`` and ``reconstruct``
+        config = benchmark_config()
+        config_path = tmp_path / "data.json"
+        config_path.write_text(json.dumps(config.to_dict()))
+        calls = count_decompositions(monkeypatch)
+        out = tmp_path / "decompose.json"
+        argv = ["decompose", "--config", str(config_path),
+                "--rank", ",".join(map(str, rank)), "--out", str(out)]
+        assert main(argv) == 0
+        assert calls == [((8, 8, 3), 160)]
+        monkeypatch.undo()
+        samples = load_dataset(config).samples
+        errors = [relative_error(x, reconstruct(hosvd(x, rank))) for x in samples]
+        reference = tmp_path / "reference.json"
+        dump_canonical(
+            {
+                "requested_rank": list(rank),
+                "effective_rank": list(hosvd(samples[0], rank).effective_rank),
+                "n_samples": len(samples),
+                "mean_relative_error": float(np.mean(errors)),
+                "per_sample_error": errors,
+            },
+            reference,
+        )
+        assert out.read_bytes() == reference.read_bytes()
 
 
 class TestPcaOnce:

@@ -239,23 +239,114 @@ class TestSplitSearchExactness:
         assert _best_split(X, y) == reference_best_split(X, y)
 
 
+class CountingRng:
+    """A seeded generator that records the ``size`` of every draw."""
+
+    def __init__(self, seed):
+        self.generator = np.random.default_rng(seed)
+        self.sizes = []
+
+    def integers(self, low, high, size=None):
+        self.sizes.append(size)
+        return self.generator.integers(low, high, size=size)
+
+
+def assert_smo_matches_reference(kernel, C, X, y, seed):
+    """``_smo`` equals ``reference_smo`` bit for bit and draws its partners
+    m at a time: one block per m violations, the generator left advanced
+    to the end of the last block.  Returns the library run's recorder."""
+    spec = ClassifierSpec("svm", {"kernel": kernel, "C": C, "degree": 2})
+    K = kernel_matrix(spec, X, X)
+    args = (K, y, C, spec["tolerance"], spec["max_passes"])
+    rng, ref_rng = CountingRng(seed), CountingRng(seed)
+    alphas, bias = _smo(*args, rng)
+    ref_alphas, ref_bias = reference_smo(*args, ref_rng)
+    assert np.array_equal(alphas, ref_alphas), seed
+    assert alphas.tobytes() == ref_alphas.tobytes(), seed  # signed zeros
+    assert bias == ref_bias, seed
+    m, violations = y.size, len(ref_rng.sizes)
+    assert set(ref_rng.sizes) <= {None}
+    assert rng.sizes == [m] * -(-violations // m), seed
+    for _ in range(m * len(rng.sizes) - violations):
+        ref_rng.generator.integers(0, m - 1)
+    assert rng.generator.bit_generator.state == ref_rng.generator.bit_generator.state
+    return rng
+
+
+def overlapping_case(seed, m, d=3):
+    """Features and +-1 labels of overlapping classes, so that many
+    multipliers reach the bound C."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((m, d))
+    y = np.where(X[:, 0] + 0.8 * rng.standard_normal(m) > 0, 1.0, -1.0)
+    return X, y
+
+
 class TestSmoExactness:
     @pytest.mark.parametrize("kernel", ["rbf", "poly"])
     @pytest.mark.parametrize("C", [0.5, 1, 10.0])
     def test_matches_reference_bit_for_bit(self, kernel, C):
-        spec = ClassifierSpec("svm", {"kernel": kernel, "C": C, "degree": 2})
         for seed in range(3):
-            rng = np.random.default_rng(seed)
-            m = 24 + 6 * seed
-            X = rng.standard_normal((m, 3))
-            # overlapping classes, so many multipliers reach the bound C
-            y = np.where(X[:, 0] + 0.8 * rng.standard_normal(m) > 0, 1.0, -1.0)
-            K = kernel_matrix(spec, X, X)
-            args = (K, y, C, spec["tolerance"], spec["max_passes"])
-            alphas, bias = _smo(*args, np.random.default_rng(seed))
-            ref_alphas, ref_bias = reference_smo(*args, np.random.default_rng(seed))
-            assert np.array_equal(alphas, ref_alphas), seed
-            assert bias == ref_bias, seed
+            X, y = overlapping_case(seed, 24 + 6 * seed)
+            assert_smo_matches_reference(kernel, C, X, y, seed)
+
+    @pytest.mark.parametrize("kernel", ["rbf", "poly"])
+    @pytest.mark.parametrize("C", [0.5, 1, 10.0])
+    def test_two_samples(self, kernel, C):
+        # m - 1 = 1: every partner draw is integers(0, 1), always 0
+        for seed in range(3):
+            X = np.random.default_rng(seed).standard_normal((2, 3))
+            rng = assert_smo_matches_reference(
+                kernel, C, X, np.array([1.0, -1.0]), seed
+            )
+            assert rng.sizes, seed
+
+    @pytest.mark.parametrize("kernel", ["rbf", "poly"])
+    @pytest.mark.parametrize("C", [0.5, 1, 10.0])
+    def test_duplicate_rows(self, kernel, C):
+        # a row and its copy give eta = 2 K_ij - K_ii - K_jj = 0
+        for seed in range(3):
+            X, y = overlapping_case(seed, 12)
+            order = np.random.default_rng(seed).permutation(24)
+            X, y = np.vstack([X, X])[order], np.concatenate([y, y])[order]
+            assert_smo_matches_reference(kernel, C, X, y, seed)
+
+    @pytest.mark.parametrize("kernel", ["rbf", "poly"])
+    def test_identical_rows_leave_every_alpha_at_zero(self, kernel):
+        # every pair exits at L == H (same label) or eta >= 0 (opposite)
+        X = np.ones((6, 2))
+        y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+        rng = assert_smo_matches_reference(kernel, 1.0, X, y, seed=0)
+        assert len(rng.sizes) >= 2  # every sweep violates everywhere
+        spec = ClassifierSpec("svm", {"kernel": kernel})
+        K = kernel_matrix(spec, X, X)
+        alphas, bias = _smo(K, y, 1.0, 1e-3, 10, np.random.default_rng(0))
+        assert not alphas.any() and bias == 0.0
+
+    def test_partner_buffer_refills_many_times(self):
+        # a small m and a large C: hundreds of violations, m per block
+        for seed in range(3):
+            X, y = overlapping_case(seed, 8)
+            rng = assert_smo_matches_reference("rbf", 10.0, X, y, seed)
+            assert len(rng.sizes) >= 5, seed
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 63, 79, 999]),
+        k=st.integers(1, 120),
+        blocks=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_draws_equal_single_draws(self, n, k, blocks, seed):
+        # the numpy property _smo's partner buffer rests on
+        block_rng = np.random.default_rng(seed)
+        single_rng = np.random.default_rng(seed)
+        drawn = [
+            x for _ in range(blocks)
+            for x in block_rng.integers(0, n, size=k).tolist()
+        ]
+        assert drawn == [int(single_rng.integers(0, n)) for _ in range(blocks * k)]
+        assert block_rng.bit_generator.state == single_rng.bit_generator.state
 
 
 class TestClassifierSpec:
@@ -275,6 +366,28 @@ class TestClassifierSpec:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             ClassifierSpec("svm", {"C": 0})
+
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("svm", "C", "1"),
+            ("svm", "gamma", True),
+            ("svm", "tolerance", None),
+            ("svm", "max_passes", False),
+            ("knn", "k", "3"),
+            ("tree", "max_depth", "5"),
+            ("logit", "learning_rate", [0.5]),
+        ],
+    )
+    def test_non_number_rejected(self, kind, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be a number"):
+            ClassifierSpec(kind, {key: value})
+        with pytest.raises(ValueError, match=f"{key} must be a number"):
+            ClassifierSpec.from_dict({"kind": kind, "hyperparameters": {key: value}})
+
+    def test_numpy_numbers_accepted(self):
+        spec = ClassifierSpec("knn", {"k": np.int64(3)})
+        assert spec["k"] == 3 and type(spec["k"]) is int
 
     def test_bad_kernel_rejected(self):
         with pytest.raises(ValueError, match="kernel"):
