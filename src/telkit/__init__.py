@@ -37,7 +37,7 @@ from .learners import (
     grid_search_cv,
     majority_labels,
 )
-from .linalg import PcaModel, SvdResult, pca_fit, pca_transform, thin_svd, truncated_svd
+from .linalg import PcaModel, pca_fit, pca_transform
 from .synth import BENCHMARK_SPEC, SyntheticSpec, synth_generate
 from .tensor import (
     DenseTensor,
@@ -57,10 +57,7 @@ __all__ = [
     "mode_n_product",
     "outer_product",
     "frobenius_norm",
-    "SvdResult",
     "PcaModel",
-    "thin_svd",
-    "truncated_svd",
     "pca_fit",
     "pca_transform",
     "MultilinearRank",

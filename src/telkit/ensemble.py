@@ -300,24 +300,26 @@ def bagging_predict(model: BaggingModel, x: DenseTensor) -> tuple[int, VoteTally
 
 
 def predict_votes(
-    model: TelviModel | BaggingModel | SingleModel | TrainedModel,
+    model: TelviModel | BaggingModel | SingleModel,
     samples: Sequence[DenseTensor],
 ) -> tuple[list[tuple[int, int]], np.ndarray]:
     """Every voter's label for every sample: ``(keys, votes)``, one row of
     ``votes`` per key and one column per sample.  telvi voters are keyed
     (mode, component), flat ones (bagging estimators, a single learner)
-    (-1, index).  Shapes are all checked before any sample is decomposed;
-    a bare learner, which knows no shape, only checks the flattened width.
+    (-1, index).  Every sample's shape is checked against the training
+    shape before any sample is decomposed; any other model type, a bare
+    learner too, raises TypeError.
     """
+    if not isinstance(model, (TelviModel, BaggingModel, SingleModel)):
+        raise TypeError(f"unknown model type {type(model).__name__}")
     if len(samples) == 0:
         raise ValueError("prediction needs at least one sample")
-    if isinstance(model, (TelviModel, BaggingModel, SingleModel)):
-        for index, x in enumerate(samples):
-            if x.shape != model.shape:
-                raise ValueError(
-                    f"sample {index} shape {x.shape} does not match training "
-                    f"shape {model.shape}"
-                )
+    for index, x in enumerate(samples):
+        if x.shape != model.shape:
+            raise ValueError(
+                f"sample {index} shape {x.shape} does not match training "
+                f"shape {model.shape}"
+            )
     if isinstance(model, TelviModel):
         keys = sorted(model.base_models)
         columns = factor_columns(samples, model.rank)
@@ -327,8 +329,7 @@ def predict_votes(
         vectors = pca_transform(model.pca, vectors)
         keys = [(-1, e) for e in range(model.n_estimators)]
         return keys, np.stack([est.predict(vectors) for est in model.estimators])
-    learner = model.learner if isinstance(model, SingleModel) else model
-    return [(-1, 0)], learner.predict(vectors)[None, :]
+    return [(-1, 0)], model.learner.predict(vectors)[None, :]
 
 
 def majority_error_probability(p: float, n_voters: int) -> float:

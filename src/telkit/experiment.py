@@ -303,12 +303,12 @@ def train_model(
     ``telkit train`` (whole dataset).  ``decompose`` builds the learners'
     datasets once: telvi's factor columns, or one flat dataset keyed
     (-1, 0), PCA-projected for bagging; ``tune`` and ``fit`` share them.
-    Stage times go into ``timings``; a failing stage raises
-    ExperimentError naming it.
+    ``tune`` is always ``grid_search_cv``, which checks the folds against
+    every dataset even when the grid has one spec.  Stage times go into
+    ``timings``; a failing stage raises ExperimentError naming it.
     """
     if timings is None:
         timings = {}
-    grid = config.base_grid
     pca = None
     with _stage("decompose", timings):
         if config.method == "telvi":
@@ -323,12 +323,10 @@ def train_model(
                 features = pca_transform(pca, features)
             datasets = {(-1, 0): VectorDataset(features, data.labels)}
     with _stage("tune", timings):
-        chosen = grid[0]
-        if len(grid) > 1:  # a one-spec grid never reads the data
-            chosen = grid_search_cv(
-                grid, [datasets[key] for key in sorted(datasets)],
-                config.cv_folds, mix_seed(config.seed, _TUNE),
-            )
+        chosen = grid_search_cv(
+            config.base_grid, [datasets[key] for key in sorted(datasets)],
+            config.cv_folds, mix_seed(config.seed, _TUNE),
+        )
     fit_seed = mix_seed(config.seed, _FIT)
     with _stage("fit", timings):
         if config.method == "telvi":

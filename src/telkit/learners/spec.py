@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from numbers import Real
+from numbers import Integral, Real
 from typing import Any, Mapping
 
 from ..canonical import check_keys
@@ -36,8 +37,8 @@ class ClassifierSpec:
     """A base-learner recipe.
 
     Unspecified hyperparameters take documented defaults; unknown keys,
-    numeric keys given a non-number (a str or bool too) and non-positive
-    numeric values are rejected at construction.
+    numeric keys given a non-number (a str or bool too) and non-finite or
+    non-positive numeric values are rejected at construction.
     """
 
     kind: str
@@ -77,6 +78,8 @@ def _validate(kind: str, params: dict[str, Any]) -> None:
             continue
         if isinstance(value, bool) or not isinstance(value, Real):
             raise ValueError(f"{key} must be a number, got {value!r}")
+        if not isinstance(value, Integral) and not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value!r}")
         if key in _INTEGRAL:
             if int(value) != value:
                 raise ValueError(f"{key} must be an integer, got {value!r}")

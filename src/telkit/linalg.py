@@ -1,11 +1,11 @@
-"""Matrix kernels: thin SVD, truncated SVD and PCA.
+"""PCA with deterministic signs.
 
-The factorizations are backed by LAPACK through numpy; what this module
-adds is the deterministic sign convention and the rank-clamping contract
-that the tensor pipeline relies on.  Sign canonicalization: in every
-column of U the entry of largest magnitude is made nonnegative (ties go
-to the lowest row index) and the matching column of V is negated to
-compensate, so repeated runs produce bit-identical factors.
+The factorization is LAPACK's SVD through numpy; what this module adds is
+the sign convention and the rank-clamping contract that the pipeline
+relies on.  Sign canonicalization: in every column the entry of largest
+magnitude is made nonnegative (ties go to the lowest row index), so
+repeated runs produce bit-identical components.  HOSVD applies the same
+rule to its factor matrices through ``_canonicalize_signs``.
 """
 
 from __future__ import annotations
@@ -14,28 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "SvdResult",
-    "PcaModel",
-    "thin_svd",
-    "truncated_svd",
-    "pca_fit",
-    "pca_transform",
-]
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Thin or truncated SVD: ``U @ diag(singular_values) @ V.T``."""
-
-    U: np.ndarray
-    singular_values: np.ndarray
-    V: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        """Number of retained singular triplets."""
-        return int(self.singular_values.size)
+__all__ = ["PcaModel", "pca_fit", "pca_transform"]
 
 
 @dataclass(frozen=True)
@@ -50,51 +29,14 @@ class PcaModel:
         return int(self.components.shape[1])
 
 
-def _canonicalize_signs(U: np.ndarray, *companions: np.ndarray) -> None:
-    """Flip column signs in place so each U column's peak is nonnegative.
+def _canonicalize_signs(U: np.ndarray) -> None:
+    """Flip column signs in place so each column's peak is nonnegative.
 
     Columns run along the last axis and any leading axes are a batch; the
-    peak is the entry of largest magnitude, ties to the lowest row.  The
-    same columns of every companion (e.g. V) are flipped with U's.
+    peak is the entry of largest magnitude, ties to the lowest row.
     """
     rows = np.abs(U).argmax(axis=-2)[..., None, :]
-    flip = np.take_along_axis(U, rows, axis=-2) < 0
-    for a in (U,) + companions:
-        np.negative(a, out=a, where=flip)
-
-
-def thin_svd(m: np.ndarray) -> SvdResult:
-    """Thin SVD with deterministic signs.
-
-    Raises ValueError on empty or non-finite input.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.size == 0:
-        raise ValueError("thin_svd expects a nonempty 2-d matrix")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("thin_svd input contains non-finite entries")
-    U, s, Vt = np.linalg.svd(m, full_matrices=False)
-    V = Vt.T.copy()
-    U = U.copy()
-    _canonicalize_signs(U, V)
-    return SvdResult(U=U, singular_values=s, V=V)
-
-
-def truncated_svd(m: np.ndarray, r: int) -> SvdResult:
-    """Leading ``r`` singular triplets of ``m``.
-
-    ``r`` is clamped to min(rows, cols); the effective rank is visible
-    as ``result.rank``.
-    """
-    if r < 1:
-        raise ValueError(f"truncation rank must be >= 1, got {r}")
-    full = thin_svd(m)
-    r = min(int(r), full.rank)
-    return SvdResult(
-        U=full.U[:, :r],
-        singular_values=full.singular_values[:r],
-        V=full.V[:, :r],
-    )
+    np.negative(U, out=U, where=np.take_along_axis(U, rows, axis=-2) < 0)
 
 
 def pca_fit(data: np.ndarray, r: int) -> PcaModel:
@@ -102,7 +44,7 @@ def pca_fit(data: np.ndarray, r: int) -> PcaModel:
 
     Components are the leading right singular vectors of the row-centered
     data, sign-canonicalized per component.  ``r`` is clamped to
-    min(samples, features).
+    min(samples, features).  Raises ValueError on empty or non-finite input.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
@@ -111,11 +53,14 @@ def pca_fit(data: np.ndarray, r: int) -> PcaModel:
         raise ValueError("pca_fit needs at least 2 samples")
     if r < 1:
         raise ValueError(f"retained dimension must be >= 1, got {r}")
+    if data.size == 0:
+        raise ValueError("pca_fit expects a nonempty matrix")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("pca_fit input contains non-finite entries")
     mean = data.mean(axis=0)
     centered = data - mean
     r = min(int(r), min(data.shape))
-    svd = thin_svd(centered)
-    components = svd.V[:, :r].copy()
+    components = np.linalg.svd(centered, full_matrices=False)[2][:r].T.copy()
     _canonicalize_signs(components)
     return PcaModel(mean=mean, components=components)
 

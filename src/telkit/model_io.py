@@ -3,8 +3,8 @@
 The on-disk form is a canonical JSON document (sorted keys, 17
 significant digits, which round-trips float64 exactly), so saving the
 same model twice produces identical bytes and a loaded model predicts
-identically to the original.  A single model file records the training
-shape; one without it (a bare learner) loads as the bare learner.
+identically to the original.  Every model file records the training
+shape, so a single model file without ``shape`` is rejected at load.
 Loading checks that every learner takes the width its place in the model
 feeds it and knows only the model's class labels.
 """
@@ -168,7 +168,7 @@ def _load_learner(payload: dict[str, Any], where: str, width: int, class_labels=
 
 
 def model_to_dict(model) -> dict[str, Any]:
-    """Serializable form of a single learner or a whole ensemble."""
+    """Serializable form of a telvi, bagging or single model."""
     if isinstance(model, TelviModel):
         return {
             "format_version": MODEL_FORMAT_VERSION,
@@ -198,12 +198,14 @@ def model_to_dict(model) -> dict[str, Any]:
             },
             "estimators": [_learner_to_dict(e) for e in model.estimators],
         }
-    payload = {"format_version": MODEL_FORMAT_VERSION, "type": "single"}
     if isinstance(model, SingleModel):
-        payload["shape"] = list(model.shape)
-        model = model.learner
-    payload["model"] = _learner_to_dict(model)
-    return payload
+        return {
+            "format_version": MODEL_FORMAT_VERSION,
+            "type": "single",
+            "shape": list(model.shape),
+            "model": _learner_to_dict(model.learner),
+        }
+    raise TypeError(f"unknown model type {type(model).__name__}")
 
 
 def model_from_dict(payload: dict[str, Any]):
@@ -274,8 +276,6 @@ def model_from_dict(payload: dict[str, Any]):
             seed=int(payload["seed"]),
         )
     if kind == "single":
-        if "shape" not in payload:  # a bare learner, saved without its shape
-            return _learner_from_dict(payload["model"])
         shape = tuple(payload["shape"])
         learner = _load_learner(payload["model"], "single model", math.prod(shape))
         return SingleModel(shape=shape, learner=learner)

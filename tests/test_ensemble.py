@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 from telkit.ensemble import (
     BaggingModel,
     LabeledTensorDataset,
+    SingleModel,
     TelviModel,
     VoteTally,
     _vote,
@@ -427,7 +428,7 @@ def one_row_votes(model, x):
     if isinstance(model, BaggingModel):
         row = pca_transform(model.pca, x.data[None, :])
         return [int(est.predict(row)[0]) for est in model.estimators]
-    return [int(model.predict(x.data[None, :])[0])]
+    return [int(model.learner.predict(x.data[None, :])[0])]
 
 
 class TestPredictVotes:
@@ -454,7 +455,7 @@ class TestPredictVotes:
             one_sample = bagging_predict
         else:
             flat = VectorDataset(flatten_samples(data.samples), data.labels)
-            model = fit(base, flat, 5)
+            model = SingleModel(data.shape, fit(base, flat, 5))
             one_sample = None
         keys, votes = predict_votes(model, probes)
         assert votes.shape == (len(keys), len(probes))

@@ -263,6 +263,23 @@ class TestRunExperiment:
         with pytest.raises(ExperimentError, match="load stage failed"):
             run_experiment(config)
 
+    @pytest.mark.parametrize("method", ["telvi", "single"])
+    def test_more_folds_than_samples_fail_tuning_whatever_the_grid(self, method):
+        from telkit.experiment import ExperimentError
+
+        messages = []
+        for grid in ([KNN3], TWO_SPEC_GRID):  # the train split has 80 samples
+            config = benchmark_config(
+                method=method, base_grid=grid, cv_folds=81,
+                rank=[2, 2, 1] if method == "telvi" else None,
+            )
+            with pytest.raises(ExperimentError) as failure:
+                run_experiment(config)
+            messages.append(str(failure.value))
+        assert messages == [
+            "tune stage failed: cannot make 81 nonempty folds from 80 samples"
+        ] * 2
+
 
 def tiny_tensor_dataset(rng, n_per_class=6, shape=(3, 4, 2)):
     samples, labels = [], []
@@ -292,12 +309,25 @@ class TestModelFiles:
             [rng.standard_normal((10, 3)), 5.0 + rng.standard_normal((10, 3))]
         )
         data = VectorDataset(features, np.array([0] * 10 + [1] * 10))
-        model = fit(spec, data, seed=1)
+        model = SingleModel((3,), fit(spec, data, seed=1))
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
         probes = rng.standard_normal((30, 3)) * 3
-        assert np.array_equal(model.predict(probes), loaded.predict(probes))
+        assert np.array_equal(
+            model.learner.predict(probes), loaded.learner.predict(probes)
+        )
+
+    def test_bare_learner_rejected(self, tmp_path):
+        rng = np.random.default_rng(439)
+        data = tiny_tensor_dataset(rng)
+        flat = VectorDataset(flatten_samples(data.samples), data.labels)
+        learner = fit(ClassifierSpec("knn", {"k": 1}), flat, 1)
+        with pytest.raises(TypeError, match="^unknown model type KnnModel$"):
+            save_model(learner, tmp_path / "model.json")
+        assert not (tmp_path / "model.json").exists()
+        with pytest.raises(TypeError, match="^unknown model type KnnModel$"):
+            predict_votes(learner, data.samples)
 
     def test_single_model_records_its_shape(self, tmp_path):
         rng = np.random.default_rng(431)
@@ -449,6 +479,15 @@ class TestModelFiles:
             tmp_path, model, lambda p: p.update(shape=[3, 4, 3])
         )
         with pytest.raises(ValueError, match="^single model has width 24, expected 36$"):
+            load_model(path)
+
+    def test_single_model_without_shape_rejected(self, tmp_path):
+        rng = np.random.default_rng(463)
+        data = tiny_tensor_dataset(rng)
+        flat = VectorDataset(flatten_samples(data.samples), data.labels)
+        model = SingleModel(data.shape, fit(ClassifierSpec("knn", {"k": 1}), flat, 1))
+        path = self._tampered_file(tmp_path, model, lambda p: p.pop("shape"))
+        with pytest.raises(KeyError, match="shape"):
             load_model(path)
 
     @staticmethod
@@ -716,6 +755,29 @@ class TestCli:
         with pytest.raises(ValueError, match="sample 0 shape"):
             predict_votes(load_model(model_path), relabelled.samples)
 
+    def test_single_predict_rejects_a_file_without_shape(self, config_files, capsys):
+        tmp_path, synth, _ = config_files
+        data_path = tmp_path / "data.teld"
+        main(["synth", "--config", str(synth), "--out", str(data_path)])
+        config_path = tmp_path / "train.json"
+        config_path.write_text(json.dumps({
+            "dataset": {"path": str(data_path)}, "method": "single",
+            "base_grid": [KNN3], "seed": 7,
+        }))
+        model_path = tmp_path / "model.json"
+        assert main(["train", "--config", str(config_path), "--out", str(model_path)]) == 0
+        payload = json.loads(model_path.read_text())
+        del payload["shape"]
+        model_path.write_text(json.dumps(payload))
+        csv_path = tmp_path / "pred.csv"
+        capsys.readouterr()
+        assert main([
+            "predict", "--model", str(model_path), "--data", str(data_path),
+            "--out", str(csv_path),
+        ]) == 1
+        assert capsys.readouterr().err == "error: KeyError: 'shape'\n"
+        assert not csv_path.exists()
+
     def test_telvi_predict_calls_each_learner_once(
         self, config_files, capsys, monkeypatch
     ):
@@ -748,6 +810,18 @@ class TestCli:
         assert out.with_suffix(".csv").exists()
         stdout = capsys.readouterr().out
         assert "ensemble_accuracy=" in stdout
+
+    def test_experiment_rejects_a_nan_hyperparameter(self, config_files, capsys):
+        tmp_path, _, experiment = config_files
+        payload = json.loads(experiment.read_text())
+        payload["base_grid"].append({"kind": "svm", "hyperparameters": {"C": np.nan}})
+        config_path = tmp_path / "nan.json"
+        config_path.write_text(json.dumps(payload))  # json writes (and reads) NaN
+        assert '"C": NaN' in config_path.read_text()
+        out = tmp_path / "report.json"
+        assert main(["experiment", "--config", str(config_path), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: ValueError: C must be finite, got nan\n"
 
     def test_inspect_teld(self, config_files, capsys):
         tmp_path, synth, _ = config_files

@@ -385,6 +385,22 @@ class TestClassifierSpec:
         with pytest.raises(ValueError, match=f"{key} must be a number"):
             ClassifierSpec.from_dict({"kind": kind, "hyperparameters": {key: value}})
 
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("svm", "C", float("nan")),
+            ("svm", "gamma", float("inf")),
+            ("knn", "k", float("inf")),
+            ("knn", "k", float("nan")),
+        ],
+    )
+    def test_non_finite_rejected(self, kind, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be finite, got {value!r}$"):
+            ClassifierSpec(kind, {key: value})
+
+    def test_integers_beyond_float_range_accepted(self):
+        assert ClassifierSpec("knn", {"k": 10**400})["k"] == 10**400
+
     def test_numpy_numbers_accepted(self):
         spec = ClassifierSpec("knn", {"k": np.int64(3)})
         assert spec["k"] == 3 and type(spec["k"]) is int
