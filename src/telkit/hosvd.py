@@ -21,6 +21,7 @@ matrices" loop (Kolda & Bader, 2009), builds every core and reconstruction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -74,7 +75,7 @@ def clamp_rank(rank: Sequence[int], shape: Sequence[int]) -> MultilinearRank:
     for n, r in enumerate(rank):
         if r < 1:
             raise ValueError(f"rank entries must be >= 1, got {tuple(rank)}")
-        others = int(np.prod(shape[:n] + shape[n + 1 :]))
+        others = math.prod(shape[:n] + shape[n + 1 :])
         clamped.append(min(int(r), shape[n], others))
     return tuple(clamped)
 

@@ -68,9 +68,10 @@ def majority_labels(votes: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     if n_voters == 0:
         raise ValueError("majority_labels needs at least one voter")
-    values, codes = np.unique(votes, return_inverse=True)
+    values = np.unique(votes)
+    codes = np.searchsorted(values, votes)  # rank of each vote among the labels
     # row j counts sample j's votes; argmax picks the first, lowest, label
-    cells = codes.reshape(n_voters, n_samples) + values.size * np.arange(n_samples)
+    cells = codes + values.size * np.arange(n_samples)
     counts = np.bincount(cells.ravel(), minlength=n_samples * values.size)
     return values[np.argmax(counts.reshape(n_samples, values.size), axis=1)]
 

@@ -3,6 +3,17 @@
 Distance ties between neighbours resolve to the lower sample index,
 neighbour-vote ties to the lower class label, so predictions are
 deterministic.
+
+The k nearest of a row are the first k of its training indices stably
+sorted by Euclidean distance, that is in (distance, index) order.  They
+are selected without a full sort: the k-th smallest distance d_k comes
+from a partial partition, the indices at distance <= d_k are taken in
+ascending order, and that subset alone is stably sorted by distance.
+This is exact: the first k entries of the (distance, index) order all
+lie at distance <= d_k, and a stable sort of the subset keeps its index
+order among equal distances, so it starts with the same k indices.
+Features are checked finite, so every distance is finite or +inf and
+never NaN, and ``<=`` is a total order on them.
 """
 
 from __future__ import annotations
@@ -19,24 +30,51 @@ __all__ = ["KnnModel", "fit_knn"]
 
 @dataclass(frozen=True)
 class KnnModel:
+    """Memorized training rows; at least one row, one label per row, and
+    ``class_labels`` the distinct labels, checked when it is built."""
+
     spec: ClassifierSpec
     class_labels: np.ndarray
     train_features: np.ndarray
     train_labels: np.ndarray
 
+    def __post_init__(self):
+        if self.train_features.ndim != 2 or self.train_features.shape[0] < 1:
+            raise ValueError(
+                f"knn train_features has shape {list(self.train_features.shape)}, "
+                f"expected at least one row of features"
+            )
+        rows = self.train_features.shape[0]
+        if self.train_labels.shape != (rows,):
+            raise ValueError(
+                f"knn train_labels has shape {list(self.train_labels.shape)}, "
+                f"expected one label per row of train_features ({rows})"
+            )
+        if not np.array_equal(self.class_labels, np.unique(self.train_labels)):
+            raise ValueError(
+                f"knn class_labels {self.class_labels.tolist()} are not the "
+                f"distinct train_labels {np.unique(self.train_labels).tolist()}"
+            )
+
     @property
     def n_features(self) -> int:
         return int(self.train_features.shape[1])
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
+    def neighbours(self, X: np.ndarray) -> np.ndarray:
+        """``(k, rows)`` training indices of each row's k nearest, nearest
+        first, with k clamped to the training-set size."""
         X = check_features(X, self.n_features)
         k = min(self.spec["k"], self.train_features.shape[0])
         nearest = np.empty((k, X.shape[0]), dtype=np.int64)
         for i, row in enumerate(X):
             dists = np.linalg.norm(self.train_features - row, axis=1)
-            # stable sort keeps the lower index first on distance ties
-            nearest[:, i] = np.argsort(dists, kind="stable")[:k]
-        return majority_labels(self.train_labels[nearest])
+            kth = np.partition(dists, k - 1)[k - 1]
+            near = (dists <= kth).nonzero()[0]  # ascending indices
+            nearest[:, i] = near[dists[near].argsort(kind="stable")[:k]]
+        return nearest
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return majority_labels(self.train_labels[self.neighbours(X)])
 
 
 def fit_knn(spec: ClassifierSpec, data: VectorDataset, seed: int) -> KnnModel:

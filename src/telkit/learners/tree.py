@@ -45,10 +45,31 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class TreeModel:
+    """A grown tree; every split feature lies in [0, n_features) and every
+    leaf label is one of ``class_labels``, checked when it is built."""
+
     spec: ClassifierSpec
     class_labels: np.ndarray
     root: TreeNode
     n_features: int
+
+    def __post_init__(self):
+        nodes = [self.root]
+        while nodes:
+            node = nodes.pop()
+            if node.is_leaf:
+                if node.label not in self.class_labels:
+                    raise ValueError(
+                        f"tree leaf label {node.label} is not one of the "
+                        f"class_labels {self.class_labels.tolist()}"
+                    )
+            elif not 0 <= node.feature < self.n_features:
+                raise ValueError(
+                    f"tree split feature {node.feature} is outside "
+                    f"[0, {self.n_features})"
+                )
+            else:
+                nodes += [node.left, node.right]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = check_features(X, self.n_features)

@@ -6,7 +6,8 @@ same model twice produces identical bytes and a loaded model predicts
 identically to the original.  Every model file records the training
 shape, so a single model file without ``shape`` is rejected at load.
 Loading checks that every learner takes the width its place in the model
-feeds it and knows only the model's class labels.
+feeds it and knows only the model's class labels; each learner model
+checks its own fields when it is built, at fit and at load alike.
 """
 
 from __future__ import annotations
@@ -153,17 +154,21 @@ def _learner_from_dict(payload: dict[str, Any]) -> TrainedModel:
 
 
 def _load_learner(payload: dict[str, Any], where: str, width: int, class_labels=None):
-    """The learner ``payload`` describes, checked to take ``width`` features
-    and to know only the enclosing model's ``class_labels``, if given."""
-    learner = _learner_from_dict(payload)
-    if learner.n_features != width:
-        raise ValueError(f"{where} has width {learner.n_features}, expected {width}")
-    known = learner.class_labels if class_labels is None else class_labels
-    if np.setdiff1d(learner.class_labels, known).size:
+    """The learner ``payload`` describes, checked to know only the enclosing
+    model's ``class_labels``, if given, and to take ``width`` features.  The
+    learner model checks its own fields; its errors name ``where``."""
+    labels = np.asarray(payload["class_labels"], dtype=np.int64)
+    if class_labels is not None and np.setdiff1d(labels, class_labels).size:
         raise ValueError(
-            f"{where} has class labels {learner.class_labels.tolist()} "
+            f"{where} has class labels {labels.tolist()} "
             f"outside the model's {class_labels.tolist()}"
         )
+    try:
+        learner = _learner_from_dict(payload)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    if learner.n_features != width:
+        raise ValueError(f"{where} has width {learner.n_features}, expected {width}")
     return learner
 
 

@@ -292,6 +292,13 @@ def tiny_tensor_dataset(rng, n_per_class=6, shape=(3, 4, 2)):
     return LabeledTensorDataset(samples, np.array(labels))
 
 
+def first_leaf(node):
+    """The leftmost leaf of a tree model file's node."""
+    while "label" not in node:
+        node = node["left"]
+    return node
+
+
 class TestModelFiles:
     @pytest.mark.parametrize(
         "spec",
@@ -416,10 +423,14 @@ class TestModelFiles:
                 lambda p: p["base_models"]["0,1"]["class_labels"].append(7),
                 r"key '0,1' has class labels \[0, 1, 7\] outside the model's \[0, 1\]",
             ),
+            (
+                lambda p: p["base_models"]["0,1"]["train_labels"].pop(),
+                r"^telvi base_models key '0,1': knn train_labels has shape \[11\]",
+            ),
         ],
         ids=[
             "missing-key", "extra-key", "rank-shorter-than-shape",
-            "learner-width", "learner-class-labels",
+            "learner-width", "learner-class-labels", "learner-train-labels",
         ],
     )
     def test_tampered_telvi_model_rejected(self, tmp_path, tamper, message):
@@ -479,6 +490,59 @@ class TestModelFiles:
             tmp_path, model, lambda p: p.update(shape=[3, 4, 3])
         )
         with pytest.raises(ValueError, match="^single model has width 24, expected 36$"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "kind, tamper, message",
+        [
+            (
+                "knn",
+                lambda m: m["train_labels"].pop(),
+                r"^single model: knn train_labels has shape \[11\], expected one "
+                r"label per row of train_features \(12\)$",
+            ),
+            (
+                "knn",
+                lambda m: m["class_labels"].pop(),
+                r"^single model: knn class_labels \[0\] are not the distinct "
+                r"train_labels \[0, 1\]$",
+            ),
+            (
+                "knn",
+                lambda m: m.update(train_features=[]),
+                r"^single model: knn train_features has shape \[0\]",
+            ),
+            (
+                "tree",
+                lambda m: m["root"].update(feature=-1),
+                r"^single model: tree split feature -1 is outside \[0, 24\)$",
+            ),
+            (
+                "tree",
+                lambda m: m["root"].update(feature=24),
+                r"^single model: tree split feature 24 is outside \[0, 24\)$",
+            ),
+            (
+                "tree",
+                lambda m: first_leaf(m["root"]).update(label=-1),
+                r"^single model: tree leaf label -1 is not one of the "
+                r"class_labels \[0, 1\]$",
+            ),
+        ],
+        ids=[
+            "knn-train-labels", "knn-class-labels", "knn-no-rows",
+            "tree-negative-feature", "tree-feature-past-width", "tree-leaf-label",
+        ],
+    )
+    def test_tampered_single_learner_rejected_at_load(
+        self, tmp_path, kind, tamper, message
+    ):
+        rng = np.random.default_rng(467)
+        data = tiny_tensor_dataset(rng)
+        flat = VectorDataset(flatten_samples(data.samples), data.labels)
+        model = SingleModel(data.shape, fit(ClassifierSpec(kind), flat, 1))
+        path = self._tampered_file(tmp_path, model, lambda p: tamper(p["model"]))
+        with pytest.raises(ValueError, match=message):
             load_model(path)
 
     def test_single_model_without_shape_rejected(self, tmp_path):

@@ -9,6 +9,8 @@ from hypothesis.extra import numpy as hnp
 from telkit.learners import (
     KINDS,
     ClassifierSpec,
+    KnnModel,
+    TreeModel,
     TreeNode,
     VectorDataset,
     accuracy,
@@ -18,6 +20,7 @@ from telkit.learners import (
     kernel_matrix,
     kfold_indices,
     majority_label,
+    majority_labels,
 )
 from telkit.learners.logit import logit_gradient, logit_loss
 from telkit.learners.svm import _MIN_ALPHA_STEP, _SWEEP_CAP, SvmModel, _smo
@@ -453,6 +456,138 @@ class TestKnn:
         with pytest.raises(ValueError, match="width"):
             model.predict(np.ones((1, 2)))
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"train_features": np.empty((0, 2))}, r"^knn train_features has shape \[0, 2\]"),
+            ({"train_features": np.zeros(3)}, r"^knn train_features has shape \[3\]"),
+            ({"train_labels": np.array([0, 1])}, r"^knn train_labels has shape \[2\]"),
+            ({"class_labels": np.array([0, 1, 2])}, r"^knn class_labels \[0, 1, 2\] are not"),
+        ],
+        ids=["no-rows", "one-dimensional", "short-labels", "extra-class"],
+    )
+    def test_model_fields_checked(self, fields, message):
+        valid = {
+            "spec": ClassifierSpec("knn"),
+            "class_labels": np.array([0, 1]),
+            "train_features": np.eye(3)[:, :2],
+            "train_labels": np.array([0, 1, 1]),
+        }
+        KnnModel(**valid)
+        with pytest.raises(ValueError, match=message):
+            KnnModel(**{**valid, **fields})
+
+
+# Reference KNN and vote: a full stable sort of each row's distances and the
+# np.unique inverse.  The library versions must give the same neighbour
+# indices and labels.
+
+
+def reference_neighbours(train, X, k):
+    k = min(k, train.shape[0])
+    nearest = np.empty((k, X.shape[0]), dtype=np.int64)
+    for i, row in enumerate(X):
+        dists = np.linalg.norm(train - row, axis=1)
+        nearest[:, i] = np.argsort(dists, kind="stable")[:k]
+    return nearest
+
+
+def reference_majority_labels(votes):
+    n_voters, n_samples = np.shape(votes)
+    values, codes = np.unique(votes, return_inverse=True)
+    cells = codes.reshape(n_voters, n_samples) + values.size * np.arange(n_samples)
+    counts = np.bincount(cells.ravel(), minlength=n_samples * values.size)
+    return values[np.argmax(counts.reshape(n_samples, values.size), axis=1)]
+
+
+def knn_case(n, width, scale, seed):
+    """Tie-heavy training rows (rounded, half of them duplicates) and
+    queries: every training row, rows on the same grid and rows off it."""
+    rng = np.random.default_rng(seed)
+    grid = rng.integers(-2, 3, size=(n, width)).astype(np.float64)
+    grid[n // 2 :] = grid[: n - n // 2]
+    train = grid[rng.permutation(n)] * scale
+    queries = np.vstack([
+        train,
+        rng.integers(-2, 3, size=(4, width)) * scale,
+        np.round(rng.standard_normal((4, width)), 1) * scale,
+    ])
+    return VectorDataset(train, rng.integers(0, 3, size=n)), queries
+
+
+def assert_knn_matches_reference(data, queries, k):
+    model = fit(ClassifierSpec("knn", {"k": k}), data, seed=0)
+    with np.errstate(over="ignore"):  # distances of 1e200 rows overflow to inf
+        nearest = model.neighbours(queries)
+        expected = reference_neighbours(data.features, queries, k)
+        labels = model.predict(queries)
+    assert np.array_equal(nearest, expected)
+    assert np.array_equal(labels, reference_majority_labels(data.labels[expected]))
+
+
+class TestKnnExactness:
+    @pytest.mark.parametrize("scale", [1.0, 1e-160, 1e150, 1e200])
+    @pytest.mark.parametrize("width", [1, 3, 32])
+    def test_matches_full_sort_reference(self, width, scale):
+        for n in (1, 2, 9, 40):
+            for k in sorted({1, 3, n}):
+                data, queries = knn_case(n, width, scale, seed=n + 7 * k)
+                assert_knn_matches_reference(data, queries, k)
+
+    def test_all_rows_equidistant(self):
+        # every distance ties: the k lowest indices in order
+        data = VectorDataset(np.zeros((6, 2)), np.array([2, 1, 1, 0, 0, 0]))
+        model = fit(ClassifierSpec("knn", {"k": 3}), data, seed=0)
+        assert model.neighbours(np.ones((1, 2)))[:, 0].tolist() == [0, 1, 2]
+        assert model.predict(np.ones((1, 2))).tolist() == [1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 12),
+        width=st.integers(1, 4),
+        scale=st.sampled_from([1.0, 1e-160, 1e150, 1e200]),
+    )
+    def test_matches_full_sort_reference_property(self, data, n, width, scale):
+        values = st.one_of(
+            st.integers(-2, 2).map(float),
+            st.floats(-3, 3, allow_nan=False, allow_infinity=False),
+        )
+        train = data.draw(hnp.arrays(np.float64, (n, width), elements=values))
+        extra = data.draw(hnp.arrays(np.float64, (3, width), elements=values))
+        labels = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        k = data.draw(st.integers(1, n + 1))
+        queries = np.vstack([train, extra]) * scale
+        assert_knn_matches_reference(VectorDataset(train * scale, labels), queries, k)
+
+
+class TestMajorityLabelsExactness:
+    @pytest.mark.parametrize(
+        "votes",
+        [
+            [[0]],
+            [[3, 1, 2]],
+            [[1, 2], [2, 1]],
+            [[5, 5, 0], [0, 1, 0], [1, 1, 5], [0, 5, 5]],
+            [[-4, 2**62], [2**62, -4], [7, 7]],
+        ],
+        ids=["one-vote", "one-voter", "even-split", "tie-heavy", "extreme-labels"],
+    )
+    def test_matches_unique_inverse_reference(self, votes):
+        votes = np.array(votes, dtype=np.int64)
+        assert np.array_equal(majority_labels(votes), reference_majority_labels(votes))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        votes=hnp.arrays(
+            np.int64,
+            st.tuples(st.integers(1, 7), st.integers(1, 6)),
+            elements=st.one_of(st.integers(-3, 5), st.sampled_from([-(2**62), 2**62])),
+        )
+    )
+    def test_matches_unique_inverse_reference_property(self, votes):
+        assert np.array_equal(majority_labels(votes), reference_majority_labels(votes))
+
 
 class TestTree:
     def test_single_split_separates_two_groups(self):
@@ -476,6 +611,29 @@ class TestTree:
         data = VectorDataset(np.eye(3), np.array([1, 1, 1]))
         with pytest.raises(ValueError, match="two classes"):
             fit(ClassifierSpec("tree"), data, seed=0)
+
+    @pytest.mark.parametrize(
+        "root, message",
+        [
+            (TreeNode(feature=-1, threshold=0.0, left=TreeNode(label=0),
+                      right=TreeNode(label=1)),
+             r"^tree split feature -1 is outside \[0, 2\)$"),
+            (TreeNode(feature=0, threshold=0.0, left=TreeNode(label=0),
+                      right=TreeNode(feature=2, threshold=1.0, left=TreeNode(label=0),
+                                     right=TreeNode(label=1))),
+             r"^tree split feature 2 is outside \[0, 2\)$"),
+            (TreeNode(feature=1, threshold=0.0, left=TreeNode(label=0),
+                      right=TreeNode(label=-1)),
+             r"^tree leaf label -1 is not one of the class_labels \[0, 1\]$"),
+        ],
+        ids=["negative-feature", "feature-past-width", "unknown-leaf-label"],
+    )
+    def test_model_fields_checked(self, root, message):
+        spec, labels = ClassifierSpec("tree"), np.array([0, 1])
+        leaf = TreeNode(label=1)
+        TreeModel(spec=spec, class_labels=labels, root=leaf, n_features=2)
+        with pytest.raises(ValueError, match=message):
+            TreeModel(spec=spec, class_labels=labels, root=root, n_features=2)
 
     def test_pure_leaves_on_separable_data(self):
         rng = np.random.default_rng(227)
