@@ -2,17 +2,41 @@
 
 Keys are sorted, floats are rendered with 17 significant digits (enough
 to round-trip IEEE doubles exactly), and there is no insignificant
-whitespace, so equal content always produces equal bytes.  Config
-objects read back in go through ``check_keys``, so a typo'd key fails.
+whitespace, so equal content always produces equal bytes.  ``plain``
+turns a telkit object into that content: every model file and config
+echo is written from its dataclass fields by name.  Config objects read
+back in go through ``check_keys``, so a typo'd key fails, and
+``check_number``, so a number key given anything else fails.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from typing import Iterable, Mapping
+from numbers import Integral, Real
+from typing import Any, Iterable, Mapping
 
-__all__ = ["canonical_json", "dump_canonical", "check_keys"]
+import numpy as np
+
+__all__ = ["plain", "canonical_json", "dump_canonical", "check_keys",
+           "check_number"]
+
+
+def plain(value) -> Any:
+    """The JSON form of a telkit object: a dataclass becomes a dict of its
+    fields that are not None, keyed by field name, an ndarray or a tuple a
+    list; dict and list values are converted the same way, recursively."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        fields = ((f.name, getattr(value, f.name)) for f in dataclasses.fields(value))
+        return {name: plain(v) for name, v in fields if v is not None}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    return value
 
 
 def _render(value) -> str:
@@ -54,3 +78,18 @@ def check_keys(payload: Mapping, known: Iterable[str], where: str) -> None:
     unknown = sorted(set(payload) - set(known))
     if unknown:
         raise ValueError(f"unknown {where} key {unknown[0]!r}")
+
+
+def check_number(value, key: str, integral: bool = False):
+    """``value`` of number ``key``, an int if ``integral``.  A bool, a str or
+    any other non-number, a non-finite value and, if ``integral``, a
+    non-integral number are a ValueError naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    if not isinstance(value, Integral) and not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    if integral:
+        if int(value) != value:
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+        return int(value)
+    return value

@@ -16,7 +16,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .canonical import check_keys, dump_canonical
+from .canonical import check_keys, check_number, dump_canonical, plain
 from .ensemble import (
     BaggingModel,
     LabeledTensorDataset,
@@ -58,9 +58,11 @@ REPORT_FORMAT_VERSION = 1
 METHODS = ("telvi", "bagging", "single")
 
 # the keys ExperimentConfig.from_dict reads, at the top level and in "dataset"
+# (each "dataset" key with the ExperimentConfig field that holds it)
 _CONFIG_KEYS = ("dataset", "train_fraction", "method", "rank", "rank_search_threshold",
                 "base_grid", "cv_folds", "n_estimators", "pca_dim", "seed", "output")
-_DATASET_KEYS = ("path", "image_dir", "synthetic")
+_DATASET_FIELDS = {"path": "dataset_path", "image_dir": "image_dir",
+                   "synthetic": "synthetic"}
 
 # purpose tags for stage-level seed derivation
 _SPLIT = 1
@@ -162,7 +164,7 @@ class ExperimentConfig:
     def from_dict(cls, payload: Mapping[str, Any]) -> "ExperimentConfig":
         check_keys(payload, _CONFIG_KEYS, "experiment config")
         source = payload.get("dataset", {})
-        check_keys(source, _DATASET_KEYS, "dataset")
+        check_keys(source, _DATASET_FIELDS, "dataset")
         synthetic = source.get("synthetic")
         return cls(
             dataset_path=source.get("path"),
@@ -171,48 +173,30 @@ class ExperimentConfig:
             train_fraction=float(payload.get("train_fraction", 0.5)),
             method=payload.get("method", "telvi"),
             rank=(
-                tuple(payload["rank"]) if payload.get("rank") is not None
-                else None
+                tuple(check_number(r, "rank", True) for r in payload["rank"])
+                if payload.get("rank") is not None else None
             ),
             rank_search_threshold=payload.get("rank_search_threshold"),
             base_grid=tuple(
                 ClassifierSpec.from_dict(s) for s in payload.get("base_grid", ())
             ),
-            cv_folds=int(payload.get("cv_folds", 5)),
-            n_estimators=int(payload.get("n_estimators", 12)),
-            pca_dim=(
-                int(payload["pca_dim"]) if payload.get("pca_dim") is not None
-                else None
+            cv_folds=check_number(payload.get("cv_folds", 5), "cv_folds", True),
+            n_estimators=check_number(
+                payload.get("n_estimators", 12), "n_estimators", True
             ),
-            seed=int(payload.get("seed", 0)),
+            pca_dim=(
+                check_number(payload["pca_dim"], "pca_dim", True)
+                if payload.get("pca_dim") is not None else None
+            ),
+            seed=check_number(payload.get("seed", 0), "seed", True),
             output=payload.get("output"),
         )
 
     def to_dict(self) -> dict[str, Any]:
-        dataset: dict[str, Any] = {}
-        if self.dataset_path is not None:
-            dataset["path"] = self.dataset_path
-        if self.image_dir is not None:
-            dataset["image_dir"] = self.image_dir
-        if self.synthetic is not None:
-            dataset["synthetic"] = self.synthetic.to_dict()
-        out: dict[str, Any] = {
-            "dataset": dataset,
-            "train_fraction": self.train_fraction,
-            "method": self.method,
-            "base_grid": [s.to_dict() for s in self.base_grid],
-            "cv_folds": self.cv_folds,
-            "n_estimators": self.n_estimators,
-            "seed": self.seed,
+        out = plain(self)
+        out["dataset"] = {
+            key: out.pop(name) for key, name in _DATASET_FIELDS.items() if name in out
         }
-        if self.rank is not None:
-            out["rank"] = list(self.rank)
-        if self.rank_search_threshold is not None:
-            out["rank_search_threshold"] = self.rank_search_threshold
-        if self.pca_dim is not None:
-            out["pca_dim"] = self.pca_dim
-        if self.output is not None:
-            out["output"] = self.output
         return out
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -219,31 +218,23 @@ def decode_ppm(blob: bytes) -> DenseTensor:
     return DenseTensor.from_array(array)
 
 
-def load_ppm_dir(
-    root_path: str | Path,
-    label_rule: Callable[[str], int] | None = None,
-) -> LabeledTensorDataset:
+def load_ppm_dir(root_path: str | Path) -> LabeledTensorDataset:
     """Ingest a directory of class subdirectories of P5/P6 images.
 
-    ``label_rule`` maps a subdirectory name to its class index; the
-    default assigns 0..K-1 to the lexicographically sorted names.
-    Images of differing sizes are rejected.
+    The lexicographically sorted subdirectory names get class labels
+    0..K-1.  Images of differing sizes are rejected.
     """
     root = Path(root_path)
     class_dirs = sorted(p for p in root.iterdir() if p.is_dir())
     if not class_dirs:
         raise ImageFormatError(f"no class subdirectories under {root}")
-    if label_rule is None:
-        order = {p.name: k for k, p in enumerate(class_dirs)}
-        label_rule = order.__getitem__
     samples = []
     labels = []
     shape = None
-    for class_dir in class_dirs:
+    for label, class_dir in enumerate(class_dirs):
         files = sorted(p for p in class_dir.iterdir() if p.is_file())
         if not files:
             raise ImageFormatError(f"empty class directory {class_dir}")
-        label = int(label_rule(class_dir.name))
         for file in files:
             tensor = decode_ppm(file.read_bytes())
             if shape is None:

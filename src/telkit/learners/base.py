@@ -8,7 +8,7 @@ import numpy as np
 
 __all__ = ["VectorDataset", "Scaler", "standardize_fit", "majority_labels",
            "majority_label", "two_class_labels", "check_finite",
-           "check_features", "accuracy"]
+           "check_shape", "check_features", "accuracy"]
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,14 @@ def check_finite(X: np.ndarray) -> None:
     if not finite.all():
         row = int(np.argmin(finite.all(axis=1)))
         raise ValueError(f"feature row {row} has a non-finite value")
+
+
+def check_shape(name: str, array: np.ndarray, expected: tuple[int, ...]) -> None:
+    """Reject a model field ``name`` whose ``array`` is not of shape ``expected``."""
+    if array.shape != expected:
+        raise ValueError(
+            f"{name} has shape {list(array.shape)}, expected {list(expected)}"
+        )
 
 
 def check_features(X: np.ndarray, expected_width: int) -> np.ndarray:

@@ -13,7 +13,13 @@ This is exact: the first k entries of the (distance, index) order all
 lie at distance <= d_k, and a stable sort of the subset keeps its index
 order among equal distances, so it starts with the same k indices.
 Features are checked finite, so every distance is finite or +inf and
-never NaN, and ``<=`` is a total order on them.
+never NaN, and ``<=`` is a total order on them.  A distance overflows to
++inf once differences pass about 1e154; it is then farther than every
+finite one, and the rows at +inf are ranked among themselves, stably, by
+their distance with the training rows and the query scaled by one power
+of two, at which no difference overflows.  Scaling by a power of two is
+exact short of underflow, so this keeps their order, and no finite
+distance changes a bit.
 """
 
 from __future__ import annotations
@@ -66,12 +72,27 @@ class KnnModel:
         X = check_features(X, self.n_features)
         k = min(self.spec["k"], self.train_features.shape[0])
         nearest = np.empty((k, X.shape[0]), dtype=np.int64)
-        for i, row in enumerate(X):
-            dists = np.linalg.norm(self.train_features - row, axis=1)
-            kth = np.partition(dists, k - 1)[k - 1]
-            near = (dists <= kth).nonzero()[0]  # ascending indices
-            nearest[:, i] = near[dists[near].argsort(kind="stable")[:k]]
+        with np.errstate(over="ignore"):
+            for i, row in enumerate(X):
+                dists = np.linalg.norm(self.train_features - row, axis=1)
+                kth = np.partition(dists, k - 1)[k - 1]
+                near = (dists <= kth).nonzero()[0]  # ascending indices
+                order = near[dists[near].argsort(kind="stable")]
+                if kth == np.inf:
+                    self._order_far(row, order, dists[order] == np.inf)
+                nearest[:, i] = order[:k]
         return nearest
+
+    def _order_far(self, row: np.ndarray, order: np.ndarray, far: np.ndarray) -> None:
+        """Stably sort the ``far`` tail of ``order``, the rows whose distance
+        overflowed, by their distance at a power-of-two scale."""
+        rows = order[far]  # ascending indices, past every finite distance
+        points = self.train_features[rows]
+        exponent = np.frexp(max(np.abs(points).max(), np.abs(row).max()))[1]
+        scaled = np.linalg.norm(
+            np.ldexp(points, -exponent) - np.ldexp(row, -exponent), axis=1
+        )
+        order[far] = rows[scaled.argsort(kind="stable")]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return majority_labels(self.train_labels[self.neighbours(X)])

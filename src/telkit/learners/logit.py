@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import (Scaler, VectorDataset, check_features, standardize_fit,
-                   two_class_labels)
+from .base import (Scaler, VectorDataset, check_features, check_shape,
+                   standardize_fit, two_class_labels)
 from .spec import ClassifierSpec
 
 __all__ = ["LogitModel", "fit_logit", "logit_loss", "logit_gradient"]
@@ -23,11 +23,22 @@ GRADIENT_TOLERANCE = 1e-6
 
 @dataclass(frozen=True)
 class LogitModel:
+    """Weights and bias per class over standardized features; their shapes
+    and the scaler's agree with the width and ``class_labels``, checked
+    when it is built."""
+
     spec: ClassifierSpec
     class_labels: np.ndarray
     scaler: Scaler
     weights: np.ndarray  # features x classes
     bias: np.ndarray  # classes
+
+    def __post_init__(self):
+        width, classes = self.n_features, self.class_labels.size
+        check_shape("logit weights", self.weights, (width, classes))
+        check_shape("logit bias", self.bias, (classes,))
+        check_shape("logit scaler mean", self.scaler.mean, (width,))
+        check_shape("logit scaler std", self.scaler.std, (width,))
 
     @property
     def n_features(self) -> int:

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 from typing import Any, Mapping
 
-from ..canonical import check_keys
+from ..canonical import check_keys, check_number, plain
 
 __all__ = ["ClassifierSpec", "KINDS"]
 
@@ -63,7 +61,7 @@ class ClassifierSpec:
         return self.hyperparameters[key]
 
     def to_dict(self) -> dict[str, Any]:
-        return {"kind": self.kind, "hyperparameters": dict(self.hyperparameters)}
+        return plain(self)
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ClassifierSpec":
@@ -76,14 +74,7 @@ def _validate(kind: str, params: dict[str, Any]) -> None:
         default = _DEFAULTS[kind][key]
         if isinstance(default, str):
             continue
-        if isinstance(value, bool) or not isinstance(value, Real):
-            raise ValueError(f"{key} must be a number, got {value!r}")
-        if not isinstance(value, Integral) and not math.isfinite(value):
-            raise ValueError(f"{key} must be finite, got {value!r}")
-        if key in _INTEGRAL:
-            if int(value) != value:
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-            params[key] = int(value)
+        value = params[key] = check_number(value, key, key in _INTEGRAL)
         if value <= 0:
             raise ValueError(f"{key} must be positive, got {value!r}")
     if kind == "knn" and params["distance"] != "euclidean":

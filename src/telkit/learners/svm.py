@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..seeding import mix_seed
-from .base import (Scaler, VectorDataset, check_features, standardize_fit,
-                   two_class_labels)
+from .base import (Scaler, VectorDataset, check_features, check_shape,
+                   standardize_fit, two_class_labels)
 from .spec import ClassifierSpec
 
 __all__ = ["BinarySvm", "SvmModel", "fit_svm", "kernel_matrix"]
@@ -74,11 +74,29 @@ class BinarySvm:
 
 @dataclass(frozen=True)
 class SvmModel:
+    """One binary per class over standardized features; the scaler, the
+    support vectors and the dual coefficients fit the width and each
+    other, checked when it is built."""
+
     spec: ClassifierSpec
     class_labels: np.ndarray
     scaler: Scaler
     binaries: list[BinarySvm]  # one per class, in class_labels order
     n_features: int
+
+    def __post_init__(self):
+        check_shape("svm scaler mean", self.scaler.mean, (self.n_features,))
+        check_shape("svm scaler std", self.scaler.std, (self.n_features,))
+        if len(self.binaries) != self.class_labels.size:
+            raise ValueError(
+                f"svm has {len(self.binaries)} binaries, expected one per "
+                f"class of class_labels {self.class_labels.tolist()}"
+            )
+        for c, b in enumerate(self.binaries):
+            rows = len(b.support_vectors)
+            check_shape(f"svm binary {c} support_vectors", b.support_vectors,
+                        (rows, self.n_features))
+            check_shape(f"svm binary {c} dual_coefs", b.dual_coefs, (rows,))
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         X = self.scaler.transform(check_features(X, self.n_features))

@@ -3,8 +3,11 @@
 The on-disk form is a canonical JSON document (sorted keys, 17
 significant digits, which round-trips float64 exactly), so saving the
 same model twice produces identical bytes and a loaded model predicts
-identically to the original.  Every model file records the training
-shape, so a single model file without ``shape`` is rejected at load.
+identically to the original.  It is written from the model's dataclass
+fields by name (``canonical.plain``) and read back field by field, so
+the reader types and checks what comes from outside.  Every model file
+records the training shape, so a single model file without ``shape`` is
+rejected at load.
 Loading checks that every learner takes the width its place in the model
 feeds it and knows only the model's class labels; each learner model
 checks its own fields when it is built, at fit and at load alike.
@@ -19,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from .canonical import dump_canonical
+from .canonical import dump_canonical, plain
 from .ensemble import BaggingModel, SingleModel, TelviModel
 from .learners import (
     BinarySvm,
@@ -38,16 +41,7 @@ __all__ = ["save_model", "load_model", "model_to_dict", "model_from_dict"]
 
 MODEL_FORMAT_VERSION = 1
 
-
-def _tree_node_to_dict(node: TreeNode) -> dict[str, Any]:
-    if node.is_leaf:
-        return {"label": int(node.label)}
-    return {
-        "feature": int(node.feature),
-        "threshold": float(node.threshold),
-        "left": _tree_node_to_dict(node.left),
-        "right": _tree_node_to_dict(node.right),
-    }
+_TYPES = {TelviModel: "telvi", BaggingModel: "bagging", SingleModel: "single"}
 
 
 def _tree_node_from_dict(payload: dict[str, Any]) -> TreeNode:
@@ -61,51 +55,11 @@ def _tree_node_from_dict(payload: dict[str, Any]) -> TreeNode:
     )
 
 
-def _scaler_to_dict(scaler: Scaler) -> dict[str, Any]:
-    return {"mean": scaler.mean.tolist(), "std": scaler.std.tolist()}
-
-
 def _scaler_from_dict(payload: dict[str, Any]) -> Scaler:
     return Scaler(
         mean=np.asarray(payload["mean"], dtype=np.float64),
         std=np.asarray(payload["std"], dtype=np.float64),
     )
-
-
-def _learner_to_dict(model: TrainedModel) -> dict[str, Any]:
-    if isinstance(model, KnnModel):
-        fields = {
-            "train_features": model.train_features.tolist(),
-            "train_labels": model.train_labels.tolist(),
-        }
-    elif isinstance(model, TreeModel):
-        fields = {
-            "root": _tree_node_to_dict(model.root),
-            "n_features": model.n_features,
-        }
-    elif isinstance(model, LogitModel):
-        fields = {
-            "scaler": _scaler_to_dict(model.scaler),
-            "weights": model.weights.tolist(),
-            "bias": model.bias.tolist(),
-        }
-    elif isinstance(model, SvmModel):
-        fields = {
-            "scaler": _scaler_to_dict(model.scaler),
-            "n_features": model.n_features,
-            "binaries": [
-                {
-                    "support_vectors": b.support_vectors.tolist(),
-                    "dual_coefs": b.dual_coefs.tolist(),
-                    "bias": float(b.bias),
-                }
-                for b in model.binaries
-            ],
-        }
-    else:
-        raise TypeError(f"unknown model type {type(model).__name__}")
-    spec, labels = model.spec.to_dict(), model.class_labels.tolist()
-    return {"spec": spec, "class_labels": labels, **fields}
 
 
 def _learner_from_dict(payload: dict[str, Any]) -> TrainedModel:
@@ -133,24 +87,23 @@ def _learner_from_dict(payload: dict[str, Any]) -> TrainedModel:
             weights=np.asarray(payload["weights"], dtype=np.float64),
             bias=np.asarray(payload["bias"], dtype=np.float64),
         )
-    if spec.kind == "svm":
-        return SvmModel(
-            spec=spec,
-            class_labels=labels,
-            scaler=_scaler_from_dict(payload["scaler"]),
-            n_features=int(payload["n_features"]),
-            binaries=[
-                BinarySvm(
-                    support_vectors=np.asarray(
-                        b["support_vectors"], dtype=np.float64
-                    ).reshape(-1, int(payload["n_features"])),
-                    dual_coefs=np.asarray(b["dual_coefs"], dtype=np.float64),
-                    bias=float(b["bias"]),
-                )
-                for b in payload["binaries"]
-            ],
-        )
-    raise ValueError(f"unknown learner kind {spec.kind!r}")
+    # svm: ClassifierSpec.from_dict rejects any other kind
+    return SvmModel(
+        spec=spec,
+        class_labels=labels,
+        scaler=_scaler_from_dict(payload["scaler"]),
+        n_features=int(payload["n_features"]),
+        binaries=[
+            BinarySvm(
+                support_vectors=np.asarray(
+                    b["support_vectors"], dtype=np.float64
+                ).reshape(-1, int(payload["n_features"])),
+                dual_coefs=np.asarray(b["dual_coefs"], dtype=np.float64),
+                bias=float(b["bias"]),
+            )
+            for b in payload["binaries"]
+        ],
+    )
 
 
 def _load_learner(payload: dict[str, Any], where: str, width: int, class_labels=None):
@@ -173,44 +126,18 @@ def _load_learner(payload: dict[str, Any], where: str, width: int, class_labels=
 
 
 def model_to_dict(model) -> dict[str, Any]:
-    """Serializable form of a telvi, bagging or single model."""
-    if isinstance(model, TelviModel):
-        return {
-            "format_version": MODEL_FORMAT_VERSION,
-            "type": "telvi",
-            "rank": list(model.rank),
-            "shape": list(model.shape),
-            "base_spec": model.base_spec.to_dict(),
-            "class_labels": model.class_labels.tolist(),
-            "seed": model.seed,
-            "base_models": {
-                f"{n},{r}": _learner_to_dict(learner)
-                for (n, r), learner in model.base_models.items()
-            },
-        }
-    if isinstance(model, BaggingModel):
-        return {
-            "format_version": MODEL_FORMAT_VERSION,
-            "type": "bagging",
-            "shape": list(model.shape),
-            "base_spec": model.base_spec.to_dict(),
-            "class_labels": model.class_labels.tolist(),
-            "seed": model.seed,
-            "bootstrap_seeds": list(model.bootstrap_seeds),
-            "pca": {
-                "mean": model.pca.mean.tolist(),
-                "components": model.pca.components.tolist(),
-            },
-            "estimators": [_learner_to_dict(e) for e in model.estimators],
-        }
-    if isinstance(model, SingleModel):
-        return {
-            "format_version": MODEL_FORMAT_VERSION,
-            "type": "single",
-            "shape": list(model.shape),
-            "model": _learner_to_dict(model.learner),
-        }
-    raise TypeError(f"unknown model type {type(model).__name__}")
+    """Serializable form of a telvi, bagging or single model: its fields by
+    name, telvi's (n, r) learner keys as "n,r" and a single model's learner
+    under "model"."""
+    kind = _TYPES.get(type(model))
+    if kind is None:
+        raise TypeError(f"unknown model type {type(model).__name__}")
+    out = {"format_version": MODEL_FORMAT_VERSION, "type": kind, **plain(model)}
+    if kind == "telvi":
+        out["base_models"] = {f"{n},{r}": v for (n, r), v in out["base_models"].items()}
+    if kind == "single":
+        out["model"] = out.pop("learner")
+    return out
 
 
 def model_from_dict(payload: dict[str, Any]):

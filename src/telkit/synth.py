@@ -14,7 +14,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .canonical import check_keys
+from .canonical import check_keys, check_number, plain
 from .ensemble import LabeledTensorDataset
 from .hosvd import HosvdFactors, reconstruct
 from .seeding import mix_seed
@@ -55,25 +55,20 @@ class SyntheticSpec:
             raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "shape": list(self.shape),
-            "classes": self.classes,
-            "rank": list(self.rank),
-            "samples_per_class": self.samples_per_class,
-            "noise_std": self.noise_std,
-            "seed": self.seed,
-        }
+        return plain(self)
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "SyntheticSpec":
         check_keys(payload, [f.name for f in fields(cls)], "synthetic spec")
         return cls(
-            shape=tuple(payload["shape"]),
-            classes=int(payload["classes"]),
-            rank=tuple(payload["rank"]),
-            samples_per_class=int(payload["samples_per_class"]),
+            shape=tuple(check_number(s, "shape", True) for s in payload["shape"]),
+            classes=check_number(payload["classes"], "classes", True),
+            rank=tuple(check_number(r, "rank", True) for r in payload["rank"]),
+            samples_per_class=check_number(
+                payload["samples_per_class"], "samples_per_class", True
+            ),
             noise_std=float(payload["noise_std"]),
-            seed=int(payload["seed"]),
+            seed=check_number(payload["seed"], "seed", True),
         )
 
 

@@ -1,6 +1,7 @@
 """Experiment harness, canonical serialization, model files, CLI."""
 
 import json
+import re
 import sys
 from collections import Counter
 
@@ -13,8 +14,10 @@ import telkit as tk
 from telkit.canonical import canonical_json, dump_canonical
 from telkit.cli import main
 from telkit.ensemble import (
+    BaggingModel,
     LabeledTensorDataset,
     SingleModel,
+    TelviModel,
     bagging_fit,
     flatten_samples,
     predict_votes,
@@ -31,17 +34,23 @@ from telkit.experiment import (
 from telkit.hosvd import hosvd, rank_search, reconstruct, relative_error
 from telkit.io import save_tensor_dataset
 from telkit.learners import (
+    BinarySvm,
     ClassifierSpec,
     KnnModel,
+    LogitModel,
+    Scaler,
+    SvmModel,
+    TreeModel,
+    TreeNode,
     VectorDataset,
     fit,
     grid_search_cv,
     majority_labels,
 )
-from telkit.linalg import pca_fit, pca_transform
-from telkit.model_io import load_model, save_model
+from telkit.linalg import PcaModel, pca_fit, pca_transform
+from telkit.model_io import load_model, model_to_dict, save_model
 from telkit.seeding import mix_seed
-from telkit.synth import BENCHMARK_SPEC
+from telkit.synth import BENCHMARK_SPEC, SyntheticSpec
 from telkit.tensor import DenseTensor
 
 KNN3 = {"kind": "knn", "hyperparameters": {"k": 3}}
@@ -147,6 +156,37 @@ class TestConfigValidation:
         }[where]
         target[key] = 5
         with pytest.raises(ValueError, match=f"^unknown {where} key '{key}'$"):
+            ExperimentConfig.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "where, key, value, message",
+        [
+            ("config", "cv_folds", 2.7, "cv_folds must be an integer, got 2.7"),
+            ("config", "n_estimators", 3.9, "n_estimators must be an integer, got 3.9"),
+            ("config", "seed", True, "seed must be a number, got True"),
+            ("config", "rank", [2.9, 2, 1], "rank must be an integer, got 2.9"),
+            ("config", "pca_dim", "16", "pca_dim must be a number, got '16'"),
+            ("config", "cv_folds", float("inf"), "cv_folds must be finite, got inf"),
+            ("synthetic", "classes", 2.5, "classes must be an integer, got 2.5"),
+            ("synthetic", "shape", [8.7, 8, 3], "shape must be an integer, got 8.7"),
+            ("synthetic", "seed", False, "seed must be a number, got False"),
+            (
+                "synthetic", "samples_per_class", float("nan"),
+                "samples_per_class must be finite, got nan",
+            ),
+        ],
+        ids=[
+            "cv-folds", "n-estimators", "seed-bool", "rank", "pca-dim-str",
+            "cv-folds-inf", "synthetic-classes", "synthetic-shape",
+            "synthetic-seed-bool", "synthetic-samples-nan",
+        ],
+    )
+    def test_non_integer_rejected(self, where, key, value, message):
+        # these were truncated or coerced by int(...) without a word
+        payload = benchmark_config(method="bagging", pca_dim=16).to_dict()
+        target = payload if where == "config" else payload["dataset"]["synthetic"]
+        target[key] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ExperimentConfig.from_dict(payload)
 
     @pytest.mark.parametrize("folds", [0, 1, -1])
@@ -528,10 +568,55 @@ class TestModelFiles:
                 r"^single model: tree leaf label -1 is not one of the "
                 r"class_labels \[0, 1\]$",
             ),
+            (
+                "logit",
+                lambda m: m["class_labels"].pop(),
+                r"^single model: logit weights has shape \[24, 2\], expected \[24, 1\]$",
+            ),
+            (
+                "logit",
+                lambda m: m["bias"].pop(),
+                r"^single model: logit bias has shape \[1\], expected \[2\]$",
+            ),
+            (
+                "logit",
+                lambda m: m["scaler"]["mean"].pop(),
+                r"^single model: logit scaler mean has shape \[23\], expected \[24\]$",
+            ),
+            (
+                "logit",
+                lambda m: m["scaler"]["std"].pop(),
+                r"^single model: logit scaler std has shape \[23\], expected \[24\]$",
+            ),
+            (
+                "svm",
+                lambda m: m["class_labels"].pop(),
+                r"^single model: svm has 2 binaries, expected one per class of "
+                r"class_labels \[0\]$",
+            ),
+            (
+                "svm",
+                lambda m: m["binaries"].pop(),
+                r"^single model: svm has 1 binaries, expected one per class of "
+                r"class_labels \[0, 1\]$",
+            ),
+            (
+                "svm",
+                lambda m: m["binaries"][1]["dual_coefs"].pop(),
+                r"^single model: svm binary 1 dual_coefs has shape \[\d+\], expected",
+            ),
+            (
+                "svm",
+                lambda m: m["scaler"]["std"].pop(),
+                r"^single model: svm scaler std has shape \[23\], expected \[24\]$",
+            ),
         ],
         ids=[
             "knn-train-labels", "knn-class-labels", "knn-no-rows",
             "tree-negative-feature", "tree-feature-past-width", "tree-leaf-label",
+            "logit-class-labels", "logit-bias", "logit-scaler-mean",
+            "logit-scaler-std", "svm-class-labels", "svm-binaries",
+            "svm-dual-coefs", "svm-scaler-std",
         ],
     )
     def test_tampered_single_learner_rejected_at_load(
@@ -570,6 +655,135 @@ class TestModelFiles:
         path.write_text('{"format_version": 1, "type": "mystery"}')
         with pytest.raises(ValueError, match="unknown model type"):
             load_model(path)
+
+
+# Model files and config echoes of tiny hand-built objects, byte for byte.
+# Every value is exact in binary or written at 17 digits, so these bytes
+# depend on no BLAS build.  A wrapper's SPEC and LEARNER are its learner's.
+FORMAT_SPECS = {
+    "knn": '{"hyperparameters":{"distance":"euclidean","k":1},"kind":"knn"}',
+    "tree": '{"hyperparameters":{"criterion":"gini","max_depth":2,"min_samples_split":2},'
+            '"kind":"tree"}',
+    "logit": '{"hyperparameters":{"l2_penalty":0.0001,"learning_rate":0.5,'
+             '"max_iterations":500},"kind":"logit"}',
+    "svm": '{"hyperparameters":{"C":1,"coef0":1,"degree":3,"gamma":0.5,"kernel":"poly",'
+           '"max_passes":10,"tolerance":0.001},"kind":"svm"}',
+}
+FORMAT_LEARNERS = {
+    "knn": '{"class_labels":[0,1],"spec":SPEC,'
+           '"train_features":[[-0,1.5],[2,0.10000000000000001]],"train_labels":[0,1]}',
+    "tree": '{"class_labels":[0,1],"n_features":2,"root":{"feature":1,"left":{"label":0},'
+            '"right":{"label":1},"threshold":0.5},"spec":SPEC}',
+    "logit": '{"bias":[0.10000000000000001,-0.10000000000000001],"class_labels":[0,1],'
+             '"scaler":{"mean":[0.5,-1],"std":[2,0]},"spec":SPEC,'
+             '"weights":[[1,-1],[0.25,3.0000000000000001e-05]]}',
+    "svm": '{"binaries":[{"bias":-0.25,"dual_coefs":[],"support_vectors":[]}],'
+           '"class_labels":[1],"n_features":2,"scaler":{"mean":[0,0],"std":[1,1]},'
+           '"spec":SPEC}',
+}
+FORMAT_WRAPPERS = {
+    "telvi": '{"base_models":{"0,0":LEARNER,"1,0":LEARNER},"base_spec":SPEC,'
+             '"class_labels":[0,1],"format_version":1,"rank":[1,1],"seed":3,'
+             '"shape":[2,2],"type":"telvi"}',
+    "bagging": '{"base_spec":SPEC,"bootstrap_seeds":[11],"class_labels":[0,1],'
+               '"estimators":[LEARNER],"format_version":1,'
+               '"pca":{"components":[[1,0],[0,1]],"mean":[0,1]},"seed":5,"shape":[2],'
+               '"type":"bagging"}',
+    "single": '{"format_version":1,"model":LEARNER,"shape":[2],"type":"single"}',
+}
+
+
+def format_learner(kind):
+    if kind == "knn":
+        return KnnModel(ClassifierSpec("knn", {"k": 1}), np.array([0, 1]),
+                        np.array([[-0.0, 1.5], [2.0, 0.1]]), np.array([0, 1]))
+    if kind == "tree":
+        root = TreeNode(feature=1, threshold=0.5, left=TreeNode(label=0),
+                        right=TreeNode(label=1))
+        return TreeModel(ClassifierSpec("tree", {"max_depth": 2}), np.array([0, 1]),
+                         root, 2)
+    if kind == "logit":
+        return LogitModel(ClassifierSpec("logit"), np.array([0, 1]),
+                          Scaler(np.array([0.5, -1.0]), np.array([2.0, 0.0])),
+                          np.array([[1.0, -1.0], [0.25, 3e-5]]), np.array([0.1, -0.1]))
+    return SvmModel(ClassifierSpec("svm", {"kernel": "poly"}), np.array([1]),
+                    Scaler(np.zeros(2), np.ones(2)),
+                    [BinarySvm(np.empty((0, 2)), np.empty(0), -0.25)], 2)
+
+
+def format_model(wrapper, learner):
+    if wrapper == "telvi":
+        return TelviModel((1, 1), (2, 2), learner.spec,
+                          {(0, 0): learner, (1, 0): learner}, np.array([0, 1]), 3)
+    if wrapper == "bagging":
+        return BaggingModel((2,), PcaModel(np.array([0.0, 1.0]), np.eye(2)),
+                            learner.spec, [learner], [11], np.array([0, 1]), 5)
+    return SingleModel((2,), learner)
+
+
+class TestFileFormat:
+    @pytest.mark.parametrize("wrapper", ["telvi", "bagging", "single"])
+    @pytest.mark.parametrize("kind", ["knn", "tree", "logit", "svm"])
+    def test_model_file_bytes(self, tmp_path, kind, wrapper):
+        expected = (
+            FORMAT_WRAPPERS[wrapper]
+            .replace("LEARNER", FORMAT_LEARNERS[kind])
+            .replace("SPEC", FORMAT_SPECS[kind])
+        )
+        model = format_model(wrapper, format_learner(kind))
+        assert canonical_json(model_to_dict(model)) == expected
+        path, again = tmp_path / "model.json", tmp_path / "again.json"
+        save_model(model, path)
+        assert path.read_text() == expected + "\n"
+        save_model(load_model(path), again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "config, expected",
+        [
+            (
+                lambda: ExperimentConfig(
+                    dataset_path="data.teld", rank_search_threshold=0.25,
+                    base_grid=(ClassifierSpec("knn", {"k": 3}),),
+                ),
+                '{"base_grid":[{"hyperparameters":{"distance":"euclidean","k":3},'
+                '"kind":"knn"}],"cv_folds":5,"dataset":{"path":"data.teld"},'
+                '"method":"telvi","n_estimators":12,"rank_search_threshold":0.25,'
+                '"seed":0,"train_fraction":0.5}',
+            ),
+            (
+                lambda: ExperimentConfig(
+                    image_dir="images", method="bagging", pca_dim=4, n_estimators=3,
+                    base_grid=(ClassifierSpec("tree", {"max_depth": 2}),
+                               ClassifierSpec("knn")),
+                    output="report.json", seed=9,
+                ),
+                '{"base_grid":[{"hyperparameters":{"criterion":"gini","max_depth":2,'
+                '"min_samples_split":2},"kind":"tree"},{"hyperparameters":'
+                '{"distance":"euclidean","k":5},"kind":"knn"}],"cv_folds":5,'
+                '"dataset":{"image_dir":"images"},"method":"bagging","n_estimators":3,'
+                '"output":"report.json","pca_dim":4,"seed":9,"train_fraction":0.5}',
+            ),
+            (
+                lambda: ExperimentConfig(
+                    synthetic=SyntheticSpec((4, 3), 2, (2, 1), 3, 0.125, 1),
+                    rank=(2, 1), cv_folds=3, train_fraction=0.75,
+                    base_grid=(ClassifierSpec("logit"),),
+                ),
+                '{"base_grid":[{"hyperparameters":{"l2_penalty":0.0001,'
+                '"learning_rate":0.5,"max_iterations":500},"kind":"logit"}],'
+                '"cv_folds":3,"dataset":{"synthetic":{"classes":2,"noise_std":0.125,'
+                '"rank":[2,1],"samples_per_class":3,"seed":1,"shape":[4,3]}},'
+                '"method":"telvi","n_estimators":12,"rank":[2,1],"seed":0,'
+                '"train_fraction":0.75}',
+            ),
+        ],
+        ids=["path", "image-dir", "synthetic"],
+    )
+    def test_config_echo_bytes(self, config, expected):
+        config = config()
+        assert canonical_json(config.to_dict()) == expected
+        assert ExperimentConfig.from_dict(json.loads(expected)) == config
 
 
 class TestCli:

@@ -226,11 +226,6 @@ class TestPpmDirectory:
         assert data.labels.tolist() == [0, 0, 1]  # alpha then beta
         assert data.samples[0][0, 0, 0] == 0.0
 
-    def test_custom_label_rule(self, tmp_path):
-        self._write_class(tmp_path, "class7", [GRAY_1X1_P5])
-        data = load_ppm_dir(tmp_path, label_rule=lambda name: int(name[5:]))
-        assert data.labels.tolist() == [7]
-
     def test_mixed_sizes_rejected(self, tmp_path):
         bigger = b"P5\n2 1\n255\n" + bytes([1, 2])
         self._write_class(tmp_path, "a", [GRAY_1X1_P5, bigger])

@@ -1,5 +1,7 @@
 """Base-learner contracts: worked examples, determinism, optimizer checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,12 @@ from hypothesis.extra import numpy as hnp
 
 from telkit.learners import (
     KINDS,
+    BinarySvm,
     ClassifierSpec,
     KnnModel,
+    LogitModel,
+    Scaler,
+    SvmModel,
     TreeModel,
     TreeNode,
     VectorDataset,
@@ -23,7 +29,7 @@ from telkit.learners import (
     majority_labels,
 )
 from telkit.learners.logit import logit_gradient, logit_loss
-from telkit.learners.svm import _MIN_ALPHA_STEP, _SWEEP_CAP, SvmModel, _smo
+from telkit.learners.svm import _MIN_ALPHA_STEP, _SWEEP_CAP, _smo
 from telkit.learners.tree import _best_split
 
 
@@ -477,10 +483,39 @@ class TestKnn:
         with pytest.raises(ValueError, match=message):
             KnnModel(**{**valid, **fields})
 
+    @pytest.mark.parametrize(
+        "train, queries, expected",
+        [
+            # differences past ~1e154 overflow the squared distances
+            ([[1e200], [2e200], [-3e200]], [[1.9e200], [-2e200], [1.4e200]], [1, 2, 0]),
+            # and past ~1.8e308 the differences themselves
+            (
+                [[1e308, -1e308], [-1e308, 1e308], [5e307, 0.0]],
+                [[1e308, -1e308], [-9e307, 1e308], [4e307, -1e307], [-1e308, -1e308]],
+                [0, 1, 2, 2],
+            ),
+        ],
+        ids=["1e200", "1e308"],
+    )
+    def test_nearest_past_overflow(self, train, queries, expected):
+        data = VectorDataset(np.array(train), np.arange(len(train)))
+        model = fit(ClassifierSpec("knn", {"k": 1}), data, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning escapes
+            assert model.predict(np.array(queries)).tolist() == expected
+
+    def test_far_rows_rank_after_finite_ones(self):
+        # rows 1 and 3 overflow, row 2 does not: finite first, then far by distance
+        train = np.array([[0.0], [-3e200], [1e100], [2e200], [5.0]])
+        data = VectorDataset(train, np.arange(5))
+        model = fit(ClassifierSpec("knn", {"k": 5}), data, seed=0)
+        assert model.neighbours(np.array([[1.0]]))[:, 0].tolist() == [0, 4, 2, 3, 1]
+
 
 # Reference KNN and vote: a full stable sort of each row's distances and the
 # np.unique inverse.  The library versions must give the same neighbour
-# indices and labels.
+# indices and labels.  Distances that overflow to inf sort after the finite
+# ones, by their norm with every row scaled by one power of two.
 
 
 def reference_neighbours(train, X, k):
@@ -488,7 +523,12 @@ def reference_neighbours(train, X, k):
     nearest = np.empty((k, X.shape[0]), dtype=np.int64)
     for i, row in enumerate(X):
         dists = np.linalg.norm(train - row, axis=1)
-        nearest[:, i] = np.argsort(dists, kind="stable")[:k]
+        exponent = np.frexp(max(np.abs(train).max(), np.abs(row).max()))[1]
+        scaled = np.linalg.norm(
+            np.ldexp(train, -exponent) - np.ldexp(row, -exponent), axis=1
+        )
+        far = np.isinf(dists)
+        nearest[:, i] = np.lexsort((np.where(far, scaled, dists), far))[:k]
     return nearest
 
 
@@ -684,6 +724,29 @@ class TestLogit:
         with pytest.raises(ValueError, match="two classes"):
             fit(ClassifierSpec("logit"), data, seed=0)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"class_labels": np.array([0, 1])}, r"^logit weights has shape \[2, 3\], expected \[2, 2\]$"),
+            ({"bias": np.zeros(2)}, r"^logit bias has shape \[2\], expected \[3\]$"),
+            ({"weights": np.zeros(6)}, r"^logit weights has shape \[6\], expected \[6, 3\]$"),
+            ({"scaler": Scaler(np.zeros(2), np.ones(1))}, r"^logit scaler std has shape \[1\], expected \[2\]$"),
+            ({"scaler": Scaler(np.zeros(3), np.ones(2))}, r"^logit scaler mean has shape \[3\], expected \[2\]$"),
+        ],
+        ids=["class-labels", "bias", "weights-flat", "scaler-std", "scaler-mean"],
+    )
+    def test_model_fields_checked(self, fields, message):
+        valid = {
+            "spec": ClassifierSpec("logit"),
+            "class_labels": np.array([0, 1, 2]),
+            "scaler": Scaler(np.zeros(2), np.ones(2)),
+            "weights": np.zeros((2, 3)),
+            "bias": np.zeros(3),
+        }
+        LogitModel(**valid)
+        with pytest.raises(ValueError, match=message):
+            LogitModel(**{**valid, **fields})
+
 
 class TestSvm:
     def test_polynomial_kernel_solves_xor(self):
@@ -730,6 +793,52 @@ class TestSvm:
         data = VectorDataset(np.eye(2), np.array([1, 1]))
         with pytest.raises(ValueError, match="two classes"):
             fit(ClassifierSpec("svm"), data, seed=0)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (
+                {"class_labels": np.array([0, 1, 2])},
+                r"^svm has 2 binaries, expected one per class of class_labels \[0, 1, 2\]$",
+            ),
+            (
+                {"binaries": [BinarySvm(np.zeros((0, 2)), np.zeros(0), 0.5)]},
+                r"^svm has 1 binaries, expected one per class of class_labels \[0, 1\]$",
+            ),
+            (
+                {"binaries": [BinarySvm(np.zeros((0, 2)), np.zeros(0), 0.5),
+                              BinarySvm(np.zeros((2, 3)), np.ones(2), 0.0)]},
+                r"^svm binary 1 support_vectors has shape \[2, 3\], expected \[2, 2\]$",
+            ),
+            (
+                {"binaries": [BinarySvm(np.zeros((0, 2)), np.zeros(0), 0.5),
+                              BinarySvm(np.zeros((2, 2)), np.ones(1), 0.0)]},
+                r"^svm binary 1 dual_coefs has shape \[1\], expected \[2\]$",
+            ),
+            (
+                {"scaler": Scaler(np.zeros(1), np.ones(2))},
+                r"^svm scaler mean has shape \[1\], expected \[2\]$",
+            ),
+            (
+                {"scaler": Scaler(np.zeros(2), np.ones(3))},
+                r"^svm scaler std has shape \[3\], expected \[2\]$",
+            ),
+        ],
+        ids=["class-labels", "binaries", "support-vectors", "dual-coefs",
+             "scaler-mean", "scaler-std"],
+    )
+    def test_model_fields_checked(self, fields, message):
+        valid = {
+            "spec": ClassifierSpec("svm"),
+            "class_labels": np.array([0, 1]),
+            "scaler": Scaler(np.zeros(2), np.ones(2)),
+            "binaries": [BinarySvm(np.zeros((0, 2)), np.zeros(0), 0.5),
+                         BinarySvm(np.eye(2), np.array([1.0, -1.0]), 0.0)],
+            "n_features": 2,
+        }
+        SvmModel(**valid)
+        with pytest.raises(ValueError, match=message):
+            SvmModel(**{**valid, **fields})
 
 
 class TestPredictContracts:
