@@ -12,7 +12,10 @@ The tensor route trains one base learner per factor-matrix column:
 Each step has one home.  ``factor_columns`` runs steps 1-2 for training
 (through ``regroup``) and prediction alike; ``telvi_fit_regrouped`` runs
 step 3, so a caller that tuned on the regrouped datasets does not
-decompose twice, and ``telvi_fit`` is ``regroup`` then step 3.
+decompose twice, and ``telvi_fit`` is ``regroup`` then step 3.  Step 2
+slices columns with ``_columns``, which also takes the full-rank factors
+of a rank search: a rank-searched run decomposes each training sample
+once, for the search, and regroups from those factors.
 
 The bagging baseline flattens samples column-major, reduces with PCA and
 trains the same base-learner kind on bootstrap resamples.  Both methods
@@ -124,11 +127,19 @@ def factor_columns(
     """Steps 1-2 of TEL: the ``(M, I_n)`` matrix (n, r) holds column r of
     each sample's mode-n factor at ``rank`` (clamped), one row per sample.
     """
-    factors, _ = hosvd_factors(samples, rank)
+    return _columns(*hosvd_factors(samples, rank))
+
+
+def _columns(
+    stacks: Sequence[np.ndarray], rank: MultilinearRank
+) -> dict[tuple[int, int], np.ndarray]:
+    """``factor_columns`` at ``rank`` from ``hosvd_factors`` stacks of at
+    least ``rank`` columns: a rank-R factor is the first R columns of any
+    higher-rank one, bit for bit, so full-rank stacks serve every rank."""
     return {
         (n, r): np.ascontiguousarray(stack[:, :, r])
-        for n, stack in enumerate(factors)
-        for r in range(stack.shape[2])
+        for n, (stack, r_n) in enumerate(zip(stacks, rank))
+        for r in range(r_n)
     }
 
 
@@ -137,10 +148,14 @@ def regroup(
 ) -> dict[tuple[int, int], VectorDataset]:
     """One dataset per (mode, component): ``factor_columns`` of the
     samples, each row paired with its sample's label."""
-    return {
-        key: VectorDataset(column, data.labels)
-        for key, column in factor_columns(data.samples, rank).items()
-    }
+    return _labeled(factor_columns(data.samples, rank), data.labels)
+
+
+def _labeled(
+    columns: Mapping[tuple[int, int], np.ndarray], labels: np.ndarray
+) -> dict[tuple[int, int], VectorDataset]:
+    """Each factor column matrix paired with the samples' labels."""
+    return {key: VectorDataset(column, labels) for key, column in columns.items()}
 
 
 @dataclass(frozen=True)

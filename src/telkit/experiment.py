@@ -22,13 +22,15 @@ from .ensemble import (
     LabeledTensorDataset,
     SingleModel,
     TelviModel,
+    _columns,
+    _labeled,
     bagging_fit_reduced,
     flatten_samples,
     predict_votes,
     regroup,
     telvi_fit_regrouped,
 )
-from .hosvd import MultilinearRank, rank_search
+from .hosvd import MultilinearRank, _search
 from .io import load_ppm_dir, load_tensor_dataset
 from .learners import (
     ClassifierSpec,
@@ -170,13 +172,18 @@ class ExperimentConfig:
             dataset_path=source.get("path"),
             image_dir=source.get("image_dir"),
             synthetic=SyntheticSpec.from_dict(synthetic) if synthetic else None,
-            train_fraction=float(payload.get("train_fraction", 0.5)),
+            train_fraction=float(
+                check_number(payload.get("train_fraction", 0.5), "train_fraction")
+            ),
             method=payload.get("method", "telvi"),
             rank=(
                 tuple(check_number(r, "rank", True) for r in payload["rank"])
                 if payload.get("rank") is not None else None
             ),
-            rank_search_threshold=payload.get("rank_search_threshold"),
+            rank_search_threshold=(
+                check_number(payload["rank_search_threshold"], "rank_search_threshold")
+                if payload.get("rank_search_threshold") is not None else None
+            ),
             base_grid=tuple(
                 ClassifierSpec.from_dict(s) for s in payload.get("base_grid", ())
             ),
@@ -285,8 +292,9 @@ def train_model(
 
     The one training path of ``run_experiment`` (on its train split) and
     ``telkit train`` (whole dataset).  ``decompose`` builds the learners'
-    datasets once: telvi's factor columns, or one flat dataset keyed
-    (-1, 0), PCA-projected for bagging; ``tune`` and ``fit`` share them.
+    datasets once: telvi's factor columns, sliced from the rank search's
+    factors when it searches, or one flat dataset keyed (-1, 0),
+    PCA-projected for bagging; ``tune`` and ``fit`` share them.
     ``tune`` is always ``grid_search_cv``, which checks the folds against
     every dataset even when the grid has one spec.  Stage times go into
     ``timings``; a failing stage raises ExperimentError naming it.
@@ -296,10 +304,13 @@ def train_model(
     pca = None
     with _stage("decompose", timings):
         if config.method == "telvi":
-            rank = config.rank
-            if rank is None:
-                rank = rank_search(data.samples, config.rank_search_threshold)
-            datasets = regroup(data, rank)
+            if config.rank is None:
+                # the search's full-rank factors lead with those at the
+                # rank it finds, so the samples are not decomposed again
+                rank, stacks = _search(data.samples, config.rank_search_threshold)
+                datasets = _labeled(_columns(stacks, rank), data.labels)
+            else:
+                datasets = regroup(data, config.rank)
         else:
             features = flatten_samples(data.samples)
             if config.method == "bagging":

@@ -15,8 +15,13 @@ chunk of samples and mode, keeping the factors only.  ``_decompositions``
 adds each sample's core from column slices of one full-rank kernel call;
 ``hosvd`` runs it on a batch of one, ``rank_search`` and ``telkit
 decompose`` on a whole sample set, so every decomposition in telkit gives
-the same factor and core bits.  ``_multiply``, the one "tensor times
-matrices" loop (Kolda & Bader, 2009), builds every core and reconstruction.
+the same factor and core bits.  A rank search hands its full-rank factors
+on (``_search``), so a rank-searched telvi run decomposes each training
+sample once: its learners' factor columns are the leading columns of the
+factors the search already computed.  ``_multiply``, the one "tensor times
+matrices" loop (Kolda & Bader, 2009), builds every core and reconstruction
+on plain arrays, one ``tensor._mode_product`` per mode, and wraps a
+DenseTensor only around the result.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .linalg import _canonicalize_signs
-from .tensor import DenseTensor, frobenius_norm, mode_n_product
+from .tensor import DenseTensor, _mode_product, frobenius_norm
 
 __all__ = [
     "MultilinearRank",
@@ -122,32 +127,48 @@ def hosvd_factors(
 
 
 def _multiply(x: DenseTensor, matrices: Sequence[np.ndarray]) -> DenseTensor:
-    """``x`` times ``matrices[n]`` along every mode n."""
+    """``x`` times ``matrices[n]`` along every mode n, unchecked.
+
+    Each mode is one ``tensor._mode_product`` on a plain array, so only the
+    result is wrapped in a DenseTensor; its bits are those of chained
+    ``mode_n_product`` calls.
+    """
+    array = x.to_array()
     for n, matrix in enumerate(matrices):
-        x = mode_n_product(x, matrix, n)
-    return x
+        array = _mode_product(array, np.asarray(matrix, dtype=np.float64), n)
+    return DenseTensor.from_array(array)
 
 
 def _decompositions(
     samples: Sequence[DenseTensor], rank: Sequence[int]
 ) -> Iterator[HosvdFactors]:
     """Each sample's decomposition at ``rank`` (clamped), in order, from
-    one full-rank ``hosvd_factors`` call.
-
-    The factors are column slices of the kernel's full-rank factors (rank-R
-    factors are their prefixes): the rounding of the core's products
-    depends on the factors' memory layout, and slices keep it, so a core
-    has the same bits whatever the batch it was decomposed in.
-    """
+    one full-rank ``hosvd_factors`` call."""
     if len(samples) == 0:
         raise ValueError("hosvd needs at least one sample")
     shape = samples[0].shape
     effective = clamp_rank(rank, shape)
     stacks, _ = hosvd_factors(samples, shape)
+    return _sliced(samples, stacks, effective)
+
+
+def _sliced(
+    samples: Sequence[DenseTensor],
+    stacks: Sequence[np.ndarray],
+    rank: MultilinearRank,
+) -> Iterator[HosvdFactors]:
+    """Each sample's decomposition at ``rank`` from the full-rank factor
+    ``stacks`` of ``hosvd_factors(samples, shape)``.
+
+    The factors are column slices of the full-rank factors (rank-R factors
+    are their prefixes): the rounding of the core's products depends on
+    the factors' memory layout, and slices keep it, so a core has the same
+    bits whatever the batch it was decomposed in.
+    """
     for m, x in enumerate(samples):
-        factors = [stack[m, :, :r] for stack, r in zip(stacks, effective)]
+        factors = [stack[m, :, :r] for stack, r in zip(stacks, rank)]
         core = _multiply(x, [factor.T for factor in factors])
-        yield HosvdFactors(core=core, factors=factors, effective_rank=effective)
+        yield HosvdFactors(core=core, factors=factors, effective_rank=rank)
 
 
 def hosvd(x: DenseTensor, rank: Sequence[int]) -> HosvdFactors:
@@ -168,6 +189,8 @@ def reconstruct(f: HosvdFactors) -> DenseTensor:
                 f"factor {n} has {factor.shape[1]} columns but core mode "
                 f"{n} has size {f.core.shape[n]}"
             )
+    if any(np.ndim(factor) != 2 for factor in f.factors):
+        raise ValueError("factor must be a 2-d matrix")
     return _multiply(f.core, f.factors)
 
 
@@ -217,6 +240,15 @@ def rank_search(
     is the energy of the full core (||G|| = ||X||) outside its leading
     R block.
     """
+    return _search(samples, max_relative_error)[0]
+
+
+def _search(
+    samples: Sequence[DenseTensor], max_relative_error: float
+) -> tuple[MultilinearRank, list[np.ndarray]]:
+    """``rank_search``'s rank and the full-rank factor stacks of
+    ``hosvd_factors`` it searched from, whose leading columns are the
+    samples' factors at that rank, bit for bit."""
     if len(samples) == 0:
         raise ValueError("rank_search needs at least one sample")
     if not 0.0 <= max_relative_error < 1.0:
@@ -224,9 +256,9 @@ def rank_search(
             f"max_relative_error must be in [0, 1), got {max_relative_error}"
         )
     shape = samples[0].shape
-    current = clamp_rank(shape, shape)
+    stacks, current = hosvd_factors(samples, shape)
     energy = np.stack([
-        f.core.to_array() ** 2 for f in _decompositions(samples, current)
+        f.core.to_array() ** 2 for f in _sliced(samples, stacks, current)
     ])
     norms = np.array([frobenius_norm(x) for x in samples])
     while True:
@@ -242,5 +274,5 @@ def rank_search(
             if best is None or key < best[0]:
                 best = (key, candidate)
         if best is None:
-            return current
+            return current, stacks
         current = best[1]

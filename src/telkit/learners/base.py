@@ -8,7 +8,7 @@ import numpy as np
 
 __all__ = ["VectorDataset", "Scaler", "standardize_fit", "majority_labels",
            "majority_label", "two_class_labels", "check_finite",
-           "check_shape", "check_features", "accuracy"]
+           "check_shape", "check_rank", "check_features", "accuracy"]
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,14 @@ def check_shape(name: str, array: np.ndarray, expected: tuple[int, ...]) -> None
     if array.shape != expected:
         raise ValueError(
             f"{name} has shape {list(array.shape)}, expected {list(expected)}"
+        )
+
+
+def check_rank(name: str, array: np.ndarray, ndim: int) -> None:
+    """Reject a model field ``name`` whose ``array`` is not ``ndim``-d."""
+    if array.ndim != ndim:
+        raise ValueError(
+            f"{name} has shape {list(array.shape)}, expected a {ndim}-d array"
         )
 
 

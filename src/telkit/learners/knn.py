@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import VectorDataset, check_features, majority_labels
+from .base import VectorDataset, check_features, check_rank, majority_labels
 from .spec import ClassifierSpec
 
 __all__ = ["KnnModel", "fit_knn"]
@@ -45,6 +45,7 @@ class KnnModel:
     train_labels: np.ndarray
 
     def __post_init__(self):
+        check_rank("knn class_labels", self.class_labels, 1)
         if self.train_features.ndim != 2 or self.train_features.shape[0] < 1:
             raise ValueError(
                 f"knn train_features has shape {list(self.train_features.shape)}, "

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import (Scaler, VectorDataset, check_features, check_shape,
-                   standardize_fit, two_class_labels)
+from .base import (Scaler, VectorDataset, check_features, check_rank,
+                   check_shape, standardize_fit, two_class_labels)
 from .spec import ClassifierSpec
 
 __all__ = ["LogitModel", "fit_logit", "logit_loss", "logit_gradient"]
@@ -34,6 +34,9 @@ class LogitModel:
     bias: np.ndarray  # classes
 
     def __post_init__(self):
+        check_rank("logit class_labels", self.class_labels, 1)
+        if self.weights.ndim == 0:  # no rows to read the width from
+            check_rank("logit weights", self.weights, 2)
         width, classes = self.n_features, self.class_labels.size
         check_shape("logit weights", self.weights, (width, classes))
         check_shape("logit bias", self.bias, (classes,))

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..seeding import mix_seed
-from .base import (Scaler, VectorDataset, check_features, check_shape,
-                   standardize_fit, two_class_labels)
+from .base import (Scaler, VectorDataset, check_features, check_rank,
+                   check_shape, standardize_fit, two_class_labels)
 from .spec import ClassifierSpec
 
 __all__ = ["BinarySvm", "SvmModel", "fit_svm", "kernel_matrix"]
@@ -85,6 +85,7 @@ class SvmModel:
     n_features: int
 
     def __post_init__(self):
+        check_rank("svm class_labels", self.class_labels, 1)
         check_shape("svm scaler mean", self.scaler.mean, (self.n_features,))
         check_shape("svm scaler std", self.scaler.std, (self.n_features,))
         if len(self.binaries) != self.class_labels.size:
@@ -93,6 +94,7 @@ class SvmModel:
                 f"class of class_labels {self.class_labels.tolist()}"
             )
         for c, b in enumerate(self.binaries):
+            check_rank(f"svm binary {c} support_vectors", b.support_vectors, 2)
             rows = len(b.support_vectors)
             check_shape(f"svm binary {c} support_vectors", b.support_vectors,
                         (rows, self.n_features))

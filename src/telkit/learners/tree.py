@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import VectorDataset, check_features, majority_label, two_class_labels
+from .base import (VectorDataset, check_features, check_rank, majority_label,
+                   two_class_labels)
 from .spec import ClassifierSpec
 
 __all__ = ["TreeNode", "TreeModel", "fit_tree"]
@@ -54,6 +55,7 @@ class TreeModel:
     n_features: int
 
     def __post_init__(self):
+        check_rank("tree class_labels", self.class_labels, 1)
         nodes = [self.root]
         while nodes:
             node = nodes.pop()

@@ -9,20 +9,23 @@ the reader types and checks what comes from outside.  Every model file
 records the training shape, so a single model file without ``shape`` is
 rejected at load.
 Loading checks that every learner takes the width its place in the model
-feeds it and knows only the model's class labels; each learner model
-checks its own fields when it is built, at fit and at load alike.
+feeds it and knows only the model's class labels, and rejects a key in a
+learner, its scaler, an svm binary or a tree node that the writer never
+emits; each learner model checks its own fields, the rank of each array
+among them, when it is built, at fit and at load alike.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from .canonical import dump_canonical, plain
+from .canonical import check_keys, dump_canonical, plain
 from .ensemble import BaggingModel, SingleModel, TelviModel
 from .learners import (
     BinarySvm,
@@ -44,7 +47,20 @@ MODEL_FORMAT_VERSION = 1
 _TYPES = {TelviModel: "telvi", BaggingModel: "bagging", SingleModel: "single"}
 
 
+def _field_names(cls) -> list[str]:
+    return [f.name for f in fields(cls)]
+
+
+# the keys the writer emits for each learner kind: its model's fields
+_LEARNER_KEYS = {
+    kind: _field_names(cls)
+    for kind, cls in (("knn", KnnModel), ("tree", TreeModel),
+                      ("logit", LogitModel), ("svm", SvmModel))
+}
+
+
 def _tree_node_from_dict(payload: dict[str, Any]) -> TreeNode:
+    check_keys(payload, _field_names(TreeNode), "tree node")
     if "label" in payload:
         return TreeNode(label=int(payload["label"]))
     return TreeNode(
@@ -56,6 +72,7 @@ def _tree_node_from_dict(payload: dict[str, Any]) -> TreeNode:
 
 
 def _scaler_from_dict(payload: dict[str, Any]) -> Scaler:
+    check_keys(payload, _field_names(Scaler), "scaler")
     return Scaler(
         mean=np.asarray(payload["mean"], dtype=np.float64),
         std=np.asarray(payload["std"], dtype=np.float64),
@@ -64,6 +81,7 @@ def _scaler_from_dict(payload: dict[str, Any]) -> Scaler:
 
 def _learner_from_dict(payload: dict[str, Any]) -> TrainedModel:
     spec = ClassifierSpec.from_dict(payload["spec"])
+    check_keys(payload, _LEARNER_KEYS[spec.kind], f"{spec.kind} learner")
     labels = np.asarray(payload["class_labels"], dtype=np.int64)
     if spec.kind == "knn":
         return KnnModel(
@@ -88,21 +106,24 @@ def _learner_from_dict(payload: dict[str, Any]) -> TrainedModel:
             bias=np.asarray(payload["bias"], dtype=np.float64),
         )
     # svm: ClassifierSpec.from_dict rejects any other kind
+    n_features = int(payload["n_features"])
     return SvmModel(
         spec=spec,
         class_labels=labels,
         scaler=_scaler_from_dict(payload["scaler"]),
-        n_features=int(payload["n_features"]),
-        binaries=[
-            BinarySvm(
-                support_vectors=np.asarray(
-                    b["support_vectors"], dtype=np.float64
-                ).reshape(-1, int(payload["n_features"])),
-                dual_coefs=np.asarray(b["dual_coefs"], dtype=np.float64),
-                bias=float(b["bias"]),
-            )
-            for b in payload["binaries"]
-        ],
+        n_features=n_features,
+        binaries=[_binary_from_dict(b, n_features) for b in payload["binaries"]],
+    )
+
+
+def _binary_from_dict(payload: dict[str, Any], n_features: int) -> BinarySvm:
+    check_keys(payload, _field_names(BinarySvm), "svm binary")
+    return BinarySvm(
+        support_vectors=np.asarray(
+            payload["support_vectors"], dtype=np.float64
+        ).reshape(-1, n_features),
+        dual_coefs=np.asarray(payload["dual_coefs"], dtype=np.float64),
+        bias=float(payload["bias"]),
     )
 
 

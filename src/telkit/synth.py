@@ -67,7 +67,7 @@ class SyntheticSpec:
             samples_per_class=check_number(
                 payload["samples_per_class"], "samples_per_class", True
             ),
-            noise_std=float(payload["noise_std"]),
+            noise_std=float(check_number(payload["noise_std"], "noise_std")),
             seed=check_number(payload["seed"], "seed", True),
         )
 

@@ -4,11 +4,14 @@ A :class:`DenseTensor` is an immutable real-valued array of order N >= 1
 whose canonical linearization is column-major (the first index varies
 fastest).  Mode-n unfolding follows the Kolda-Bader convention: the
 columns of the unfolding are the mode-n fibers, enumerated so that the
-lowest surviving index varies fastest.
+lowest surviving index varies fastest.  ``mode_n_product`` checks its
+operands and runs ``_mode_product``, the one product kernel, which
+``hosvd._multiply`` also runs, mode after mode, on plain arrays.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,7 +47,7 @@ class DenseTensor:
         if any(s < 1 for s in shape):
             raise ValueError(f"all dimensions must be >= 1, got {shape}")
         flat = np.asarray(data, dtype=np.float64).ravel()
-        expected = int(np.prod(shape))
+        expected = math.prod(shape)
         if flat.size != expected:
             raise ValueError(
                 f"data length {flat.size} does not match shape {shape} "
@@ -156,10 +159,27 @@ def mode_n_product(
             f"factor has {factor.shape[1]} columns but mode {mode} has "
             f"size {tensor.shape[mode]}"
         )
-    result = factor @ unfold(tensor, mode)
-    new_shape = list(tensor.shape)
-    new_shape[mode] = factor.shape[0]
-    return fold(result, mode, new_shape)
+    return DenseTensor.from_array(_mode_product(tensor.to_array(), factor, mode))
+
+
+def _mode_product(array: np.ndarray, factor: np.ndarray, mode: int) -> np.ndarray:
+    """``factor`` times ``array`` along ``mode``, unchecked, on plain arrays.
+
+    The one product kernel: ``array`` is laid out as a DenseTensor stores
+    its entries, unfolded as :func:`unfold` does, and the product is folded
+    back as :func:`fold` does and laid out the same way, so chained calls
+    round exactly as chained :func:`mode_n_product` calls do.
+    """
+    # the transposes are np.moveaxis(array, mode, 0) and its inverse, the
+    # same views without moveaxis's axis normalization
+    others = tuple(range(mode)) + tuple(range(mode + 1, array.ndim))
+    unfolded = array.transpose((mode,) + others).reshape(
+        array.shape[mode], -1, order="F"
+    )
+    rest = tuple(array.shape[a] for a in others)
+    moved = (factor @ unfolded).reshape((factor.shape[0],) + rest, order="F")
+    result = moved.transpose(tuple(range(1, mode + 1)) + (0,) + others[mode:])
+    return result.ravel(order="F").reshape(result.shape, order="F")
 
 
 def outer_product(vectors: Sequence[np.ndarray]) -> DenseTensor:

@@ -15,6 +15,7 @@ from telkit.ensemble import (
     SingleModel,
     TelviModel,
     VoteTally,
+    _columns,
     _vote,
     bagging_fit,
     bagging_fit_reduced,
@@ -28,7 +29,7 @@ from telkit.ensemble import (
     telvi_fit,
     telvi_predict,
 )
-from telkit.hosvd import hosvd, hosvd_factors
+from telkit.hosvd import _search, clamp_rank, hosvd, hosvd_factors, rank_search
 from telkit.learners import ClassifierSpec, VectorDataset, fit, majority_labels
 from telkit.linalg import pca_fit, pca_transform
 from telkit.seeding import mix_seed
@@ -172,6 +173,43 @@ class TestRegroup:
         datasets = regroup(LabeledTensorDataset([x] * 4, np.zeros(4)), (2, 2, 2))
         for ds in datasets.values():
             assert np.array_equal(ds.features, np.tile(ds.features[0], (4, 1)))
+
+    @pytest.mark.parametrize(
+        "shape, rank",
+        [
+            ((8, 8, 3), (2, 2, 1)),
+            ((10, 2, 2), (10, 2, 2)),  # mode 0 clamps to 4: every column
+            ((10, 2, 2), (3, 1, 2)),
+            ((3, 4, 2, 3), (2, 3, 1, 2)),
+            ((6, 1, 4), (1, 1, 3)),
+        ],
+    )
+    def test_columns_sliced_from_full_rank_stacks_equal_factor_columns(
+        self, shape, rank
+    ):
+        # a rank-searched run slices its learners' columns from the search's
+        # full-rank factors; 70 samples span two chunks of the kernel
+        rng = np.random.default_rng([337, *shape])
+        samples = [DenseTensor.from_array(rng.standard_normal(shape)) for _ in range(70)]
+        stacks, _ = hosvd_factors(samples, shape)
+        sliced = _columns(stacks, clamp_rank(rank, shape))
+        expected = factor_columns(samples, rank)
+        assert sorted(sliced) == sorted(expected)
+        for key, column in expected.items():
+            assert sliced[key].flags.c_contiguous
+            assert sliced[key].tobytes() == column.tobytes()
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.2, 0.5, 0.9])
+    def test_rank_search_stacks_give_factor_columns_at_its_rank(self, threshold):
+        rng = np.random.default_rng(347)
+        samples = [DenseTensor.from_array(rng.standard_normal((10, 2, 2)))
+                   for _ in range(12)]
+        rank, stacks = _search(samples, threshold)
+        assert rank == rank_search(samples, threshold)
+        expected = factor_columns(samples, rank)
+        sliced = _columns(stacks, rank)
+        assert sorted(sliced) == sorted(expected)
+        assert all(sliced[k].tobytes() == c.tobytes() for k, c in expected.items())
 
     def test_factor_columns_are_contiguous_slices_of_one_kernel_call(self):
         # (5, 2, 2) clamps mode 0 to rank 4; 70 samples span two chunks

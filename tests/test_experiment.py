@@ -189,6 +189,31 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ExperimentConfig.from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "where, key, value, message",
+        [
+            ("config", "train_fraction", "0.5", "train_fraction must be a number, got '0.5'"),
+            (
+                "config", "rank_search_threshold", "0.3",
+                "rank_search_threshold must be a number, got '0.3'",
+            ),
+            (
+                "config", "rank_search_threshold", float("nan"),
+                "rank_search_threshold must be finite, got nan",
+            ),
+            ("synthetic", "noise_std", True, "noise_std must be a number, got True"),
+        ],
+        ids=["train-fraction-str", "threshold-str", "threshold-nan", "noise-std-bool"],
+    )
+    def test_non_number_rejected(self, where, key, value, message):
+        # float(...) read "0.5" and true as numbers, and a string threshold
+        # failed only in the decompose stage
+        payload = benchmark_config(method="bagging", pca_dim=16).to_dict()
+        target = payload if where == "config" else payload["dataset"]["synthetic"]
+        target[key] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig.from_dict(payload)
+
     @pytest.mark.parametrize("folds", [0, 1, -1])
     def test_cv_folds_below_two_rejected(self, folds):
         # rejected even with a one-spec grid, which never cross-validates
@@ -610,6 +635,62 @@ class TestModelFiles:
                 lambda m: m["scaler"]["std"].pop(),
                 r"^single model: svm scaler std has shape \[23\], expected \[24\]$",
             ),
+            # keys the writer never emits, once loaded without a word
+            (
+                "logit",
+                lambda m: m.update(n_features=3),
+                r"^single model: unknown logit learner key 'n_features'$",
+            ),
+            (
+                "knn",
+                lambda m: m.update(n_features=24),
+                r"^single model: unknown knn learner key 'n_features'$",
+            ),
+            (
+                "svm",
+                lambda m: m["binaries"][0].update(alpha=[]),
+                r"^single model: unknown svm binary key 'alpha'$",
+            ),
+            (
+                "logit",
+                lambda m: m["scaler"].update(scale=[]),
+                r"^single model: unknown scaler key 'scale'$",
+            ),
+            (
+                "tree",
+                lambda m: first_leaf(m["root"]).update(count=3),
+                r"^single model: unknown tree node key 'count'$",
+            ),
+            # arrays of the wrong rank, once an IndexError or wrong votes
+            (
+                "logit",
+                lambda m: m.update(weights=5),
+                r"^single model: logit weights has shape \[\], expected a 2-d array$",
+            ),
+            (
+                "logit",
+                lambda m: m.update(class_labels=[m["class_labels"]]),
+                r"^single model: logit class_labels has shape \[1, 2\], "
+                r"expected a 1-d array$",
+            ),
+            (
+                "svm",
+                lambda m: m.update(class_labels=[m["class_labels"]]),
+                r"^single model: svm class_labels has shape \[1, 2\], "
+                r"expected a 1-d array$",
+            ),
+            (
+                "tree",
+                lambda m: m.update(class_labels=[m["class_labels"]]),
+                r"^single model: tree class_labels has shape \[1, 2\], "
+                r"expected a 1-d array$",
+            ),
+            (
+                "knn",
+                lambda m: m.update(class_labels=[m["class_labels"]]),
+                r"^single model: knn class_labels has shape \[1, 2\], "
+                r"expected a 1-d array$",
+            ),
         ],
         ids=[
             "knn-train-labels", "knn-class-labels", "knn-no-rows",
@@ -617,6 +698,11 @@ class TestModelFiles:
             "logit-class-labels", "logit-bias", "logit-scaler-mean",
             "logit-scaler-std", "svm-class-labels", "svm-binaries",
             "svm-dual-coefs", "svm-scaler-std",
+            "logit-unknown-key", "knn-unknown-key", "svm-binary-unknown-key",
+            "scaler-unknown-key", "tree-node-unknown-key",
+            "logit-weights-rank", "logit-class-labels-rank",
+            "svm-class-labels-rank", "tree-class-labels-rank",
+            "knn-class-labels-rank",
         ],
     )
     def test_tampered_single_learner_rejected_at_load(
@@ -777,8 +863,20 @@ class TestFileFormat:
                 '"method":"telvi","n_estimators":12,"rank":[2,1],"seed":0,'
                 '"train_fraction":0.75}',
             ),
+            (
+                # integral values of float keys echo as they are written
+                lambda: ExperimentConfig(
+                    synthetic=SyntheticSpec((4, 3), 2, (2, 1), 3, 0, 1),
+                    rank_search_threshold=0, base_grid=(ClassifierSpec("knn"),),
+                ),
+                '{"base_grid":[{"hyperparameters":{"distance":"euclidean","k":5},'
+                '"kind":"knn"}],"cv_folds":5,"dataset":{"synthetic":{"classes":2,'
+                '"noise_std":0,"rank":[2,1],"samples_per_class":3,"seed":1,'
+                '"shape":[4,3]}},"method":"telvi","n_estimators":12,'
+                '"rank_search_threshold":0,"seed":0,"train_fraction":0.5}',
+            ),
         ],
-        ids=["path", "image-dir", "synthetic"],
+        ids=["path", "image-dir", "synthetic", "integral-floats"],
     )
     def test_config_echo_bytes(self, config, expected):
         config = config()
@@ -1078,6 +1176,21 @@ class TestCli:
         assert rows_per_call == [160] * 5
         assert calls == [((2, 2, 1), 160)]  # one kernel call for the whole set
 
+    def test_cli_train_with_rank_search(self, tmp_path, capsys, monkeypatch):
+        # the search's full-rank call is the only one: the learners' columns
+        # are sliced from its factors
+        config_path = tmp_path / "train.json"
+        config_path.write_text(json.dumps({
+            "dataset": {"synthetic": BENCHMARK_SPEC.to_dict()},
+            "method": "telvi", "rank_search_threshold": 0.35,
+            "base_grid": TWO_SPEC_GRID, "cv_folds": 3, "seed": 7,
+        }))
+        calls = count_decompositions(monkeypatch)
+        out = tmp_path / "model.json"
+        assert main(["train", "--config", str(config_path), "--out", str(out)]) == 0
+        assert calls == [((8, 8, 3), 160)]
+        assert json.loads(out.read_text())["rank"] == [2, 2, 1]
+
     def test_experiment_writes_report_and_csv(self, config_files, capsys):
         tmp_path, _, experiment = config_files
         out = tmp_path / "report.json"
@@ -1193,9 +1306,9 @@ def samples_per_rank(calls) -> Counter:
 
 
 class TestDecomposeOnce:
-    """Training decomposes each sample once at the model rank; evaluation
-    decomposes each test sample once for its votes, and a rank search
-    adds one full-rank decomposition per training sample."""
+    """Training decomposes each sample once: at the model rank, or at full
+    rank for a rank search, whose factors the learners' columns are then
+    sliced from; evaluation decomposes each test sample once for its votes."""
 
     def test_run_experiment_fixed_rank(self, monkeypatch):
         calls = count_decompositions(monkeypatch)
@@ -1212,7 +1325,7 @@ class TestDecomposeOnce:
             )
         )
         assert report.effective_rank == [2, 2, 1]
-        assert samples_per_rank(calls) == {(8, 8, 3): 80, (2, 2, 1): 80 + 80}
+        assert samples_per_rank(calls) == {(8, 8, 3): 80, (2, 2, 1): 80}
 
     def test_cli_train_with_two_spec_grid(self, tmp_path, capsys, monkeypatch):
         config_path = tmp_path / "train.json"
@@ -1225,6 +1338,21 @@ class TestDecomposeOnce:
         out = tmp_path / "model.json"
         assert main(["train", "--config", str(config_path), "--out", str(out)]) == 0
         assert calls == [((2, 2, 1), 160)]  # one kernel call for the whole set
+
+    def test_cli_train_with_rank_search(self, tmp_path, capsys, monkeypatch):
+        # the search's full-rank call is the only one: the learners' columns
+        # are sliced from its factors
+        config_path = tmp_path / "train.json"
+        config_path.write_text(json.dumps({
+            "dataset": {"synthetic": BENCHMARK_SPEC.to_dict()},
+            "method": "telvi", "rank_search_threshold": 0.35,
+            "base_grid": TWO_SPEC_GRID, "cv_folds": 3, "seed": 7,
+        }))
+        calls = count_decompositions(monkeypatch)
+        out = tmp_path / "model.json"
+        assert main(["train", "--config", str(config_path), "--out", str(out)]) == 0
+        assert calls == [((8, 8, 3), 160)]
+        assert json.loads(out.read_text())["rank"] == [2, 2, 1]
 
     @pytest.mark.parametrize("rank", [(2, 2, 1), (8, 8, 3), (3, 5, 2)])
     def test_cli_decompose(self, rank, tmp_path, capsys, monkeypatch):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from telkit.hosvd import (
+    _multiply,
     _storage,
     _tail_errors,
     clamp_rank,
@@ -18,6 +19,7 @@ from telkit.hosvd import (
 )
 from telkit.tensor import (
     DenseTensor,
+    fold,
     frobenius_norm,
     mode_n_product,
     outer_product,
@@ -276,6 +278,55 @@ class TestHosvdFactors:
             hosvd_factors(samples, (2, 2, 1))
         with pytest.raises(ValueError, match="at least one sample"):
             hosvd_factors([], (2, 2, 1))
+
+
+class TestMultiply:
+    """``_multiply`` runs every mode product on plain arrays and wraps one
+    DenseTensor; its bits are those of chained public ``mode_n_product``
+    calls and of the fold-of-unfolded-product definition."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(6,), (1,), (4, 1), (1, 5), (5, 4, 3), (3, 1, 4), (8, 8, 3),
+         (3, 4, 2, 3), (2, 1, 1, 3)],
+    )
+    def test_bits_equal_chained_mode_n_products(self, shape):
+        rng = np.random.default_rng([211, *shape])
+        samples = [random_tensor(rng, shape) for _ in range(3)]
+        stacks, full = hosvd_factors(samples, shape)
+        ranks = {full, tuple(1 for _ in shape), tuple(max(1, r - 1) for r in full)}
+        for rank in sorted(ranks):
+            for m, x in enumerate(samples):
+                # the transposed column slices ``_decompositions`` passes,
+                # then the plain slices ``reconstruct`` multiplies by
+                views = [stack[m, :, :r].T for stack, r in zip(stacks, rank)]
+                core = self.checked_multiply(x, views)
+                self.checked_multiply(core, [v.T for v in views])
+
+    @staticmethod
+    def checked_multiply(x, matrices):
+        chained, defined = x, x
+        for n, matrix in enumerate(matrices):
+            chained = mode_n_product(chained, matrix, n)
+            new_shape = list(defined.shape)
+            new_shape[n] = matrix.shape[0]
+            defined = fold(matrix @ unfold(defined, n), n, new_shape)
+        result = _multiply(x, matrices)
+        assert same_bits(result.to_array(), chained.to_array())
+        assert same_bits(result.to_array(), defined.to_array())
+        return result
+
+    def test_reconstruct_rejects_a_factor_that_is_not_a_matrix(self):
+        rng = np.random.default_rng(223)
+        f = hosvd(random_tensor(rng, (3, 3)), (2, 2))
+        from telkit.hosvd import HosvdFactors
+
+        stacked = HosvdFactors(
+            core=f.core, factors=[f.factors[0], f.factors[1][:, :, None]],
+            effective_rank=f.effective_rank,
+        )
+        with pytest.raises(ValueError, match="^factor must be a 2-d matrix$"):
+            reconstruct(stacked)
 
 
 class TestReconstruct:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from telkit.tensor import (
     DenseTensor,
+    _mode_product,
     fold,
     frobenius_norm,
     mode_n_product,
@@ -166,6 +167,30 @@ class TestModeNProduct:
             right = mode_n_product(mode_n_product(x, b, 2), a, 0)
             scale = np.linalg.norm(left.data)
             assert np.linalg.norm(left.data - right.data) <= 1e-12 * scale
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(5,), (1,), (3, 1), (1, 4), (3, 4, 2), (2, 1, 3), (3, 2, 4, 2), (1, 1, 1, 1)],
+    )
+    def test_bits_and_layout_equal_fold_of_unfolded_product(self, shape):
+        # the definition, fold(factor @ unfold(x, n)), is how the product was
+        # computed before the plain-array kernel, which must round the same
+        # and lay its result out as a DenseTensor stores it
+        rng = np.random.default_rng([23, *shape])
+        x = DenseTensor.from_array(rng.standard_normal(shape))
+        for mode, size in enumerate(shape):
+            for rows in sorted({1, size, 3}):
+                a = rng.standard_normal((rows, size))
+                # C- and F-ordered factors and a transposed column slice
+                b = rng.standard_normal((2, size, rows + 1))[1, :, :rows].T
+                for factor in (a, np.asfortranarray(a), b):
+                    new_shape = shape[:mode] + (rows,) + shape[mode + 1 :]
+                    expected = fold(factor @ unfold(x, mode), mode, new_shape)
+                    product = mode_n_product(x, factor, mode)
+                    raw = _mode_product(x.to_array(), factor, mode)
+                    assert product.to_array().tobytes() == expected.to_array().tobytes()
+                    assert raw.tobytes(order="A") == expected.to_array().tobytes(order="A")
+                    assert raw.strides == expected.to_array().strides
 
     def test_dimension_mismatch(self):
         x = DenseTensor((2, 2), range(4))
