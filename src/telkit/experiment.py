@@ -156,8 +156,18 @@ class ExperimentConfig:
                 )
         if self.method == "bagging" and self.pca_dim is None:
             raise ValueError("bagging requires pca_dim")
+        if self.pca_dim is not None and self.pca_dim < 1:
+            raise ValueError(f"pca_dim must be >= 1, got {self.pca_dim}")
         if self.rank is not None:
-            object.__setattr__(self, "rank", tuple(int(r) for r in self.rank))
+            rank = tuple(int(r) for r in self.rank)
+            if any(r < 1 for r in rank):
+                raise ValueError(f"rank entries must be >= 1, got {list(rank)}")
+            object.__setattr__(self, "rank", rank)
+        threshold = self.rank_search_threshold
+        if threshold is not None and not 0.0 <= threshold < 1.0:
+            raise ValueError(
+                f"rank_search_threshold must be in [0, 1), got {threshold}"
+            )
         object.__setattr__(
             self, "base_grid", tuple(self.base_grid)
         )
@@ -167,6 +177,11 @@ class ExperimentConfig:
         check_keys(payload, _CONFIG_KEYS, "experiment config")
         source = payload.get("dataset", {})
         check_keys(source, _DATASET_FIELDS, "dataset")
+        grid = payload.get("base_grid", ())
+        if not isinstance(grid, (list, tuple)) or not all(
+            isinstance(s, Mapping) for s in grid
+        ):
+            raise ValueError("base_grid must be a list of classifier spec objects")
         synthetic = source.get("synthetic")
         return cls(
             dataset_path=source.get("path"),
@@ -184,9 +199,7 @@ class ExperimentConfig:
                 check_number(payload["rank_search_threshold"], "rank_search_threshold")
                 if payload.get("rank_search_threshold") is not None else None
             ),
-            base_grid=tuple(
-                ClassifierSpec.from_dict(s) for s in payload.get("base_grid", ())
-            ),
+            base_grid=tuple(ClassifierSpec.from_dict(s) for s in grid),
             cv_folds=check_number(payload.get("cv_folds", 5), "cv_folds", True),
             n_estimators=check_number(
                 payload.get("n_estimators", 12), "n_estimators", True

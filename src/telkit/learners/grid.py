@@ -3,11 +3,15 @@
 ``grid_search_cv`` is the one tuner, over one or more datasets.  Folds
 are contiguous blocks of a seeded shuffle, identical for every
 candidate, so two identical specs score identically and the earliest
-grid position wins ties.
+grid position wins ties.  Its fold fits are independent, each seeded
+from its fold, so they run on a fork pool over the CPUs the process may
+use and the scores are reduced in grid order: every score keeps its
+bits whatever the CPU count (``taskset -c 0`` runs them serially).
 """
 
 from __future__ import annotations
 
+import os
 from typing import Sequence
 
 import numpy as np
@@ -17,6 +21,10 @@ from .base import VectorDataset, accuracy
 from .spec import ClassifierSpec
 
 __all__ = ["kfold_indices", "cross_val_accuracy", "grid_search_cv"]
+
+# (grid, datasets, fold blocks per dataset, seed) in a pool worker, set by
+# the pool initializer; under fork it is inherited, never pickled
+_SHARED = None
 
 
 def kfold_indices(
@@ -33,21 +41,49 @@ def kfold_indices(
     return [block for block in np.array_split(perm, folds)]
 
 
+def _fold_accuracy(
+    spec: ClassifierSpec, data: VectorDataset, blocks: list[np.ndarray],
+    f: int, seed: int,
+) -> float:
+    """Accuracy on fold ``f``'s block of ``spec`` fitted on the others."""
+    from . import fit  # deferred: grid depends on the dispatcher
+
+    val_idx = blocks[f]
+    train_idx = np.setdiff1d(np.arange(data.n_samples), val_idx)
+    model = fit(spec, data.subset(train_idx), mix_seed(seed, f))
+    return accuracy(model.predict(data.features[val_idx]), data.labels[val_idx])
+
+
 def cross_val_accuracy(
     spec: ClassifierSpec, data: VectorDataset, folds: int, seed: int
 ) -> float:
     """Mean validation accuracy of ``spec`` over the deterministic folds."""
-    from . import fit  # deferred: grid depends on the dispatcher
-
     blocks = kfold_indices(data.n_samples, folds, seed)
-    all_idx = np.arange(data.n_samples)
-    scores = []
-    for f, val_idx in enumerate(blocks):
-        train_idx = np.setdiff1d(all_idx, val_idx)
-        model = fit(spec, data.subset(train_idx), mix_seed(seed, f))
-        predicted = model.predict(data.features[val_idx])
-        scores.append(accuracy(predicted, data.labels[val_idx]))
-    return float(np.mean(scores))
+    return float(np.mean(
+        [_fold_accuracy(spec, data, blocks, f, seed) for f in range(folds)]
+    ))
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on; 1 where the OS cannot say."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _share(shared) -> None:
+    global _SHARED
+    _SHARED = shared
+
+
+def _job_accuracy(shared, job: tuple[int, int, int]) -> float:
+    grid, datasets, blocks, seed = shared
+    s, d, f = job
+    return _fold_accuracy(grid[s], datasets[d], blocks[d], f, seed)
+
+
+def _worker_job_accuracy(job: tuple[int, int, int]) -> float:
+    return _job_accuracy(_SHARED, job)
 
 
 def grid_search_cv(
@@ -61,17 +97,39 @@ def grid_search_cv(
     A spec scores the mean of its CV accuracies over ``datasets``, added
     in the given order; the datasets may differ in width (telvi's factor
     columns).  A one-spec grid is returned once the folds are validated.
+    The (spec, dataset, fold) fits run on a fork pool of one worker per
+    CPU the process may use, at most one per fit, or in this process
+    when that is one; a fit's exception is raised here either way.
     """
     if len(grid) == 0:
         raise ValueError("grid must not be empty")
     if len(datasets) == 0:
         raise ValueError("datasets must not be empty")
+    blocks = [kfold_indices(data.n_samples, folds, seed) for data in datasets]
     if len(grid) == 1:
-        for data in datasets:  # still validate folds
-            kfold_indices(data.n_samples, folds, seed)
         return grid[0]
-    scores = [
-        np.mean([cross_val_accuracy(spec, d, folds, seed) for d in datasets])
-        for spec in grid
+    jobs = [
+        (s, d, f)
+        for s in range(len(grid))
+        for d in range(len(datasets))
+        for f in range(folds)
     ]
-    return grid[int(np.argmax(scores))]  # argmax: the first of equal maxima
+    shared = (grid, datasets, blocks, seed)
+    workers = min(_cpu_count(), len(jobs))
+    if workers == 1:
+        scores = [_job_accuracy(shared, job) for job in jobs]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_share, initargs=(shared,),
+        ) as pool:
+            scores = list(pool.map(_worker_job_accuracy, jobs))
+    scores = np.reshape(scores, (len(grid), len(datasets), folds))
+    means = [
+        np.mean([float(np.mean(fold_scores)) for fold_scores in spec_scores])
+        for spec_scores in scores
+    ]
+    return grid[int(np.argmax(means))]  # argmax: the first of equal maxima

@@ -26,6 +26,7 @@ from telkit.ensemble import (
 )
 from telkit.experiment import (
     ExperimentConfig,
+    ExperimentError,
     load_dataset,
     run_experiment,
     write_learner_csv,
@@ -213,6 +214,45 @@ class TestConfigValidation:
         target[key] = value
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ExperimentConfig.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "knobs, message",
+        [
+            ({"method": "bagging", "pca_dim": 0}, "pca_dim must be >= 1, got 0"),
+            ({"method": "single", "pca_dim": -3}, "pca_dim must be >= 1, got -3"),
+            ({"rank": [2, 0, 1]}, "rank entries must be >= 1, got [2, 0, 1]"),
+            (
+                {"rank": None, "rank_search_threshold": -0.1},
+                "rank_search_threshold must be in [0, 1), got -0.1",
+            ),
+            (
+                {"rank": None, "rank_search_threshold": 1},
+                "rank_search_threshold must be in [0, 1), got 1",
+            ),
+            (
+                {"base_grid": {"kind": "knn"}},
+                "base_grid must be a list of classifier spec objects",
+            ),
+            (
+                {"base_grid": ["knn"]},
+                "base_grid must be a list of classifier spec objects",
+            ),
+        ],
+        ids=[
+            "pca-dim-zero", "pca-dim-negative", "rank-zero", "threshold-negative",
+            "threshold-one", "grid-object", "grid-of-strings",
+        ],
+    )
+    def test_out_of_range_rejected_at_load(self, knobs, message):
+        # each one failed only after the data was loaded and split, the
+        # grid object as "unknown classifier spec key 'd'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            benchmark_config(**knobs)
+
+    @pytest.mark.parametrize("threshold", [0, 0.0, 0.999])
+    def test_threshold_bounds_accepted(self, threshold):
+        config = benchmark_config(rank=None, rank_search_threshold=threshold)
+        assert config.rank_search_threshold == threshold
 
     @pytest.mark.parametrize("folds", [0, 1, -1])
     def test_cv_folds_below_two_rejected(self, folds):
@@ -1020,7 +1060,7 @@ class TestCli:
         assert cli_path.read_bytes() == lib_path.read_bytes()
 
     @staticmethod
-    def _bagging_train_error(tmp_path, capsys, **knobs):
+    def _train_error(tmp_path, capsys, **knobs):
         config_path = tmp_path / "train.json"
         config_path.write_text(json.dumps({
             "dataset": {"synthetic": BENCHMARK_SPEC.to_dict()},
@@ -1034,14 +1074,18 @@ class TestCli:
         return err
 
     def test_train_failure_names_its_stage(self, tmp_path, capsys):
-        err = self._bagging_train_error(tmp_path, capsys, pca_dim=0)
+        # a rank of the wrong order is caught once the data is loaded
+        err = self._train_error(tmp_path, capsys, method="telvi", rank=[2, 2])
         assert err.startswith("error: ExperimentError: decompose stage failed: ")
 
     @pytest.mark.parametrize(
         "knobs, stage",
         [
-            # the PCA fails in one stage whatever the grid's size
-            ({"pca_dim": 0, "base_grid": TWO_SPEC_GRID}, "decompose"),
+            # the decomposition fails in one stage whatever the grid's size
+            (
+                {"method": "telvi", "rank": [2, 2], "base_grid": TWO_SPEC_GRID},
+                "decompose",
+            ),
             (
                 {
                     "dataset": {"synthetic": {**BENCHMARK_SPEC.to_dict(), "classes": 1}},
@@ -1050,10 +1094,10 @@ class TestCli:
                 "fit",
             ),
         ],
-        ids=["pca_dim-two-specs", "one-class-svm"],
+        ids=["rank-order-two-specs", "one-class-svm"],
     )
     def test_train_failure_stage_per_cause(self, tmp_path, capsys, knobs, stage):
-        err = self._bagging_train_error(tmp_path, capsys, **knobs)
+        err = self._train_error(tmp_path, capsys, **knobs)
         assert err.startswith(f"error: ExperimentError: {stage} stage failed: ")
 
     @staticmethod
@@ -1077,6 +1121,11 @@ class TestCli:
             tmp_path, capsys, method="bagging", pca_dim=16, n_estimators=0
         )
         assert err == "error: ValueError: n_estimators must be >= 1, got 0\n"
+
+    def test_train_rejects_pca_dim_below_one(self, tmp_path, capsys):
+        # was a decompose stage failure, after the data was loaded and split
+        err = self._train_load_error(tmp_path, capsys, method="bagging", pca_dim=0)
+        assert err == "error: ValueError: pca_dim must be >= 1, got 0\n"
 
     @pytest.mark.parametrize("method", ["telvi", "bagging", "single"])
     def test_predict_csv_is_the_vote_of_predict_votes(
@@ -1396,3 +1445,82 @@ class TestPcaOnce:
         )
         assert report.chosen_spec["kind"] == "knn"  # tuning read the PCA space
         assert calls == [(80, 192)]
+
+
+# one spec of each learner kind, as in the benchmark's tune stage
+FOUR_KIND_GRID = [
+    KNN3,
+    {"kind": "tree", "hyperparameters": {"max_depth": 5}},
+    {"kind": "logit", "hyperparameters": {"max_iterations": 200}},
+    {"kind": "svm", "hyperparameters": {"kernel": "rbf", "C": 1.0}},
+]
+
+
+class TestCpuCount:
+    """The tuner's fold fits run on one worker per CPU; the CPU count
+    changes no byte of a report, learner CSV or model file, and no error."""
+
+    @staticmethod
+    def _config(tmp_path, **knobs):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "dataset": {"synthetic": {
+                "shape": [6, 6, 3], "classes": 3, "rank": [2, 2, 1],
+                "samples_per_class": 12, "noise_std": 0.4, "seed": 5,
+            }},
+            "base_grid": FOUR_KIND_GRID, "cv_folds": 3, "seed": 7, **knobs,
+        }))
+        return path
+
+    @staticmethod
+    def _outputs(config, out_dir) -> list[bytes]:
+        out_dir.mkdir()
+        report = out_dir / "report.json"
+        model = out_dir / "model.json"
+        assert main(["experiment", "--config", str(config), "--out", str(report)]) == 0
+        assert main(["train", "--config", str(config), "--out", str(model)]) == 0
+        return [(out_dir / name).read_bytes()
+                for name in ("report.json", "report.csv", "model.json")]
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"method": "telvi", "rank": [2, 2, 1]},
+            {"method": "telvi", "rank_search_threshold": 0.35},
+            {"method": "bagging", "pca_dim": 8, "n_estimators": 4},
+            {"method": "single"},
+        ],
+        ids=["telvi", "telvi-rank-search", "bagging", "single"],
+    )
+    def test_outputs_byte_identical(self, tmp_path, capsys, cpus, knobs):
+        config = self._config(tmp_path, **knobs)
+        cpus(1)
+        serial = self._outputs(config, tmp_path / "one")
+        cpus(2)
+        pooled = self._outputs(config, tmp_path / "two")
+        assert cpus.pools == [2, 2]  # one pool per tune stage
+        assert pooled == serial
+
+    def test_fold_fit_error_identical(self, tmp_path, capsys, cpus, monkeypatch):
+        import telkit.learners as learners
+
+        def failing(spec, data, seed):
+            raise ValueError(f"no svm for seed {seed}")
+
+        monkeypatch.setitem(learners._FITTERS, "svm", failing)
+        config = self._config(tmp_path, method="single")
+        messages, lines = [], []
+        for count in (1, 2):
+            cpus(count)
+            payload = json.loads(config.read_text())
+            with pytest.raises(ExperimentError) as raised:
+                run_experiment(ExperimentConfig.from_dict(payload))
+            messages.append(str(raised.value))
+            assert main(["experiment", "--config", str(config),
+                         "--out", str(tmp_path / "report.json")]) == 1
+            lines.append(capsys.readouterr().err)
+        assert cpus.pools == [2, 2]
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("tune stage failed: no svm for seed ")
+        assert lines[0] == lines[1] == f"error: ExperimentError: {messages[0]}\n"
+        assert not (tmp_path / "report.json").exists()

@@ -31,6 +31,7 @@ from telkit.learners import (
 from telkit.learners.logit import logit_gradient, logit_loss
 from telkit.learners.svm import _MIN_ALPHA_STEP, _SWEEP_CAP, _smo
 from telkit.learners.tree import _best_split
+from telkit.seeding import mix_seed
 
 
 def blobs(rng, centers, per_class, spread=0.3):
@@ -980,3 +981,80 @@ class TestGridSearch:
         joined = np.sort(np.concatenate(blocks))
         assert np.array_equal(joined, np.arange(11))
         assert all(len(b) > 0 for b in blocks)
+
+
+class TestGridSearchWorkers:
+    """The fold fits run on a pool of one worker per CPU, in this process
+    at one CPU; the chosen spec and every error are the same either way."""
+
+    @staticmethod
+    def xor_clusters(rng, per_corner=6):
+        corners = 4.0 * np.array([[0, 0], [1, 1], [0, 1], [1, 0]])
+        return VectorDataset(
+            np.vstack(
+                [c + 0.3 * rng.standard_normal((per_corner, 2)) for c in corners]
+            ),
+            np.repeat([0, 0, 1, 1], per_corner),
+        )
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_equal_specs_tie_to_the_earliest(self, cpus, count):
+        cpus(count)
+        rng = np.random.default_rng(331)
+        datasets = [self.xor_clusters(rng), self.xor_clusters(rng, 5)]
+        grid = [
+            ClassifierSpec("tree", {"max_depth": 1}),
+            ClassifierSpec("knn", {"k": 3}),
+            ClassifierSpec("knn", {"k": 1}),
+            ClassifierSpec("knn", {"k": 3}),
+        ]
+        means = [
+            np.mean([cross_val_accuracy(s, d, 4, 5) for d in datasets]) for s in grid
+        ]
+        assert means[0] < means[1] == means[2] == means[3]  # a real tie
+        assert grid_search_cv(grid, datasets, folds=4, seed=5) is grid[1]
+        assert cpus.pools == ([] if count == 1 else [2])
+
+    @pytest.mark.parametrize(
+        "count, n_specs", [(1, 2), (2, 1)], ids=["one-cpu", "one-spec"]
+    )
+    def test_no_pool_without_two_workers(self, cpus, count, n_specs):
+        cpus(count)
+        cpus.forbid_pools()
+        rng = np.random.default_rng(347)
+        data = blobs(rng, [(0.0,), (5.0,)], 8)
+        grid = [ClassifierSpec("knn", {"k": 1 + 2 * i}) for i in range(n_specs)]
+        assert grid_search_cv(grid, [data], folds=4, seed=1) is grid[0]
+
+    def test_workers_inherit_the_data(self, cpus):
+        # the datasets reach the workers through fork, never pickled
+        class Unpicklable(VectorDataset):
+            def __reduce_ex__(self, protocol):
+                raise AssertionError("a dataset was pickled")
+
+        cpus(2)
+        rng = np.random.default_rng(349)
+        data = self.xor_clusters(rng)
+        grid = [
+            ClassifierSpec("tree", {"max_depth": 1}), ClassifierSpec("knn", {"k": 1})
+        ]
+        shared = Unpicklable(data.features, data.labels)
+        assert grid_search_cv(grid, [shared], folds=4, seed=5) is grid[1]
+        assert cpus.pools == [2]
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_first_failing_fit_raises(self, cpus, monkeypatch, count):
+        # each fold's fit fails with its own message; the first fold's is raised
+        import telkit.learners as learners
+
+        def failing(spec, data, seed):
+            raise ValueError(f"no svm for seed {seed}")
+
+        monkeypatch.setitem(learners._FITTERS, "svm", failing)
+        cpus(count)
+        rng = np.random.default_rng(353)
+        data = blobs(rng, [(0.0,), (5.0,)], 8)
+        grid = [ClassifierSpec("knn", {"k": 1}), ClassifierSpec("svm")]
+        message = f"no svm for seed {mix_seed(9, 0)}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            grid_search_cv(grid, [data], folds=4, seed=9)
