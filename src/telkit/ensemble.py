@@ -18,15 +18,19 @@ of a rank search: a rank-searched run decomposes each training sample
 once, for the search, and regroups from those factors.
 
 The bagging baseline flattens samples column-major, reduces with PCA and
-trains the same base-learner kind on bootstrap resamples.  Both methods
-check their training set with one ``_training_classes``.
+trains the same base-learner kind on bootstrap resamples.
+``telvi_fit_regrouped`` and ``bagging_fit_reduced`` check their training
+labels with ``learners.base.two_class_labels``, the one training-set
+rule, which the tree, logit and svm fits and the single model build of
+``experiment.train_model`` apply too.
 
 ``predict_votes`` is the one prediction path of every model kind, used by
 the harness, the CLI and ``telvi_predict``/``bagging_predict``; for step 4
 each learner predicts its factor column of every sample in one call.
 Every vote, a whole vote matrix or one sample's, is combined by
 ``learners.majority_labels`` (ties to the lowest class label);
-``telvi_predict`` and ``bagging_predict`` add the per-label tally.
+``telvi_predict`` and ``bagging_predict`` add the tally, an int vote count
+per label.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import numpy as np
 from .hosvd import MultilinearRank, hosvd_factors
 from .learners import (ClassifierSpec, TrainedModel, VectorDataset, fit,
                        majority_labels)
+from .learners.base import two_class_labels
 from .linalg import PcaModel, pca_fit, pca_transform
 from .seeding import mix_seed
 from .tensor import DenseTensor
@@ -105,19 +110,19 @@ class LabeledTensorDataset:
 class VoteTally:
     """Votes per class label and the winning label."""
 
-    counts: dict[int, float]
+    counts: dict[int, int]
     winner: int
 
     @property
-    def total(self) -> float:
-        return float(sum(self.counts.values()))
+    def total(self) -> int:
+        return sum(self.counts.values())
 
 
 def _vote(votes: np.ndarray) -> tuple[int, VoteTally]:
     """Winner and tally of one sample's ``(voters, 1)`` votes."""
     winner = int(majority_labels(votes)[0])
     labels, counts = np.unique(votes, return_counts=True)
-    tally = {int(label): float(count) for label, count in zip(labels, counts)}
+    tally = {int(label): int(count) for label, count in zip(labels, counts)}
     return winner, VoteTally(counts=tally, winner=winner)
 
 
@@ -184,16 +189,6 @@ def telvi_fit(
     return telvi_fit_regrouped(regroup(data, rank), data.shape, base, seed)
 
 
-def _training_classes(labels: np.ndarray) -> np.ndarray:
-    """Class labels of a training set of >= 2 samples and >= 2 classes."""
-    if labels.size < 2:
-        raise ValueError("training needs at least two samples")
-    class_labels = np.unique(labels)
-    if class_labels.size < 2:
-        raise ValueError("training needs at least two classes")
-    return class_labels
-
-
 def telvi_fit_regrouped(
     datasets: Mapping[tuple[int, int], VectorDataset],
     shape: tuple[int, ...],
@@ -205,7 +200,7 @@ def telvi_fit_regrouped(
     so a parallel training schedule cannot change the result.
     """
     keys = sorted(datasets)
-    class_labels = _training_classes(datasets[keys[0]].labels)
+    class_labels = two_class_labels(datasets[keys[0]].labels, "training")
     base_models = {
         key: fit(base, datasets[key], mix_seed(seed, flat))
         for flat, key in enumerate(keys)
@@ -280,7 +275,7 @@ def bagging_fit_reduced(
     """Train on bootstrap resamples of ``reduced``, the training samples of
     ``shape`` flattened and projected by ``pca``.
     """
-    class_labels = _training_classes(reduced.labels)
+    class_labels = two_class_labels(reduced.labels, "training")
     if n_estimators < 1:
         raise ValueError(f"n_estimators must be >= 1, got {n_estimators}")
     estimators = []

@@ -40,6 +40,7 @@ from .learners import (
     grid_search_cv,
     majority_labels,
 )
+from .learners.base import two_class_labels
 from .linalg import pca_fit, pca_transform
 from .seeding import mix_seed
 from .synth import SyntheticSpec, synth_generate
@@ -162,6 +163,11 @@ class ExperimentConfig:
             rank = tuple(int(r) for r in self.rank)
             if any(r < 1 for r in rank):
                 raise ValueError(f"rank entries must be >= 1, got {list(rank)}")
+            if self.synthetic is not None and len(rank) != len(self.synthetic.shape):
+                raise ValueError(
+                    f"rank {list(rank)} does not match the order of the "
+                    f"synthetic shape {list(self.synthetic.shape)}"
+                )
             object.__setattr__(self, "rank", rank)
         threshold = self.rank_search_threshold
         if threshold is not None and not 0.0 <= threshold < 1.0:
@@ -345,6 +351,7 @@ def train_model(
                 chosen, fit_seed,
             )
         else:
+            two_class_labels(datasets[(-1, 0)].labels, "training")
             model = SingleModel(data.shape, fit(chosen, datasets[(-1, 0)], fit_seed))
     return model, chosen
 

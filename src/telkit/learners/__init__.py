@@ -4,16 +4,18 @@ Four kinds are available behind one ``fit`` dispatcher, each model with
 its own ``predict`` and ``n_features``: KNN, CART decision trees,
 multinomial logistic regression and kernel SVM.
 All training is deterministic given (spec, data, seed).
-``majority_labels`` is telkit's one plurality vote.
+``majority_labels`` is telkit's one plurality vote, ``grid_search_cv``
+its one cross-validation scorer, and ``base.two_class_labels`` its one
+training-set rule, applied by the tree, logit and svm fits and by the
+telvi, bagging and single model builds.
 """
 
 from __future__ import annotations
 
 from typing import Union
 
-from .base import (Scaler, VectorDataset, accuracy, check_finite,
-                   majority_label, majority_labels)
-from .grid import cross_val_accuracy, grid_search_cv, kfold_indices
+from .base import Scaler, VectorDataset, accuracy, check_finite, majority_labels
+from .grid import grid_search_cv, kfold_indices
 from .knn import KnnModel, fit_knn
 from .logit import LogitModel, fit_logit, logit_gradient, logit_loss
 from .spec import KINDS, ClassifierSpec
@@ -34,13 +36,11 @@ __all__ = [
     "BinarySvm",
     "fit",
     "accuracy",
-    "majority_label",
     "majority_labels",
     "kernel_matrix",
     "logit_loss",
     "logit_gradient",
     "grid_search_cv",
-    "cross_val_accuracy",
     "kfold_indices",
 ]
 

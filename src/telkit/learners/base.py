@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["VectorDataset", "Scaler", "standardize_fit", "majority_labels",
-           "majority_label", "two_class_labels", "check_finite",
-           "check_shape", "check_rank", "check_features", "accuracy"]
+           "two_class_labels", "check_finite", "check_shape", "check_rank",
+           "check_features", "accuracy"]
 
 
 @dataclass(frozen=True)
@@ -76,19 +76,14 @@ def majority_labels(votes: np.ndarray) -> np.ndarray:
     return values[np.argmax(counts.reshape(n_samples, values.size), axis=1)]
 
 
-def majority_label(labels: np.ndarray) -> int:
-    """Most frequent label; ties go to the lowest label."""
-    return int(majority_labels(np.asarray(labels)[:, None])[0])
-
-
-def two_class_labels(data: VectorDataset, kind: str) -> np.ndarray:
-    """Class labels of a ``kind`` learner's training set of >= 2 samples
-    and >= 2 classes."""
-    if data.n_samples < 2:
-        raise ValueError(f"{kind} needs at least two training samples")
-    class_labels = np.unique(data.labels)
+def two_class_labels(labels: np.ndarray, who: str) -> np.ndarray:
+    """The distinct ``labels`` of the training set ``who`` fits on: the
+    one training-set rule, >= 2 samples of >= 2 classes."""
+    if labels.size < 2:
+        raise ValueError(f"{who} needs at least two samples")
+    class_labels = np.unique(labels)
     if class_labels.size < 2:
-        raise ValueError(f"{kind} needs at least two classes")
+        raise ValueError(f"{who} needs at least two classes")
     return class_labels
 
 

@@ -1,12 +1,14 @@
 """Exhaustive grid search with k-fold cross validation.
 
-``grid_search_cv`` is the one tuner, over one or more datasets.  Folds
-are contiguous blocks of a seeded shuffle, identical for every
-candidate, so two identical specs score identically and the earliest
-grid position wins ties.  Its fold fits are independent, each seeded
-from its fold, so they run on a fork pool over the CPUs the process may
-use and the scores are reduced in grid order: every score keeps its
-bits whatever the CPU count (``taskset -c 0`` runs them serially).
+``grid_search_cv`` is the one tuner and the one cross-validation scorer,
+over one or more datasets.  Folds are contiguous blocks of a seeded
+shuffle (``kfold_indices``), identical for every candidate, and fold f
+fits on the other blocks with seed mix_seed(seed, f), so two identical
+specs score identically and the earliest grid position wins ties.  Its
+fold fits are independent, so they run on a fork pool over the CPUs the
+process may use and the scores are reduced in grid order: every score
+keeps its bits whatever the CPU count (``taskset -c 0`` runs them
+serially).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from ..seeding import mix_seed
 from .base import VectorDataset, accuracy
 from .spec import ClassifierSpec
 
-__all__ = ["kfold_indices", "cross_val_accuracy", "grid_search_cv"]
+__all__ = ["kfold_indices", "grid_search_cv"]
 
 # (grid, datasets, fold blocks per dataset, seed) in a pool worker, set by
 # the pool initializer; under fork it is inherited, never pickled
@@ -41,29 +43,6 @@ def kfold_indices(
     return [block for block in np.array_split(perm, folds)]
 
 
-def _fold_accuracy(
-    spec: ClassifierSpec, data: VectorDataset, blocks: list[np.ndarray],
-    f: int, seed: int,
-) -> float:
-    """Accuracy on fold ``f``'s block of ``spec`` fitted on the others."""
-    from . import fit  # deferred: grid depends on the dispatcher
-
-    val_idx = blocks[f]
-    train_idx = np.setdiff1d(np.arange(data.n_samples), val_idx)
-    model = fit(spec, data.subset(train_idx), mix_seed(seed, f))
-    return accuracy(model.predict(data.features[val_idx]), data.labels[val_idx])
-
-
-def cross_val_accuracy(
-    spec: ClassifierSpec, data: VectorDataset, folds: int, seed: int
-) -> float:
-    """Mean validation accuracy of ``spec`` over the deterministic folds."""
-    blocks = kfold_indices(data.n_samples, folds, seed)
-    return float(np.mean(
-        [_fold_accuracy(spec, data, blocks, f, seed) for f in range(folds)]
-    ))
-
-
 def _cpu_count() -> int:
     """CPUs this process may run on; 1 where the OS cannot say."""
     if not hasattr(os, "sched_getaffinity"):
@@ -77,9 +56,16 @@ def _share(shared) -> None:
 
 
 def _job_accuracy(shared, job: tuple[int, int, int]) -> float:
+    """Accuracy on dataset ``d``'s fold ``f`` block of spec ``s`` fitted
+    on its other blocks."""
+    from . import fit  # deferred: grid depends on the dispatcher
+
     grid, datasets, blocks, seed = shared
     s, d, f = job
-    return _fold_accuracy(grid[s], datasets[d], blocks[d], f, seed)
+    data, val_idx = datasets[d], blocks[d][f]
+    train_idx = np.setdiff1d(np.arange(data.n_samples), val_idx)
+    model = fit(grid[s], data.subset(train_idx), mix_seed(seed, f))
+    return accuracy(model.predict(data.features[val_idx]), data.labels[val_idx])
 
 
 def _worker_job_accuracy(job: tuple[int, int, int]) -> float:

@@ -82,7 +82,7 @@ def logit_gradient(
 
 
 def fit_logit(spec: ClassifierSpec, data: VectorDataset, seed: int) -> LogitModel:
-    class_labels = two_class_labels(data, "logit")
+    class_labels = two_class_labels(data.labels, "logit")
     scaler = standardize_fit(data.features)
     X = scaler.transform(data.features)
     Y = (data.labels[:, None] == class_labels[None, :]).astype(np.float64)

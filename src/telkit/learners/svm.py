@@ -101,10 +101,19 @@ class SvmModel:
             check_shape(f"svm binary {c} dual_coefs", b.dual_coefs, (rows,))
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
-        X = self.scaler.transform(check_features(X, self.n_features))
-        return np.column_stack(
-            [b.decision_values(self.spec, X) for b in self.binaries]
-        )
+        """One column per binary; a row that overflows raises, so argmax
+        never sees a NaN."""
+        X = check_features(X, self.n_features)
+        with np.errstate(over="ignore", invalid="ignore"):
+            X = self.scaler.transform(X)
+            values = np.column_stack(
+                [b.decision_values(self.spec, X) for b in self.binaries]
+            )
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise ValueError(f"svm decision values of row {row} are not finite")
+        return values
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.class_labels[np.argmax(self.decision_values(X), axis=1)]
@@ -228,7 +237,7 @@ def _smo(
 
 
 def fit_svm(spec: ClassifierSpec, data: VectorDataset, seed: int) -> SvmModel:
-    class_labels = two_class_labels(data, "svm")
+    class_labels = two_class_labels(data.labels, "svm")
     scaler = standardize_fit(data.features)
     X = scaler.transform(data.features)
     K = kernel_matrix(spec, X, X)

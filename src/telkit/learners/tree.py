@@ -7,13 +7,14 @@ for n samples and d features, plus O(d * n) per class.  Candidates within
 rounding distance of the best are rescored with the per-class Gini
 formula, so the chosen split, tie order included, is the one a direct
 evaluation of every threshold would choose.  Growth stops at a pure node,
-at ``max_depth`` or when fewer than ``min_samples_split`` samples remain;
-leaves carry the majority label (ties to the lowest label).  Tie-breaking
-between equally good splits: lowest feature index, then lowest threshold,
-so training is deterministic without any randomness.  A midpoint that
-rounds or overflows past every value (adjacent floats at the top,
-magnitudes near the float64 limit) splits at the lower of its two values
-instead, so both children stay nonempty.
+at ``max_depth``, when fewer than ``min_samples_split`` samples remain or
+when no split separates; a leaf is made in one place and carries the
+``majority_labels`` vote of its samples (ties to the lowest label).
+Tie-breaking between equally good splits: lowest feature index, then
+lowest threshold, so training is deterministic without any randomness.
+A midpoint that rounds or overflows past every value (adjacent floats at
+the top, magnitudes near the float64 limit) splits at the lower of its
+two values instead, so both children stay nonempty.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import (VectorDataset, check_features, check_rank, majority_label,
+from .base import (VectorDataset, check_features, check_rank, majority_labels,
                    two_class_labels)
 from .spec import ClassifierSpec
 
@@ -157,15 +158,15 @@ def _best_split(X: np.ndarray, y: np.ndarray) -> tuple[int, float] | None:
 
 
 def _grow(X: np.ndarray, y: np.ndarray, depth: int, spec: ClassifierSpec) -> TreeNode:
+    split = None
     if (
-        np.unique(y).size == 1
-        or depth >= spec["max_depth"]
-        or y.size < spec["min_samples_split"]
+        np.unique(y).size > 1
+        and depth < spec["max_depth"]
+        and y.size >= spec["min_samples_split"]
     ):
-        return TreeNode(label=majority_label(y))
-    split = _best_split(X, y)
-    if split is None:
-        return TreeNode(label=majority_label(y))
+        split = _best_split(X, y)
+    if split is None:  # a leaf: each sample's label is one vote
+        return TreeNode(label=int(majority_labels(y[:, None])[0]))
     feature, threshold = split
     mask = X[:, feature] <= threshold
     return TreeNode(
@@ -177,7 +178,7 @@ def _grow(X: np.ndarray, y: np.ndarray, depth: int, spec: ClassifierSpec) -> Tre
 
 
 def fit_tree(spec: ClassifierSpec, data: VectorDataset, seed: int) -> TreeModel:
-    class_labels = two_class_labels(data, "tree")
+    class_labels = two_class_labels(data.labels, "tree")
     root = _grow(data.features, data.labels, 0, spec)
     return TreeModel(
         spec=spec,

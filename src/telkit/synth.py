@@ -102,7 +102,13 @@ def synth_generate(spec: SyntheticSpec) -> LabeledTensorDataset:
             jitter = CORE_JITTER * scale * sample_rng.standard_normal(spec.rank)
             core = DenseTensor.from_array(base_core + jitter)
             clean = reconstruct(HosvdFactors(core, factors, spec.rank))
-            noise = spec.noise_std * sample_rng.standard_normal(spec.shape)
-            samples.append(DenseTensor.from_array(clean.to_array() + noise))
+            with np.errstate(over="ignore", invalid="ignore"):
+                noise = spec.noise_std * sample_rng.standard_normal(spec.shape)
+                sample = clean.to_array() + noise
+            if not np.isfinite(sample).all():
+                raise ValueError(
+                    f"noise_std {spec.noise_std} overflows sample {m} of class {k}"
+                )
+            samples.append(DenseTensor.from_array(sample))
             labels.append(k)
     return LabeledTensorDataset(samples, np.array(labels, dtype=np.int64))

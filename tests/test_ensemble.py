@@ -39,9 +39,9 @@ from telkit.tensor import DenseTensor, outer_product
 def majority_vote(votes) -> VoteTally:
     """Reference tally of one sample's votes, label by label in Python:
     the most frequent label wins, ties to the lowest label."""
-    counts: dict[int, float] = {}
+    counts: dict[int, int] = {}
     for vote in votes:
-        counts[int(vote)] = counts.get(int(vote), 0.0) + 1.0
+        counts[int(vote)] = counts.get(int(vote), 0) + 1
     winner = min(counts, key=lambda label: (-counts[label], label))
     return VoteTally(counts=counts, winner=winner)
 
@@ -87,8 +87,10 @@ class TestMajorityVote:
     def test_unanimous(self):
         result = tally([4] * 9)
         assert result.winner == 4
-        assert result.counts == {4: 9.0}
+        assert result.counts == {4: 9}
         assert result.total == 9
+        # vote counts, not weights
+        assert type(result.total) is int and type(result.counts[4]) is int
 
     def test_even_split_goes_to_lower_label(self):
         assert tally([1] * 6 + [0] * 6).winner == 0

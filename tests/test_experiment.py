@@ -237,10 +237,14 @@ class TestConfigValidation:
                 {"base_grid": ["knn"]},
                 "base_grid must be a list of classifier spec objects",
             ),
+            (
+                {"rank": [2, 2]},
+                "rank [2, 2] does not match the order of the synthetic shape [8, 8, 3]",
+            ),
         ],
         ids=[
             "pca-dim-zero", "pca-dim-negative", "rank-zero", "threshold-negative",
-            "threshold-one", "grid-object", "grid-of-strings",
+            "threshold-one", "grid-object", "grid-of-strings", "rank-order",
         ],
     )
     def test_out_of_range_rejected_at_load(self, knobs, message):
@@ -366,6 +370,23 @@ class TestRunExperiment:
             }
         )
         with pytest.raises(ExperimentError, match="load stage failed"):
+            run_experiment(config)
+
+    @pytest.mark.parametrize("kind", ["knn", "tree", "logit", "svm"])
+    @pytest.mark.parametrize("method", ["telvi", "bagging", "single"])
+    def test_one_class_fails_in_the_fit_stage(self, method, kind):
+        # every model build checks its labels by one rule; single with knn
+        # saved a model of one class
+        config = benchmark_config(
+            dataset={"synthetic": {**BENCHMARK_SPEC.to_dict(), "classes": 1}},
+            method=method, base_grid=[{"kind": kind}],
+            rank=[2, 2, 1] if method == "telvi" else None,
+            pca_dim=16 if method == "bagging" else None,
+        )
+        with pytest.raises(
+            ExperimentError,
+            match="^fit stage failed: training needs at least two classes$",
+        ):
             run_experiment(config)
 
     @pytest.mark.parametrize("method", ["telvi", "single"])
@@ -1061,9 +1082,12 @@ class TestCli:
 
     @staticmethod
     def _train_error(tmp_path, capsys, **knobs):
+        # the benchmark as a TELD file: its shape is known only once loaded
+        data_path = tmp_path / "bench.teld"
+        save_tensor_dataset(tk.synth_generate(BENCHMARK_SPEC), data_path)
         config_path = tmp_path / "train.json"
         config_path.write_text(json.dumps({
-            "dataset": {"synthetic": BENCHMARK_SPEC.to_dict()},
+            "dataset": {"path": str(data_path)},
             "method": "bagging", "base_grid": [KNN3], "cv_folds": 3, **knobs,
         }))
         out = tmp_path / "model.json"
@@ -1524,3 +1548,33 @@ class TestCpuCount:
         assert messages[0].startswith("tune stage failed: no svm for seed ")
         assert lines[0] == lines[1] == f"error: ExperimentError: {messages[0]}\n"
         assert not (tmp_path / "report.json").exists()
+
+
+class TestPublicSurface:
+    """The names telkit and telkit.learners export, each one resolving."""
+
+    TELKIT = [
+        "DenseTensor", "unfold", "fold", "mode_n_product", "outer_product",
+        "frobenius_norm", "PcaModel", "pca_fit", "pca_transform",
+        "MultilinearRank", "HosvdFactors", "hosvd", "hosvd_factors",
+        "reconstruct", "rank_search", "ClassifierSpec", "VectorDataset", "fit",
+        "accuracy", "grid_search_cv", "majority_labels", "LabeledTensorDataset",
+        "TelviModel", "BaggingModel", "SingleModel", "VoteTally",
+        "factor_columns", "regroup", "telvi_fit", "telvi_predict", "bagging_fit",
+        "bagging_predict", "predict_votes", "majority_error_probability",
+        "SyntheticSpec", "BENCHMARK_SPEC", "synth_generate", "__version__",
+    ]
+    LEARNERS = [
+        "ClassifierSpec", "KINDS", "VectorDataset", "Scaler", "TrainedModel",
+        "KnnModel", "TreeModel", "TreeNode", "LogitModel", "SvmModel",
+        "BinarySvm", "fit", "accuracy", "majority_labels", "kernel_matrix",
+        "logit_loss", "logit_gradient", "grid_search_cv", "kfold_indices",
+    ]
+
+    @pytest.mark.parametrize(
+        "module, names", [(tk, TELKIT), (tk.learners, LEARNERS)],
+        ids=["telkit", "learners"],
+    )
+    def test_exports_are_pinned_and_resolve(self, module, names):
+        assert module.__all__ == names
+        assert [name for name in names if not hasattr(module, name)] == []

@@ -275,6 +275,16 @@ class TestSynthetic:
         assert values.tolist() == [0, 1, 2, 3]
         assert counts.tolist() == [40] * 4
 
+    def test_overflowing_noise_rejected(self):
+        # the samples were made non-finite, and a run failed only later, in
+        # its decompose stage
+        spec = SyntheticSpec(
+            shape=(3, 3), classes=2, rank=(1, 1),
+            samples_per_class=2, noise_std=1e308, seed=0,
+        )
+        with pytest.raises(ValueError, match=r"^noise_std 1e\+308 overflows "):
+            synth_generate(spec)
+
     def test_rank_exceeding_shape_rejected(self):
         with pytest.raises(ValueError, match="exceeds shape"):
             SyntheticSpec(

@@ -20,12 +20,10 @@ from telkit.learners import (
     TreeNode,
     VectorDataset,
     accuracy,
-    cross_val_accuracy,
     fit,
     grid_search_cv,
     kernel_matrix,
     kfold_indices,
-    majority_label,
     majority_labels,
 )
 from telkit.learners.logit import logit_gradient, logit_loss
@@ -41,6 +39,18 @@ def blobs(rng, centers, per_class, spread=0.3):
         rows.append(center + spread * rng.standard_normal((per_class, len(center))))
         labels.extend([label] * per_class)
     return VectorDataset(np.vstack(rows), np.array(labels))
+
+
+def cv_accuracy(spec, data, folds, seed):
+    """Mean held-out accuracy of ``spec`` over the ``kfold_indices``
+    blocks, fold f fitted on the other blocks with seed mix_seed(seed, f):
+    the score ``grid_search_cv`` gives one dataset."""
+    scores = []
+    for f, block in enumerate(kfold_indices(data.n_samples, folds, seed)):
+        train = np.setdiff1d(np.arange(data.n_samples), block)
+        model = fit(spec, data.subset(train), mix_seed(seed, f))
+        scores.append(accuracy(model.predict(data.features[block]), data.labels[block]))
+    return float(np.mean(scores))
 
 
 # Reference implementations: the direct O(n^2)-per-feature split search and
@@ -79,16 +89,21 @@ def reference_best_split(X, y):
     return best[1], best[2]
 
 
+def reference_leaf(y):
+    """A leaf of the plurality label of ``y``, each label one voter."""
+    return TreeNode(label=int(majority_labels(y[:, None])[0]))
+
+
 def reference_grow(X, y, depth, spec):
     if (
         np.unique(y).size == 1
         or depth >= spec["max_depth"]
         or y.size < spec["min_samples_split"]
     ):
-        return TreeNode(label=majority_label(y))
+        return reference_leaf(y)
     split = reference_best_split(X, y)
     if split is None:
-        return TreeNode(label=majority_label(y))
+        return reference_leaf(y)
     feature, threshold = split
     mask = X[:, feature] <= threshold
     return TreeNode(
@@ -795,6 +810,24 @@ class TestSvm:
         with pytest.raises(ValueError, match="two classes"):
             fit(ClassifierSpec("svm"), data, seed=0)
 
+    @pytest.mark.parametrize("query", [1e160, 1e200, -1e200])
+    def test_overflowing_decision_values_rejected(self, query):
+        # the poly kernel gives inf - inf = NaN, and argmax took label 0
+        rng = np.random.default_rng(263)
+        data = VectorDataset(rng.standard_normal((30, 2)), np.repeat([0, 1, 2], 10))
+        model = fit(ClassifierSpec("svm", {"kernel": "poly"}), data, seed=0)
+        rows = np.array([[0.5, -0.5], [query, query]])
+        with pytest.raises(
+            ValueError, match=r"^svm decision values of row 1 are not finite$"
+        ):
+            model.predict(rows)
+        # finite rows keep their values
+        before = np.column_stack(
+            [b.decision_values(model.spec, model.scaler.transform(rows[:1]))
+             for b in model.binaries]
+        )
+        assert np.array_equal(model.decision_values(rows[:1]), before)
+
     @pytest.mark.parametrize(
         "fields, message",
         [
@@ -967,7 +1000,7 @@ class TestGridSearch:
         assert grid_search_cv(grid, [threshold], folds=4, seed=5) is grid[0]
         assert grid_search_cv(grid, [threshold, xor], folds=4, seed=5) is grid[1]
         means = [
-            np.mean([cross_val_accuracy(s, d, 4, 5) for d in (threshold, xor)])
+            np.mean([cv_accuracy(s, d, 4, 5) for d in (threshold, xor)])
             for s in grid
         ]
         assert means[1] > means[0]
@@ -1009,7 +1042,7 @@ class TestGridSearchWorkers:
             ClassifierSpec("knn", {"k": 3}),
         ]
         means = [
-            np.mean([cross_val_accuracy(s, d, 4, 5) for d in datasets]) for s in grid
+            np.mean([cv_accuracy(s, d, 4, 5) for d in datasets]) for s in grid
         ]
         assert means[0] < means[1] == means[2] == means[3]  # a real tie
         assert grid_search_cv(grid, datasets, folds=4, seed=5) is grid[1]
