@@ -153,11 +153,12 @@ def _cmd_inspect(args) -> int:
         _print_dataset_summary(_load_cli_dataset(args), "dataset")
         return 0
     path = Path(args.data)
-    blob = path.read_bytes()
-    if blob[:4] == b"TELD":
+    with open(path, "rb") as handle:
+        magic = handle.read(4)
+    if magic == b"TELD":
         _print_dataset_summary(load_tensor_dataset(path), "teld")
         return 0
-    payload = json.loads(blob)
+    payload = json.loads(path.read_bytes())
     if "type" in payload:
         print(
             f"model type={payload['type']} "

@@ -18,7 +18,9 @@ of a rank search: a rank-searched run decomposes each training sample
 once, for the search, and regroups from those factors.
 
 The bagging baseline flattens samples column-major, reduces with PCA and
-trains the same base-learner kind on bootstrap resamples.
+trains the same base-learner kind on bootstrap resamples; a resample that
+holds one class is drawn again from its estimator's generator, so every
+estimator fits on two classes or more.
 ``telvi_fit_regrouped`` and ``bagging_fit_reduced`` check their training
 labels with ``learners.base.two_class_labels``, the one training-set
 rule, which the tree, logit and svm fits and the single model build of
@@ -31,6 +33,14 @@ Every vote, a whole vote matrix or one sample's, is combined by
 ``learners.majority_labels`` (ties to the lowest class label);
 ``telvi_predict`` and ``bagging_predict`` add the tally, an int vote count
 per label.
+
+The fit stages and the votes are independent per learner, so each runs
+on ``telkit._pool`` above a work gate of its own (``_POOL_FIT_ROWS`` by
+learner kind, ``_POOL_KNN_VOTES``), one job per learner, estimator or
+voter, with the same seeds and the results in key order; the bits are
+those of the serial loop.  Votes are never split by sample: logit and
+svm predictions go through BLAS products, whose rounding may depend on
+the number of rows.
 """
 
 from __future__ import annotations
@@ -41,9 +51,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import _pool
 from .hosvd import MultilinearRank, hosvd_factors
-from .learners import (ClassifierSpec, TrainedModel, VectorDataset, fit,
-                       majority_labels)
+from .learners import (ClassifierSpec, KnnModel, TrainedModel, VectorDataset,
+                       fit, majority_labels)
 from .learners.base import two_class_labels
 from .linalg import PcaModel, pca_fit, pca_transform
 from .seeding import mix_seed
@@ -66,6 +77,16 @@ __all__ = [
     "predict_votes",
     "majority_error_probability",
 ]
+
+# Work gates of the batches run on ``_pool``, from measurements on 2 CPUs
+# against a pool that costs 10-25 ms to open, fill and close (CHANGES.md).
+# A fit stage pools from this many training rows summed over its learners;
+# a knn fit only copies its rows, so a knn fit stage never pools.
+_POOL_FIT_ROWS = {"tree": 4096, "logit": 512, "svm": 256}
+# A knn vote costs 20 us or more per row; a tree, logit or svm vote costs
+# about 1 us (a tree walk or a BLAS product), so only knn votes pool, from
+# this many rows summed over the voters.
+_POOL_KNN_VOTES = 2048
 
 
 @dataclass(frozen=True)
@@ -201,10 +222,11 @@ def telvi_fit_regrouped(
     """
     keys = sorted(datasets)
     class_labels = two_class_labels(datasets[keys[0]].labels, "training")
-    base_models = {
-        key: fit(base, datasets[key], mix_seed(seed, flat))
-        for flat, key in enumerate(keys)
-    }
+    rows = sum(datasets[key].n_samples for key in keys)
+    base_models = dict(zip(keys, _fits(
+        _fit_learner, (base, [datasets[key] for key in keys], seed), base, rows,
+        len(keys),
+    )))
     # regroup makes datasets (n, 0) .. (n, R_n - 1) for every mode n
     rank = tuple(sum(1 for m, _ in keys if m == n) for n in range(len(shape)))
     return TelviModel(
@@ -215,6 +237,21 @@ def telvi_fit_regrouped(
         class_labels=class_labels,
         seed=seed,
     )
+
+
+def _fits(job, shared, base: ClassifierSpec, rows: int, count: int) -> list:
+    """``job(shared, i)`` for i < ``count``, the fits of a fit stage of
+    ``rows`` training rows in all; on ``_pool`` above its work gate."""
+    jobs = range(count)
+    if rows >= _POOL_FIT_ROWS.get(base.kind, math.inf):
+        return _pool.run(job, shared, jobs)
+    return [job(shared, i) for i in jobs]
+
+
+def _fit_learner(shared, flat: int) -> TrainedModel:
+    """telvi learner ``flat``, in key order, fitted on its dataset."""
+    base, datasets, seed = shared
+    return fit(base, datasets[flat], mix_seed(seed, flat))
 
 
 def telvi_predict(model: TelviModel, x: DenseTensor) -> tuple[int, VoteTally]:
@@ -250,6 +287,17 @@ def bootstrap_indices(n_samples: int, seed: int) -> np.ndarray:
     return rng.integers(0, n_samples, size=n_samples)
 
 
+def _resample(labels: np.ndarray, seed: int) -> np.ndarray:
+    """``bootstrap_indices(labels.size, seed)``, drawn again from the same
+    generator while it holds one class: every base learner then fits on
+    two classes or more, as the training set does."""
+    rng = np.random.default_rng(seed)
+    while True:
+        idx = rng.integers(0, labels.size, size=labels.size)
+        if np.any(labels[idx] != labels[idx[0]]):
+            return idx
+
+
 def bagging_fit(
     data: LabeledTensorDataset,
     n_estimators: int,
@@ -278,13 +326,11 @@ def bagging_fit_reduced(
     class_labels = two_class_labels(reduced.labels, "training")
     if n_estimators < 1:
         raise ValueError(f"n_estimators must be >= 1, got {n_estimators}")
-    estimators = []
-    bootstrap_seeds = []
-    for e in range(n_estimators):
-        est_seed = mix_seed(seed, e)
-        bootstrap_seeds.append(est_seed)
-        idx = bootstrap_indices(reduced.n_samples, est_seed)
-        estimators.append(fit(base, reduced.subset(idx), mix_seed(est_seed, 1)))
+    bootstrap_seeds = [mix_seed(seed, e) for e in range(n_estimators)]
+    estimators = _fits(
+        _fit_estimator, (base, reduced, bootstrap_seeds), base,
+        reduced.n_samples * n_estimators, n_estimators,
+    )
     return BaggingModel(
         shape=tuple(shape),
         pca=pca,
@@ -294,6 +340,14 @@ def bagging_fit_reduced(
         class_labels=class_labels,
         seed=seed,
     )
+
+
+def _fit_estimator(shared, e: int) -> TrainedModel:
+    """Bagging estimator ``e`` fitted on its resample."""
+    base, reduced, bootstrap_seeds = shared
+    est_seed = bootstrap_seeds[e]
+    idx = _resample(reduced.labels, est_seed)
+    return fit(base, reduced.subset(idx), mix_seed(est_seed, 1))
 
 
 @dataclass(frozen=True)
@@ -333,13 +387,32 @@ def predict_votes(
     if isinstance(model, TelviModel):
         keys = sorted(model.base_models)
         columns = factor_columns(samples, model.rank)
-        return keys, np.stack([model.base_models[k].predict(columns[k]) for k in keys])
+        learners = [model.base_models[k] for k in keys]
+        return keys, _votes(learners, [columns[k] for k in keys])
     vectors = flatten_samples(samples)
     if isinstance(model, BaggingModel):
         vectors = pca_transform(model.pca, vectors)
         keys = [(-1, e) for e in range(model.n_estimators)]
-        return keys, np.stack([est.predict(vectors) for est in model.estimators])
-    return [(-1, 0)], model.learner.predict(vectors)[None, :]
+        return keys, _votes(model.estimators, [vectors] * model.n_estimators)
+    return [(-1, 0)], _votes([model.learner], [vectors])
+
+
+def _votes(
+    learners: Sequence[TrainedModel], features: Sequence[np.ndarray]
+) -> np.ndarray:
+    """``learners[v].predict(features[v])`` as row v; on ``_pool``, one
+    job per voter, above its work gate."""
+    jobs = range(len(learners))
+    shared = (learners, features)
+    rows = sum(len(f) for f in features)
+    if isinstance(learners[0], KnnModel) and rows >= _POOL_KNN_VOTES:
+        return np.stack(_pool.run(_predict_voter, shared, jobs))
+    return np.stack([_predict_voter(shared, v) for v in jobs])
+
+
+def _predict_voter(shared, v: int) -> np.ndarray:
+    learners, features = shared
+    return learners[v].predict(features[v])
 
 
 def majority_error_probability(p: float, n_voters: int) -> float:

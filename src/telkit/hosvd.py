@@ -11,7 +11,10 @@ dimensions); the clamped tuple is reported as ``effective_rank``.
 
 ``hosvd_factors`` is the one decomposition kernel: it unfolds a stack of
 same-shape samples per mode and makes one stacked LAPACK SVD call per
-chunk of samples and mode, keeping the factors only.  ``_decompositions``
+chunk of samples and mode, keeping the factors only.  Each LAPACK call
+sees one matrix, so the chunks are exact on their own: a batch of at
+least ``_POOL_ENTRIES`` samples x tensor entries runs its chunks on
+``telkit._pool``, a smaller one in the process.  ``_decompositions``
 adds each sample's core from column slices of one full-rank kernel call;
 ``hosvd`` runs it on a batch of one, ``rank_search`` and ``telkit
 decompose`` on a whole sample set, so every decomposition in telkit gives
@@ -32,6 +35,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import _pool
 from .linalg import _canonicalize_signs
 from .tensor import DenseTensor, _mode_product, frobenius_norm
 
@@ -49,6 +53,11 @@ MultilinearRank = tuple[int, ...]
 # Samples stacked per SVD call: the unfolding copies and the discarded
 # right singular vectors then hold 64 samples' worth, whatever the count.
 _CHUNK = 64
+
+# Samples x tensor entries from which ``hosvd_factors`` runs its chunks
+# on ``_pool``: 65-130 ms of serial work at 0.25-0.5 us per entry, where
+# a 2-worker pool first breaks even (CHANGES.md has the measurements).
+_POOL_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -102,28 +111,44 @@ def hosvd_factors(
             raise ValueError(
                 f"sample {index} shape {x.shape} does not match {shape}"
             )
-    order = len(shape)
     stacks = [np.empty((len(samples), i, r)) for i, r in zip(shape, effective)]
-    for start in range(0, len(samples), _CHUNK):
-        chunk = np.stack([x.to_array() for x in samples[start : start + _CHUNK]])
-        finite = np.isfinite(chunk).reshape(len(chunk), -1).all(axis=1)
-        if not finite.all():
-            index = start + int(np.argmin(finite))
-            raise ValueError(
-                f"hosvd input contains non-finite entries in sample {index}"
-            )
-        for n, stack in enumerate(stacks):
-            # Kolda-Bader columns: the other axes reversed, so that a C-order
-            # reshape makes the lowest surviving index vary fastest
-            others = [a for a in range(order, 0, -1) if a != n + 1]
-            unfolded = chunk.transpose(0, n + 1, *others).reshape(
-                len(chunk), shape[n], -1
-            )
-            U = np.linalg.svd(unfolded, full_matrices=False)[0]
-            kept = stack[start : start + len(chunk)]
-            kept[...] = U[..., : effective[n]]
-            _canonicalize_signs(kept)
+    starts = range(0, len(samples), _CHUNK)
+    shared = (samples, effective)
+    if len(samples) * math.prod(shape) >= _POOL_ENTRIES:
+        chunks = _pool.run(_chunk_factors, shared, starts)
+    else:
+        chunks = (_chunk_factors(shared, start) for start in starts)
+    for start, factors in zip(starts, chunks):
+        for stack, kept in zip(stacks, factors):
+            stack[start : start + len(kept)] = kept
     return stacks, effective
+
+
+def _chunk_factors(shared, start: int) -> list[np.ndarray]:
+    """Mode-n factor stacks of ``samples[start : start + _CHUNK]``, one
+    stacked LAPACK SVD call per mode; a non-finite sample is named by its
+    index in ``samples``."""
+    samples, effective = shared
+    chunk = np.stack([x.to_array() for x in samples[start : start + _CHUNK]])
+    finite = np.isfinite(chunk).reshape(len(chunk), -1).all(axis=1)
+    if not finite.all():
+        index = start + int(np.argmin(finite))
+        raise ValueError(
+            f"hosvd input contains non-finite entries in sample {index}"
+        )
+    order = len(effective)
+    factors = []
+    for n, r in enumerate(effective):
+        # Kolda-Bader columns: the other axes reversed, so that a C-order
+        # reshape makes the lowest surviving index vary fastest
+        others = [a for a in range(order, 0, -1) if a != n + 1]
+        unfolded = chunk.transpose(0, n + 1, *others).reshape(
+            len(chunk), chunk.shape[n + 1], -1
+        )
+        kept = np.linalg.svd(unfolded, full_matrices=False)[0][..., :r].copy()
+        _canonicalize_signs(kept)
+        factors.append(kept)
+    return factors
 
 
 def _multiply(x: DenseTensor, matrices: Sequence[np.ndarray]) -> DenseTensor:

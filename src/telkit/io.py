@@ -14,6 +14,7 @@ lexicographic order so sample order is deterministic.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -91,29 +92,36 @@ def save_tensor_dataset(data: LabeledTensorDataset, path: str | Path) -> None:
 
 
 class _Reader:
-    """Byte cursor that reports the offset of a short read."""
+    """Cursor over an open file that reports the offset of a short read."""
 
-    def __init__(self, blob: bytes):
-        self.blob = blob
+    def __init__(self, handle):
+        self.handle = handle
+        self.size = os.fstat(handle.fileno()).st_size
         self.offset = 0
 
     def take(self, count: int, what: str) -> bytes:
-        if self.offset + count > len(self.blob):
+        if self.offset + count > self.size:
             raise TruncatedFileError(
-                f"unexpected end of file at byte {len(self.blob)} "
+                f"unexpected end of file at byte {self.size} "
                 f"(needed {count} bytes for {what} at offset {self.offset})"
             )
-        chunk = self.blob[self.offset : self.offset + count]
         self.offset += count
-        return chunk
+        return self.handle.read(count)
 
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
 
 
 def load_tensor_dataset(path: str | Path) -> LabeledTensorDataset:
-    """Read a TELD file; every malformation has its own error class."""
-    reader = _Reader(Path(path).read_bytes())
+    """Read a TELD file; every malformation has its own error class.
+
+    The header and then each sample are read from the open file, so no
+    copy of the whole file is ever held."""
+    with open(path, "rb") as handle:
+        return _read_teld(_Reader(handle))
+
+
+def _read_teld(reader: _Reader) -> LabeledTensorDataset:
     magic = reader.take(4, "magic")
     if magic != TELD_MAGIC:
         raise BadMagicError(f"bad magic {magic!r}, expected {TELD_MAGIC!r}")

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["VectorDataset", "Scaler", "standardize_fit", "majority_labels",
-           "two_class_labels", "check_finite", "check_shape", "check_rank",
-           "check_features", "accuracy"]
+           "two_class_labels", "check_finite", "check_finite_field",
+           "check_shape", "check_rank", "check_features", "accuracy"]
 
 
 @dataclass(frozen=True)
@@ -93,6 +93,14 @@ def check_finite(X: np.ndarray) -> None:
     if not finite.all():
         row = int(np.argmin(finite.all(axis=1)))
         raise ValueError(f"feature row {row} has a non-finite value")
+
+
+def check_finite_field(name: str, values) -> None:
+    """Reject a model field ``name`` whose ``values`` (an array or a
+    number) hold NaN or an infinity: the one finiteness rule of every
+    model, built by a fit or from a file."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} has a non-finite value")
 
 
 def check_shape(name: str, array: np.ndarray, expected: tuple[int, ...]) -> None:

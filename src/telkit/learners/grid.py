@@ -5,28 +5,24 @@ over one or more datasets.  Folds are contiguous blocks of a seeded
 shuffle (``kfold_indices``), identical for every candidate, and fold f
 fits on the other blocks with seed mix_seed(seed, f), so two identical
 specs score identically and the earliest grid position wins ties.  Its
-fold fits are independent, so they run on a fork pool over the CPUs the
-process may use and the scores are reduced in grid order: every score
-keeps its bits whatever the CPU count (``taskset -c 0`` runs them
-serially).
+fold fits are independent, so they run on ``telkit._pool``'s fork pool,
+its first caller (a one-spec grid fits nothing), and the scores are
+reduced in grid order: every score keeps its bits whatever the CPU count
+(``taskset -c 0`` runs them serially).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 import numpy as np
 
+from .. import _pool
 from ..seeding import mix_seed
 from .base import VectorDataset, accuracy
 from .spec import ClassifierSpec
 
 __all__ = ["kfold_indices", "grid_search_cv"]
-
-# (grid, datasets, fold blocks per dataset, seed) in a pool worker, set by
-# the pool initializer; under fork it is inherited, never pickled
-_SHARED = None
 
 
 def kfold_indices(
@@ -43,18 +39,6 @@ def kfold_indices(
     return [block for block in np.array_split(perm, folds)]
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on; 1 where the OS cannot say."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _share(shared) -> None:
-    global _SHARED
-    _SHARED = shared
-
-
 def _job_accuracy(shared, job: tuple[int, int, int]) -> float:
     """Accuracy on dataset ``d``'s fold ``f`` block of spec ``s`` fitted
     on its other blocks."""
@@ -68,10 +52,6 @@ def _job_accuracy(shared, job: tuple[int, int, int]) -> float:
     return accuracy(model.predict(data.features[val_idx]), data.labels[val_idx])
 
 
-def _worker_job_accuracy(job: tuple[int, int, int]) -> float:
-    return _job_accuracy(_SHARED, job)
-
-
 def grid_search_cv(
     grid: Sequence[ClassifierSpec],
     datasets: Sequence[VectorDataset],
@@ -83,9 +63,9 @@ def grid_search_cv(
     A spec scores the mean of its CV accuracies over ``datasets``, added
     in the given order; the datasets may differ in width (telvi's factor
     columns).  A one-spec grid is returned once the folds are validated.
-    The (spec, dataset, fold) fits run on a fork pool of one worker per
-    CPU the process may use, at most one per fit, or in this process
-    when that is one; a fit's exception is raised here either way.
+    The (spec, dataset, fold) fits run on ``_pool.run``: a fork pool of
+    one worker per CPU the process may use, or this process when that is
+    one; a fit's exception is raised here either way.
     """
     if len(grid) == 0:
         raise ValueError("grid must not be empty")
@@ -100,19 +80,7 @@ def grid_search_cv(
         for d in range(len(datasets))
         for f in range(folds)
     ]
-    shared = (grid, datasets, blocks, seed)
-    workers = min(_cpu_count(), len(jobs))
-    if workers == 1:
-        scores = [_job_accuracy(shared, job) for job in jobs]
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_share, initargs=(shared,),
-        ) as pool:
-            scores = list(pool.map(_worker_job_accuracy, jobs))
+    scores = _pool.run(_job_accuracy, (grid, datasets, blocks, seed), jobs)
     scores = np.reshape(scores, (len(grid), len(datasets), folds))
     means = [
         np.mean([float(np.mean(fold_scores)) for fold_scores in spec_scores])

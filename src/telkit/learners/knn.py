@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import VectorDataset, check_features, check_rank, majority_labels
+from .base import (VectorDataset, check_features, check_finite_field, check_rank,
+                   majority_labels)
 from .spec import ClassifierSpec
 
 __all__ = ["KnnModel", "fit_knn"]
@@ -36,8 +37,9 @@ __all__ = ["KnnModel", "fit_knn"]
 
 @dataclass(frozen=True)
 class KnnModel:
-    """Memorized training rows; at least one row, one label per row, and
-    ``class_labels`` the distinct labels, checked when it is built."""
+    """Memorized training rows; at least one finite row, one label per
+    row, and ``class_labels`` the distinct labels, checked when it is
+    built."""
 
     spec: ClassifierSpec
     class_labels: np.ndarray
@@ -51,6 +53,7 @@ class KnnModel:
                 f"knn train_features has shape {list(self.train_features.shape)}, "
                 f"expected at least one row of features"
             )
+        check_finite_field("knn train_features", self.train_features)
         rows = self.train_features.shape[0]
         if self.train_labels.shape != (rows,):
             raise ValueError(

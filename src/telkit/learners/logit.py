@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import (Scaler, VectorDataset, check_features, check_rank,
-                   check_shape, standardize_fit, two_class_labels)
+from .base import (Scaler, VectorDataset, check_features, check_finite_field,
+                   check_rank, check_shape, standardize_fit, two_class_labels)
 from .spec import ClassifierSpec
 
 __all__ = ["LogitModel", "fit_logit", "logit_loss", "logit_gradient"]
@@ -24,8 +24,8 @@ GRADIENT_TOLERANCE = 1e-6
 @dataclass(frozen=True)
 class LogitModel:
     """Weights and bias per class over standardized features; their shapes
-    and the scaler's agree with the width and ``class_labels``, checked
-    when it is built."""
+    and the scaler's agree with the width and ``class_labels``, and every
+    value is finite, checked when it is built."""
 
     spec: ClassifierSpec
     class_labels: np.ndarray
@@ -42,6 +42,10 @@ class LogitModel:
         check_shape("logit bias", self.bias, (classes,))
         check_shape("logit scaler mean", self.scaler.mean, (width,))
         check_shape("logit scaler std", self.scaler.std, (width,))
+        check_finite_field("logit weights", self.weights)
+        check_finite_field("logit bias", self.bias)
+        check_finite_field("logit scaler mean", self.scaler.mean)
+        check_finite_field("logit scaler std", self.scaler.std)
 
     @property
     def n_features(self) -> int:

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..seeding import mix_seed
-from .base import (Scaler, VectorDataset, check_features, check_rank,
-                   check_shape, standardize_fit, two_class_labels)
+from .base import (Scaler, VectorDataset, check_features, check_finite_field,
+                   check_rank, check_shape, standardize_fit, two_class_labels)
 from .spec import ClassifierSpec
 
 __all__ = ["BinarySvm", "SvmModel", "fit_svm", "kernel_matrix"]
@@ -76,7 +76,7 @@ class BinarySvm:
 class SvmModel:
     """One binary per class over standardized features; the scaler, the
     support vectors and the dual coefficients fit the width and each
-    other, checked when it is built."""
+    other, and every value is finite, checked when it is built."""
 
     spec: ClassifierSpec
     class_labels: np.ndarray
@@ -88,6 +88,8 @@ class SvmModel:
         check_rank("svm class_labels", self.class_labels, 1)
         check_shape("svm scaler mean", self.scaler.mean, (self.n_features,))
         check_shape("svm scaler std", self.scaler.std, (self.n_features,))
+        check_finite_field("svm scaler mean", self.scaler.mean)
+        check_finite_field("svm scaler std", self.scaler.std)
         if len(self.binaries) != self.class_labels.size:
             raise ValueError(
                 f"svm has {len(self.binaries)} binaries, expected one per "
@@ -99,6 +101,8 @@ class SvmModel:
             check_shape(f"svm binary {c} support_vectors", b.support_vectors,
                         (rows, self.n_features))
             check_shape(f"svm binary {c} dual_coefs", b.dual_coefs, (rows,))
+            for name in ("support_vectors", "dual_coefs", "bias"):
+                check_finite_field(f"svm binary {c} {name}", getattr(b, name))
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         """One column per binary; a row that overflows raises, so argmax

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import (VectorDataset, check_features, check_rank, majority_labels,
-                   two_class_labels)
+from .base import (VectorDataset, check_features, check_finite_field,
+                   check_rank, majority_labels, two_class_labels)
 from .spec import ClassifierSpec
 
 __all__ = ["TreeNode", "TreeModel", "fit_tree"]
@@ -47,8 +47,9 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class TreeModel:
-    """A grown tree; every split feature lies in [0, n_features) and every
-    leaf label is one of ``class_labels``, checked when it is built."""
+    """A grown tree; every split feature lies in [0, n_features), every
+    split threshold is finite and every leaf label is one of
+    ``class_labels``, checked when it is built."""
 
     spec: ClassifierSpec
     class_labels: np.ndarray
@@ -72,6 +73,7 @@ class TreeModel:
                     f"[0, {self.n_features})"
                 )
             else:
+                check_finite_field("tree split threshold", node.threshold)
                 nodes += [node.left, node.right]
 
     def predict(self, X: np.ndarray) -> np.ndarray:

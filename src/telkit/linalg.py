@@ -14,15 +14,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .learners.base import check_finite_field
+
 __all__ = ["PcaModel", "pca_fit", "pca_transform"]
 
 
 @dataclass(frozen=True)
 class PcaModel:
-    """Principal components of a sample matrix (rows are samples)."""
+    """Principal components of a sample matrix (rows are samples); every
+    value is finite, checked when it is built."""
 
     mean: np.ndarray
     components: np.ndarray  # features x retained
+
+    def __post_init__(self):
+        check_finite_field("pca mean", self.mean)
+        check_finite_field("pca components", self.components)
 
     @property
     def retained(self) -> int:

@@ -12,7 +12,10 @@ Loading checks that every learner takes the width its place in the model
 feeds it and knows only the model's class labels, and rejects a key in a
 learner, its scaler, an svm binary or a tree node that the writer never
 emits; each learner model checks its own fields, the rank of each array
-among them, when it is built, at fit and at load alike.
+among them, when it is built, at fit and at load alike.  Finiteness is
+one of those checks: the reader rejects only the constants NaN and
+Infinity, as it reads them, and an overflowing literal such as 1e999,
+which parses to inf, fails in the model that holds it, naming the field.
 """
 
 from __future__ import annotations
@@ -244,16 +247,17 @@ def _parse_int(token: str):
     return -0.0 if token == "-0" else int(token)
 
 
-def _finite(token: str) -> float:
-    value = float(token)  # the constants "NaN" and "Infinity" parse too
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {token} in model file")
-    return value
+def _constant(token: str):
+    raise ValueError(f"non-finite number {token} in model file")
 
 
 def load_model(path: str | Path):
-    """Read a model file, rejecting values canonical JSON never writes."""
+    """Read a model file, rejecting values canonical JSON never writes.
+
+    The constants NaN and Infinity are rejected as they are read; a
+    literal that overflows to infinity (1e999) is rejected by the model
+    field that holds it, as a fit's would be."""
     with open(path, "r", encoding="utf-8") as handle:
         return model_from_dict(json.load(
-            handle, parse_int=_parse_int, parse_float=_finite, parse_constant=_finite
+            handle, parse_int=_parse_int, parse_constant=_constant
         ))

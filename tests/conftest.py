@@ -4,11 +4,11 @@ import concurrent.futures
 
 import pytest
 
-from telkit.learners import grid as grid_module
+from telkit import _pool
 
 
 class CpuPin:
-    """Pin the CPU count ``grid_search_cv`` reads and record the size of
+    """Pin the CPU count ``telkit._pool`` reads and record the size of
     each process pool it opens.
 
     A count above the CPUs this process may use is skipped, so a test
@@ -17,7 +17,7 @@ class CpuPin:
 
     def __init__(self, monkeypatch):
         self.monkeypatch = monkeypatch
-        self.available = grid_module._cpu_count()
+        self.available = _pool._cpu_count()
         self.pools: list[int] = []
         pools = self.pools
 
@@ -31,7 +31,7 @@ class CpuPin:
     def __call__(self, count: int) -> None:
         if count > self.available:
             pytest.skip(f"needs {count} CPUs, {self.available} available")
-        self.monkeypatch.setattr(grid_module, "_cpu_count", lambda: count)
+        self.monkeypatch.setattr(_pool, "_cpu_count", lambda: count)
 
     def forbid_pools(self) -> None:
         """Make building a process pool fail the test."""

@@ -432,6 +432,30 @@ class TestBagging:
             assert label == min(c for c, n in counts.items() if n == top)
             assert tally.total == 5
 
+    @pytest.mark.parametrize("kind", ["knn", "tree", "logit", "svm"])
+    def test_one_class_resample_is_drawn_again(self, kind):
+        # five samples of class 0 and one of class 1: about a third of the
+        # first draws hold class 0 only, and each estimator then fits on
+        # the next draw of its own generator
+        rng = np.random.default_rng(401)
+        samples = [DenseTensor((2, 3), rng.standard_normal(6)) for _ in range(6)]
+        labels = np.array([0, 0, 0, 0, 0, 1])
+        data = LabeledTensorDataset(samples, labels)
+        model = bagging_fit(data, 12, 4, ClassifierSpec(kind), 5)
+        redrawn = 0
+        for estimator, seed in zip(model.estimators, model.bootstrap_seeds):
+            generator = np.random.default_rng(seed)
+            idx = generator.integers(0, 6, size=6)
+            assert np.array_equal(idx, bootstrap_indices(6, seed))
+            while np.all(labels[idx] == 0):
+                redrawn += 1
+                idx = generator.integers(0, 6, size=6)
+            assert estimator.class_labels.tolist() == [0, 1]
+            if kind == "knn":  # a knn estimator keeps its resample's rows
+                reduced = pca_transform(model.pca, flatten_samples(samples))
+                assert np.array_equal(estimator.train_features, reduced[idx])
+        assert redrawn > 0
+
     def test_reduced_fit_rejects_one_sample_and_no_estimators(self):
         rng = np.random.default_rng(397)
         data = random_dataset(rng, (3, 2), 4)

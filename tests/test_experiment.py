@@ -32,7 +32,8 @@ from telkit.experiment import (
     write_learner_csv,
     write_report,
 )
-from telkit.hosvd import hosvd, rank_search, reconstruct, relative_error
+from telkit.hosvd import (hosvd, hosvd_factors, rank_search, reconstruct,
+                          relative_error)
 from telkit.io import save_tensor_dataset
 from telkit.learners import (
     BinarySvm,
@@ -522,14 +523,69 @@ class TestModelFiles:
         save_model(loaded, b)
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("token", ["NaN", "Infinity", "1e999"])
-    def test_non_finite_number_rejected(self, tmp_path, token):
+    # (learner kind or "pca", path to a float in the model file, field the
+    # error names): each float field of every model kind
+    FLOAT_FIELDS = [
+        ("knn", ["model", "train_features", 0, 0], "knn train_features"),
+        ("tree", ["model", "root", "threshold"], "tree split threshold"),
+        ("logit", ["model", "weights", 0, 0], "logit weights"),
+        ("logit", ["model", "bias", 0], "logit bias"),
+        ("logit", ["model", "scaler", "mean", 0], "logit scaler mean"),
+        ("logit", ["model", "scaler", "std", 0], "logit scaler std"),
+        ("svm", ["model", "scaler", "mean", 0], "svm scaler mean"),
+        ("svm", ["model", "scaler", "std", 0], "svm scaler std"),
+        ("svm", ["model", "binaries", 0, "support_vectors", 0, 0],
+         "svm binary 0 support_vectors"),
+        ("svm", ["model", "binaries", 0, "dual_coefs", 0], "svm binary 0 dual_coefs"),
+        ("svm", ["model", "binaries", 0, "bias"], "svm binary 0 bias"),
+        ("pca", ["pca", "mean", 0], "pca mean"),
+        ("pca", ["pca", "components", 0, 0], "pca components"),
+    ]
+
+    @pytest.mark.parametrize(
+        "kind, where, field", FLOAT_FIELDS,
+        ids=[field.replace(" ", "-") for _, _, field in FLOAT_FIELDS],
+    )
+    def test_overflowing_literal_rejected_by_its_field(
+        self, tmp_path, kind, where, field
+    ):
+        rng = np.random.default_rng(449)
+        data = tiny_tensor_dataset(rng)
+        if kind == "pca":
+            model = bagging_fit(data, 2, 4, ClassifierSpec("knn", {"k": 1}), 3)
+        else:
+            flat = VectorDataset(flatten_samples(data.samples), data.labels)
+            model = SingleModel(data.shape, fit(ClassifierSpec(kind), flat, 1))
+        payload = json.loads(canonical_json(model_to_dict(model)))
+        *path, last = where
+        node = payload
+        for key in path:
+            node = node[key]
+        node[last] = 123456.75  # a marker the file holds once
+        text = canonical_json(payload)
+        assert text.count("123456.75") == 1
+        model_path = tmp_path / "model.json"
+        model_path.write_text(text.replace("123456.75", "1e999"))
+        with pytest.raises(ValueError, match=f"{field} has a non-finite value$"):
+            load_model(model_path)
+
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            ("NaN", "non-finite number NaN in model file"),
+            ("Infinity", "non-finite number Infinity in model file"),
+            # parses to inf; the field that holds it rejects it
+            ("1e999", "single model: knn train_features has a non-finite value"),
+        ],
+        ids=["NaN", "Infinity", "1e999"],
+    )
+    def test_non_finite_number_rejected(self, tmp_path, token, message):
         path = tmp_path / "single.json"
         save_model(self._knn_with_negative_zero(), path)
         text = path.read_text()
         assert text.count("0.25") == 1
         path.write_text(text.replace("0.25", token))
-        with pytest.raises(ValueError, match=f"non-finite number {token} "):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             load_model(path)
 
     @pytest.mark.parametrize(
@@ -1228,8 +1284,9 @@ class TestCli:
         assert not csv_path.exists()
 
     def test_telvi_predict_calls_each_learner_once(
-        self, config_files, capsys, monkeypatch
+        self, config_files, capsys, monkeypatch, cpus
     ):
+        cpus(1)  # the calls are counted in this process, so none may pool
         tmp_path, synth, experiment = config_files
         data_path = tmp_path / "data.teld"
         model_path = tmp_path / "model.json"
@@ -1480,9 +1537,21 @@ FOUR_KIND_GRID = [
 ]
 
 
+# one cheap spec per kind: the fit gates count rows, not seconds
+CHEAP_SPECS = {
+    "knn": KNN3,
+    "tree": {"kind": "tree", "hyperparameters": {"max_depth": 3}},
+    "logit": {"kind": "logit", "hyperparameters": {"max_iterations": 30}},
+    "svm": {"kind": "svm",
+            "hyperparameters": {"C": 0.01, "tolerance": 0.1, "max_passes": 1}},
+}
+
+
 class TestCpuCount:
-    """The tuner's fold fits run on one worker per CPU; the CPU count
-    changes no byte of a report, learner CSV or model file, and no error."""
+    """The pooled batches (the tuner's fold fits, decomposition chunks,
+    knn votes and fit stages) run on one worker per CPU; the CPU count
+    changes no byte of a report, learner CSV, model file or prediction
+    CSV, and no error."""
 
     @staticmethod
     def _config(tmp_path, **knobs):
@@ -1524,6 +1593,107 @@ class TestCpuCount:
         pooled = self._outputs(config, tmp_path / "two")
         assert cpus.pools == [2, 2]  # one pool per tune stage
         assert pooled == serial
+
+    # 256 samples of 16x16x4: the whole set (train, predict) crosses the
+    # decomposition gate; 8 telvi learners and 16 bagging estimators carry
+    # the knn votes of the whole set and every fit stage of the whole set
+    # (bagging tree's too) across theirs.  A single model pools nothing but
+    # the tuner's fits, and keeps its whole flattened training set (knn)
+    # or its support vectors (svm), so it runs on the small set.
+    POOLED_DATA = {
+        "shape": [16, 16, 4], "classes": 4, "rank": [3, 3, 2],
+        "samples_per_class": 64, "noise_std": 0.4, "seed": 5,
+    }
+    POOLED_METHODS = {
+        "telvi": {"method": "telvi", "rank": [3, 3, 2]},
+        "telvi-rank-search": {"method": "telvi", "rank_search_threshold": 0.3},
+        "bagging": {"method": "bagging", "pca_dim": 8, "n_estimators": 16},
+        "single": {"method": "single"},
+    }
+    @staticmethod
+    def _pooled_jobs(method, kind) -> set[str]:
+        """The job functions (method, kind) runs on a pool at 2 CPUs."""
+        jobs = {"_chunk_factors"} if method.startswith("telvi") else set()
+        if method == "single":  # one voter, one fit
+            return jobs
+        if kind == "knn":
+            jobs.add("_predict_voter")
+        elif method == "bagging":
+            jobs.add("_fit_estimator")
+        elif kind != "tree":  # 8 tree learners of 256 rows: below the gate
+            jobs.add("_fit_learner")
+        return jobs
+
+    @pytest.mark.parametrize("kind", sorted(CHEAP_SPECS))
+    @pytest.mark.parametrize("method", sorted(POOLED_METHODS))
+    def test_pooled_batches_byte_identical(
+        self, tmp_path, capsys, cpus, monkeypatch, method, kind
+    ):
+        from telkit import _pool
+
+        pooled_jobs = []
+        run = _pool.run
+
+        def recording_run(fn, shared, jobs):
+            pooled_jobs.append(fn.__name__)
+            return run(fn, shared, jobs)
+
+        monkeypatch.setattr(_pool, "run", recording_run)
+        if method == "single":
+            config = self._config(tmp_path, method="single")
+            config.write_text(json.dumps(
+                {**json.loads(config.read_text()), "base_grid": [CHEAP_SPECS[kind]]}
+            ))
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({
+                "dataset": {"synthetic": self.POOLED_DATA},
+                "base_grid": [CHEAP_SPECS[kind]], "cv_folds": 3, "seed": 7,
+                **self.POOLED_METHODS[method],
+            }))
+        outputs = []
+        for count in (1, 2):
+            cpus(count)
+            out_dir = tmp_path / str(count)
+            files = self._outputs(config, out_dir)
+            predictions = out_dir / "predictions.csv"
+            assert main(["predict", "--model", str(out_dir / "model.json"),
+                         "--config", str(config), "--out", str(predictions)]) == 0
+            outputs.append(files + [predictions.read_bytes()])
+        assert outputs[1] == outputs[0]
+        # the same calls at each count, and a pool for each call at 2 CPUs
+        assert len(cpus.pools) == len(pooled_jobs) / 2
+        assert set(pooled_jobs) == self._pooled_jobs(method, kind)
+
+    def test_rank_search_size_opens_only_the_tuner_pool(self, tmp_path, cpus):
+        # the rank-search benchmark's size (160 samples of 12x12x3, rank
+        # search at 0.3) with a two-spec grid: every batch but the tuner's
+        # fold fits stays under its gate
+        cpus(2)
+        data = {"shape": [12, 12, 3], "classes": 4, "rank": [2, 2, 1],
+                "samples_per_class": 40, "noise_std": 0.05, "seed": 11}
+        report = run_experiment(ExperimentConfig.from_dict({
+            "dataset": {"synthetic": data}, "train_fraction": 0.5,
+            "method": "telvi", "rank_search_threshold": 0.3,
+            "base_grid": [CHEAP_SPECS["tree"], KNN3], "cv_folds": 5, "seed": 7,
+        }))
+        assert report.train_size == 80
+        assert cpus.pools == [2]
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_pooled_chunk_error_names_the_sample(self, cpus, count):
+        # sample 100 lies in the second chunk of 64
+        cpus(count)
+        rng = np.random.default_rng(457)
+        samples = [DenseTensor((16, 16, 4), rng.standard_normal(1024))
+                   for _ in range(256)]
+        bad = rng.standard_normal(1024)
+        bad[7] = np.nan
+        samples[100] = DenseTensor((16, 16, 4), bad)
+        message = "hosvd input contains non-finite entries in sample 100"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            hosvd_factors(samples, (2, 2, 1))
+        assert cpus.pools == ([] if count == 1 else [2])
 
     def test_fold_fit_error_identical(self, tmp_path, capsys, cpus, monkeypatch):
         import telkit.learners as learners
