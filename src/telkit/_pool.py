@@ -13,12 +13,15 @@ Its callers are the batches whose jobs are exact on their own, each
 pooled only above a work gate of its own: the tuner's fold fits
 (``learners.grid``), ``hosvd_factors``' sample chunks, ``predict_votes``'
 voters and the telvi and bagging fit stages (``ensemble``).  No option
-selects the pool: ``taskset -c 0`` gives the serial run.
+selects the pool: ``taskset -c 0`` gives the serial run.  Python 3.12's
+warning that a multi-threaded process forks is hidden only while the
+caller has no Python thread but its own.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import warnings
 from typing import Any, Callable, Iterable
 
@@ -57,17 +60,21 @@ def run(fn: Callable[[Any, Any], Any], shared: Any, jobs: Iterable) -> list:
         workers, mp_context=multiprocessing.get_context("fork"),
         initializer=_share, initargs=(fn, shared),
     )
+    # Python 3.12+ warns when a process with threads forks.  With no
+    # Python thread but this one the fork is safe: the pool forks every
+    # worker at the first submit, before it starts a thread of its own,
+    # and the only other threads are numpy's BLAS workers, idle between
+    # calls and reset in the child by the BLAS library's own fork handler.
+    # A Python thread of the caller's (a server's, a notebook kernel's) may
+    # hold a lock the child needs, so then the warning is shown.
+    safe_fork = threading.active_count() == 1
     try:
         with warnings.catch_warnings():
-            # Python 3.12+ warns when a process with threads forks.  The
-            # pool forks every worker at the first submit, before it starts
-            # a thread of its own, and the only other threads are numpy's
-            # BLAS workers, idle between calls and reset in the child by
-            # the BLAS library's own fork handler.
-            warnings.filterwarnings(
-                "ignore", r".*use of fork\(\) may lead to deadlocks",
-                DeprecationWarning,
-            )
+            if safe_fork:
+                warnings.filterwarnings(
+                    "ignore", r".*use of fork\(\) may lead to deadlocks",
+                    DeprecationWarning,
+                )
             results = pool.map(_call, jobs)  # submits every job
         return list(results)
     finally:  # after a failed job, the jobs still pending are cancelled

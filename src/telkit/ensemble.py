@@ -80,9 +80,10 @@ __all__ = [
 
 # Work gates of the batches run on ``_pool``, from measurements on 2 CPUs
 # against a pool that costs 10-25 ms to open, fill and close (CHANGES.md).
-# A fit stage pools from this many training rows summed over its learners;
-# a knn fit only copies its rows, so a knn fit stage never pools.
-_POOL_FIT_ROWS = {"tree": 4096, "logit": 512, "svm": 256}
+# A fit stage pools from this many training rows summed over its learners.
+# A knn fit only copies its rows and a tree fit stage ran slower pooled at
+# every measured size, so knn and tree fit stages never pool.
+_POOL_FIT_ROWS = {"logit": 512, "svm": 256}
 # A knn vote costs 20 us or more per row; a tree, logit or svm vote costs
 # about 1 us (a tree walk or a BLAS product), so only knn votes pool, from
 # this many rows summed over the voters.

@@ -15,7 +15,8 @@ emits; each learner model checks its own fields, the rank of each array
 among them, when it is built, at fit and at load alike.  Finiteness is
 one of those checks: the reader rejects only the constants NaN and
 Infinity, as it reads them, and an overflowing literal such as 1e999,
-which parses to inf, fails in the model that holds it, naming the field.
+which parses to inf, fails in the model that holds it, naming the field,
+or, in a field read as an integer, fails naming its path in the file.
 """
 
 from __future__ import annotations
@@ -251,13 +252,39 @@ def _constant(token: str):
     raise ValueError(f"non-finite number {token} in model file")
 
 
+def _non_finite_path(node, path=()):
+    """The keys and indices leading to the first non-finite number in
+    ``node``, or None."""
+    if isinstance(node, float):
+        return None if math.isfinite(node) else path
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return None
+    for key, value in items:
+        found = _non_finite_path(value, path + (key,))
+        if found is not None:
+            return found
+    return None
+
+
 def load_model(path: str | Path):
     """Read a model file, rejecting values canonical JSON never writes.
 
     The constants NaN and Infinity are rejected as they are read; a
     literal that overflows to infinity (1e999) is rejected by the model
-    field that holds it, as a fit's would be."""
+    field that holds it, as a fit's would be, or, in a field read as an
+    integer, by its path in the file."""
     with open(path, "r", encoding="utf-8") as handle:
-        return model_from_dict(json.load(
-            handle, parse_int=_parse_int, parse_constant=_constant
-        ))
+        payload = json.load(handle, parse_int=_parse_int, parse_constant=_constant)
+    try:
+        return model_from_dict(payload)
+    except (OverflowError, TypeError):
+        # int(inf) overflows and range(inf) is a type error
+        where = _non_finite_path(payload)
+        if where is None:
+            raise
+        field = ".".join(str(key) for key in where)
+        raise ValueError(f"model file field {field} has a non-finite value") from None

@@ -523,8 +523,9 @@ class TestModelFiles:
         save_model(loaded, b)
         assert a.read_bytes() == b.read_bytes()
 
-    # (learner kind or "pca", path to a float in the model file, field the
-    # error names): each float field of every model kind
+    # (learner kind or "pca", path to a number in the model file, field the
+    # error names): each float field of every model kind, and fields read
+    # as integers, which the error names by their path in the file
     FLOAT_FIELDS = [
         ("knn", ["model", "train_features", 0, 0], "knn train_features"),
         ("tree", ["model", "root", "threshold"], "tree split threshold"),
@@ -540,6 +541,12 @@ class TestModelFiles:
         ("svm", ["model", "binaries", 0, "bias"], "svm binary 0 bias"),
         ("pca", ["pca", "mean", 0], "pca mean"),
         ("pca", ["pca", "components", 0, 0], "pca components"),
+        ("knn", ["model", "class_labels", 1], "model file field model.class_labels.1"),
+        ("knn", ["model", "train_labels", 0], "model file field model.train_labels.0"),
+        ("tree", ["model", "n_features"], "model file field model.n_features"),
+        ("tree", ["model", "root", "feature"], "model file field model.root.feature"),
+        ("pca", ["seed"], "model file field seed"),
+        ("pca", ["bootstrap_seeds", 0], "model file field bootstrap_seeds.0"),
     ]
 
     @pytest.mark.parametrize(
@@ -1596,10 +1603,10 @@ class TestCpuCount:
 
     # 256 samples of 16x16x4: the whole set (train, predict) crosses the
     # decomposition gate; 8 telvi learners and 16 bagging estimators carry
-    # the knn votes of the whole set and every fit stage of the whole set
-    # (bagging tree's too) across theirs.  A single model pools nothing but
-    # the tuner's fits, and keeps its whole flattened training set (knn)
-    # or its support vectors (svm), so it runs on the small set.
+    # the knn votes of the whole set and its logit and svm fit stages
+    # across theirs.  A single model pools nothing but the tuner's fits,
+    # and keeps its whole flattened training set (knn) or its support
+    # vectors (svm), so it runs on the small set.
     POOLED_DATA = {
         "shape": [16, 16, 4], "classes": 4, "rank": [3, 3, 2],
         "samples_per_class": 64, "noise_std": 0.4, "seed": 5,
@@ -1618,10 +1625,8 @@ class TestCpuCount:
             return jobs
         if kind == "knn":
             jobs.add("_predict_voter")
-        elif method == "bagging":
-            jobs.add("_fit_estimator")
-        elif kind != "tree":  # 8 tree learners of 256 rows: below the gate
-            jobs.add("_fit_learner")
+        elif kind != "tree":  # knn and tree fit stages never pool
+            jobs.add("_fit_estimator" if method == "bagging" else "_fit_learner")
         return jobs
 
     @pytest.mark.parametrize("kind", sorted(CHEAP_SPECS))

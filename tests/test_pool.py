@@ -1,6 +1,7 @@
 """The fork pool: job order, the first failing job's error, no nesting."""
 
 import os
+import threading
 
 import pytest
 
@@ -75,3 +76,16 @@ def test_only_the_fork_warning_is_silenced(cpus, monkeypatch):
     assert cpus.pools == [2]
     with pytest.raises(DeprecationWarning, match="use of fork"):
         fork_warning()  # outside the pool the warning stays an error
+    # a live Python thread of the caller's may hold a lock the child
+    # needs: then the pool's fork warns
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        with pytest.warns(DeprecationWarning, match="use of fork"):
+            results = _pool.run(_square_and_pid, (), [2, 3])
+    finally:
+        release.set()
+        thread.join()
+    assert [r for r, _ in results] == [4, 9]
+    assert cpus.pools == [2, 2]
