@@ -5,8 +5,11 @@ to round-trip IEEE doubles exactly), and there is no insignificant
 whitespace, so equal content always produces equal bytes.  ``plain``
 turns a telkit object into that content: every model file and config
 echo is written from its dataclass fields by name.  Config objects read
-back in go through ``check_keys``, so a typo'd key fails, and
-``check_number``, so a number key given anything else fails.
+back in go through ``check_keys``, so a typo'd key fails.  ``check_number``
+is the one number rule of every value telkit builds from outside: each
+config and spec constructor, ``hosvd.clamp_rank`` and the model reader
+run it on every number they take, so a number given anything else, or a
+non-integral one where an integer belongs, fails naming its field.
 """
 
 from __future__ import annotations

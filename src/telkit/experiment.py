@@ -3,14 +3,18 @@
 Reports serialize canonically (sorted keys, fixed float formatting) so a
 rerun with the same config and seed writes byte-identical files.  Wall
 clock timings are collected on the report object but deliberately kept
-out of the canonical bytes; the CLI prints them instead.
+out of the canonical bytes; the CLI prints them instead.  An
+``ExperimentConfig`` reads each number field through
+``canonical.check_number`` when it is built, so a config made in Python
+and one read from a file meet the same rule; ``from_dict`` only checks
+the keys and builds the nested specs.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -60,12 +64,15 @@ REPORT_FORMAT_VERSION = 1
 
 METHODS = ("telvi", "bagging", "single")
 
-# the keys ExperimentConfig.from_dict reads, at the top level and in "dataset"
-# (each "dataset" key with the ExperimentConfig field that holds it)
-_CONFIG_KEYS = ("dataset", "train_fraction", "method", "rank", "rank_search_threshold",
-                "base_grid", "cv_folds", "n_estimators", "pca_dim", "seed", "output")
+# each "dataset" key of a config file with the ExperimentConfig field that
+# holds it; the other fields are keys of their own
 _DATASET_FIELDS = {"path": "dataset_path", "image_dir": "image_dir",
                    "synthetic": "synthetic"}
+
+# ExperimentConfig's number fields, True where integral
+_NUMBERS = {"train_fraction": False, "rank_search_threshold": False,
+            "cv_folds": True, "n_estimators": True, "pca_dim": True, "seed": True}
+_OPTIONAL = ("rank_search_threshold", "pca_dim")  # None when absent
 
 # purpose tags for stage-level seed derivation
 _SPLIT = 1
@@ -126,6 +133,13 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
+        for name, integral in _NUMBERS.items():
+            value = getattr(self, name)
+            if value is not None or name not in _OPTIONAL:
+                object.__setattr__(self, name, check_number(value, name, integral))
+        if self.rank is not None:
+            rank = tuple(check_number(r, "rank", True) for r in self.rank)
+            object.__setattr__(self, "rank", rank)
         sources = [
             s for s in (self.dataset_path, self.image_dir, self.synthetic)
             if s is not None
@@ -160,15 +174,14 @@ class ExperimentConfig:
         if self.pca_dim is not None and self.pca_dim < 1:
             raise ValueError(f"pca_dim must be >= 1, got {self.pca_dim}")
         if self.rank is not None:
-            rank = tuple(int(r) for r in self.rank)
+            rank = list(self.rank)
             if any(r < 1 for r in rank):
-                raise ValueError(f"rank entries must be >= 1, got {list(rank)}")
+                raise ValueError(f"rank entries must be >= 1, got {rank}")
             if self.synthetic is not None and len(rank) != len(self.synthetic.shape):
                 raise ValueError(
-                    f"rank {list(rank)} does not match the order of the "
+                    f"rank {rank} does not match the order of the "
                     f"synthetic shape {list(self.synthetic.shape)}"
                 )
-            object.__setattr__(self, "rank", rank)
         threshold = self.rank_search_threshold
         if threshold is not None and not 0.0 <= threshold < 1.0:
             raise ValueError(
@@ -180,7 +193,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ExperimentConfig":
-        check_keys(payload, _CONFIG_KEYS, "experiment config")
+        sources = _DATASET_FIELDS.values()
+        keys = ["dataset"] + [f.name for f in fields(cls) if f.name not in sources]
+        check_keys(payload, keys, "experiment config")
         source = payload.get("dataset", {})
         check_keys(source, _DATASET_FIELDS, "dataset")
         grid = payload.get("base_grid", ())
@@ -188,35 +203,12 @@ class ExperimentConfig:
             isinstance(s, Mapping) for s in grid
         ):
             raise ValueError("base_grid must be a list of classifier spec objects")
-        synthetic = source.get("synthetic")
-        return cls(
-            dataset_path=source.get("path"),
-            image_dir=source.get("image_dir"),
-            synthetic=SyntheticSpec.from_dict(synthetic) if synthetic else None,
-            train_fraction=float(
-                check_number(payload.get("train_fraction", 0.5), "train_fraction")
-            ),
-            method=payload.get("method", "telvi"),
-            rank=(
-                tuple(check_number(r, "rank", True) for r in payload["rank"])
-                if payload.get("rank") is not None else None
-            ),
-            rank_search_threshold=(
-                check_number(payload["rank_search_threshold"], "rank_search_threshold")
-                if payload.get("rank_search_threshold") is not None else None
-            ),
-            base_grid=tuple(ClassifierSpec.from_dict(s) for s in grid),
-            cv_folds=check_number(payload.get("cv_folds", 5), "cv_folds", True),
-            n_estimators=check_number(
-                payload.get("n_estimators", 12), "n_estimators", True
-            ),
-            pca_dim=(
-                check_number(payload["pca_dim"], "pca_dim", True)
-                if payload.get("pca_dim") is not None else None
-            ),
-            seed=check_number(payload.get("seed", 0), "seed", True),
-            output=payload.get("output"),
-        )
+        values = {key: value for key, value in payload.items() if key != "dataset"}
+        values.update((_DATASET_FIELDS[key], value) for key, value in source.items())
+        synthetic = values.get("synthetic")
+        values["synthetic"] = SyntheticSpec.from_dict(synthetic) if synthetic else None
+        values["base_grid"] = tuple(ClassifierSpec.from_dict(s) for s in grid)
+        return cls(**values)
 
     def to_dict(self) -> dict[str, Any]:
         out = plain(self)

@@ -36,6 +36,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import _pool
+from .canonical import check_number
 from .linalg import _canonicalize_signs
 from .tensor import DenseTensor, _mode_product, frobenius_norm
 
@@ -79,7 +80,8 @@ class HosvdFactors:
 
 
 def clamp_rank(rank: Sequence[int], shape: Sequence[int]) -> MultilinearRank:
-    """Clamp each R_n to min(I_n, prod of the other dimensions)."""
+    """Clamp each R_n, an integer by ``check_number``, to min(I_n, prod of
+    the other dimensions)."""
     shape = tuple(shape)
     if len(rank) != len(shape):
         raise ValueError(
@@ -87,10 +89,11 @@ def clamp_rank(rank: Sequence[int], shape: Sequence[int]) -> MultilinearRank:
         )
     clamped = []
     for n, r in enumerate(rank):
+        r = check_number(r, "rank", integral=True)
         if r < 1:
             raise ValueError(f"rank entries must be >= 1, got {tuple(rank)}")
         others = math.prod(shape[:n] + shape[n + 1 :])
-        clamped.append(min(int(r), shape[n], others))
+        clamped.append(min(r, shape[n], others))
     return tuple(clamped)
 
 

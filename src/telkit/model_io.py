@@ -12,11 +12,13 @@ Loading checks that every learner takes the width its place in the model
 feeds it and knows only the model's class labels, and rejects a key in a
 learner, its scaler, an svm binary or a tree node that the writer never
 emits; each learner model checks its own fields, the rank of each array
-among them, when it is built, at fit and at load alike.  Finiteness is
-one of those checks: the reader rejects only the constants NaN and
-Infinity, as it reads them, and an overflowing literal such as 1e999,
-which parses to inf, fails in the model that holds it, naming the field,
-or, in a field read as an integer, fails naming its path in the file.
+among them, when it is built, at fit and at load alike.  Every integer
+field, scalar or array entry, is read by ``canonical.check_number``, so
+0.5, true, "1" or an overflowing literal such as 1e999 there fails naming
+the field.  Finiteness of the float fields is one of the models' own
+checks: the reader rejects only the constants NaN and Infinity, as it
+reads them, and 1e999, which parses to inf, fails in the model that
+holds it, naming the field.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Any
 
 import numpy as np
 
-from .canonical import check_keys, dump_canonical, plain
+from .canonical import check_keys, check_number, dump_canonical, plain
 from .ensemble import BaggingModel, SingleModel, TelviModel
 from .learners import (
     BinarySvm,
@@ -63,12 +65,21 @@ _LEARNER_KEYS = {
 }
 
 
+def _integers(values, key: str) -> np.ndarray:
+    """``values`` as an int64 array of their own shape, each entry read by
+    ``check_number``; an error names ``key`` and the entry's index."""
+    array = np.asarray(values, dtype=object)
+    for index, value in np.ndenumerate(array):
+        check_number(value, key + "".join(f"[{i}]" for i in index), integral=True)
+    return array.astype(np.int64)
+
+
 def _tree_node_from_dict(payload: dict[str, Any]) -> TreeNode:
     check_keys(payload, _field_names(TreeNode), "tree node")
     if "label" in payload:
-        return TreeNode(label=int(payload["label"]))
+        return TreeNode(label=check_number(payload["label"], "tree leaf label", True))
     return TreeNode(
-        feature=int(payload["feature"]),
+        feature=check_number(payload["feature"], "tree split feature", True),
         threshold=float(payload["threshold"]),
         left=_tree_node_from_dict(payload["left"]),
         right=_tree_node_from_dict(payload["right"]),
@@ -83,23 +94,22 @@ def _scaler_from_dict(payload: dict[str, Any]) -> Scaler:
     )
 
 
-def _learner_from_dict(payload: dict[str, Any]) -> TrainedModel:
+def _learner_from_dict(payload: dict[str, Any], labels: np.ndarray) -> TrainedModel:
     spec = ClassifierSpec.from_dict(payload["spec"])
     check_keys(payload, _LEARNER_KEYS[spec.kind], f"{spec.kind} learner")
-    labels = np.asarray(payload["class_labels"], dtype=np.int64)
     if spec.kind == "knn":
         return KnnModel(
             spec=spec,
             class_labels=labels,
             train_features=np.asarray(payload["train_features"], dtype=np.float64),
-            train_labels=np.asarray(payload["train_labels"], dtype=np.int64),
+            train_labels=_integers(payload["train_labels"], "knn train_labels"),
         )
     if spec.kind == "tree":
         return TreeModel(
             spec=spec,
             class_labels=labels,
             root=_tree_node_from_dict(payload["root"]),
-            n_features=int(payload["n_features"]),
+            n_features=check_number(payload["n_features"], "tree n_features", True),
         )
     if spec.kind == "logit":
         return LogitModel(
@@ -110,7 +120,7 @@ def _learner_from_dict(payload: dict[str, Any]) -> TrainedModel:
             bias=np.asarray(payload["bias"], dtype=np.float64),
         )
     # svm: ClassifierSpec.from_dict rejects any other kind
-    n_features = int(payload["n_features"])
+    n_features = check_number(payload["n_features"], "svm n_features", True)
     return SvmModel(
         spec=spec,
         class_labels=labels,
@@ -135,14 +145,14 @@ def _load_learner(payload: dict[str, Any], where: str, width: int, class_labels=
     """The learner ``payload`` describes, checked to know only the enclosing
     model's ``class_labels``, if given, and to take ``width`` features.  The
     learner model checks its own fields; its errors name ``where``."""
-    labels = np.asarray(payload["class_labels"], dtype=np.int64)
+    labels = _integers(payload["class_labels"], f"{where}: class_labels")
     if class_labels is not None and np.setdiff1d(labels, class_labels).size:
         raise ValueError(
             f"{where} has class labels {labels.tolist()} "
             f"outside the model's {class_labels.tolist()}"
         )
     try:
-        learner = _learner_from_dict(payload)
+        learner = _learner_from_dict(payload, labels)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
     if learner.n_features != width:
@@ -171,7 +181,8 @@ def model_from_dict(payload: dict[str, Any]):
         raise ValueError(f"unsupported model format version {version!r}")
     kind = payload.get("type")
     if kind == "telvi":
-        rank, shape = payload["rank"], payload["shape"]
+        rank = _integers(payload["rank"], "rank").tolist()
+        shape = _integers(payload["shape"], "shape").tolist()
         if len(rank) != len(shape):
             raise ValueError(
                 f"telvi rank {rank} has {len(rank)} modes but shape {shape} "
@@ -187,7 +198,7 @@ def model_from_dict(payload: dict[str, Any]):
             raise ValueError(
                 f"telvi base_models key {key!r} is {problem} for rank {rank}"
             )
-        class_labels = np.asarray(payload["class_labels"], dtype=np.int64)
+        class_labels = _integers(payload["class_labels"], "class_labels")
         base_models = {}
         for key, sub in sorted(payload["base_models"].items()):
             n, r = (int(part) for part in key.split(","))
@@ -200,10 +211,10 @@ def model_from_dict(payload: dict[str, Any]):
             base_spec=ClassifierSpec.from_dict(payload["base_spec"]),
             base_models=base_models,
             class_labels=class_labels,
-            seed=int(payload["seed"]),
+            seed=check_number(payload["seed"], "seed", True),
         )
     if kind == "bagging":
-        shape = tuple(payload["shape"])
+        shape = tuple(_integers(payload["shape"], "shape").tolist())
         pca = PcaModel(
             mean=np.asarray(payload["pca"]["mean"], dtype=np.float64),
             components=np.asarray(payload["pca"]["components"], dtype=np.float64),
@@ -219,7 +230,7 @@ def model_from_dict(payload: dict[str, Any]):
                 f"bagging pca components have shape {list(components)}, "
                 f"expected [{math.prod(shape)}, k] for shape {list(shape)}"
             )
-        class_labels = np.asarray(payload["class_labels"], dtype=np.int64)
+        class_labels = _integers(payload["class_labels"], "class_labels")
         return BaggingModel(
             shape=shape,
             pca=pca,
@@ -228,12 +239,16 @@ def model_from_dict(payload: dict[str, Any]):
                 _load_learner(sub, f"bagging estimator {e}", pca.retained, class_labels)
                 for e, sub in enumerate(payload["estimators"])
             ],
-            bootstrap_seeds=[int(s) for s in payload["bootstrap_seeds"]],
+            # 64-bit unsigned mix_seed values, past int64: Python ints
+            bootstrap_seeds=[
+                check_number(s, f"bootstrap_seeds[{e}]", True)
+                for e, s in enumerate(payload["bootstrap_seeds"])
+            ],
             class_labels=class_labels,
-            seed=int(payload["seed"]),
+            seed=check_number(payload["seed"], "seed", True),
         )
     if kind == "single":
-        shape = tuple(payload["shape"])
+        shape = tuple(_integers(payload["shape"], "shape").tolist())
         learner = _load_learner(payload["model"], "single model", math.prod(shape))
         return SingleModel(shape=shape, learner=learner)
     raise ValueError(f"unknown model type {kind!r}")
@@ -252,39 +267,13 @@ def _constant(token: str):
     raise ValueError(f"non-finite number {token} in model file")
 
 
-def _non_finite_path(node, path=()):
-    """The keys and indices leading to the first non-finite number in
-    ``node``, or None."""
-    if isinstance(node, float):
-        return None if math.isfinite(node) else path
-    if isinstance(node, dict):
-        items = node.items()
-    elif isinstance(node, list):
-        items = enumerate(node)
-    else:
-        return None
-    for key, value in items:
-        found = _non_finite_path(value, path + (key,))
-        if found is not None:
-            return found
-    return None
-
-
 def load_model(path: str | Path):
     """Read a model file, rejecting values canonical JSON never writes.
 
-    The constants NaN and Infinity are rejected as they are read; a
-    literal that overflows to infinity (1e999) is rejected by the model
-    field that holds it, as a fit's would be, or, in a field read as an
-    integer, by its path in the file."""
+    The constants NaN and Infinity are rejected as they are read; any
+    other value is checked by the field that holds it, as a fit's would
+    be: a number in an integer field by ``check_number``, a float array
+    or number by its model's finiteness check."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle, parse_int=_parse_int, parse_constant=_constant)
-    try:
-        return model_from_dict(payload)
-    except (OverflowError, TypeError):
-        # int(inf) overflows and range(inf) is a type error
-        where = _non_finite_path(payload)
-        if where is None:
-            raise
-        field = ".".join(str(key) for key in where)
-        raise ValueError(f"model file field {field} has a non-finite value") from None
+    return model_from_dict(payload)

@@ -4,7 +4,9 @@ Each class gets its own random orthonormal factor matrices and a base
 core tensor; a sample is the ``hosvd.reconstruct`` of a slightly perturbed
 core plus elementwise Gaussian noise.  Cores are scaled so the clean samples
 have unit-RMS entries, which makes ``noise_std`` directly comparable
-across shapes and ranks.
+across shapes and ranks.  ``SyntheticSpec`` reads every number field
+through ``canonical.check_number`` when it is built, in Python or from a
+config, so a shape of 8.7 or a seed of true fails naming its field.
 """
 
 from __future__ import annotations
@@ -35,8 +37,12 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
-        object.__setattr__(self, "rank", tuple(int(r) for r in self.rank))
+        for name in ("shape", "rank"):
+            entries = tuple(check_number(v, name, True) for v in getattr(self, name))
+            object.__setattr__(self, name, entries)
+        for name in ("classes", "samples_per_class", "seed"):
+            object.__setattr__(self, name, check_number(getattr(self, name), name, True))
+        object.__setattr__(self, "noise_std", check_number(self.noise_std, "noise_std"))
         if any(s < 1 for s in self.shape):
             raise ValueError(f"invalid shape {self.shape}")
         if len(self.rank) != len(self.shape):
@@ -60,16 +66,7 @@ class SyntheticSpec:
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "SyntheticSpec":
         check_keys(payload, [f.name for f in fields(cls)], "synthetic spec")
-        return cls(
-            shape=tuple(check_number(s, "shape", True) for s in payload["shape"]),
-            classes=check_number(payload["classes"], "classes", True),
-            rank=tuple(check_number(r, "rank", True) for r in payload["rank"]),
-            samples_per_class=check_number(
-                payload["samples_per_class"], "samples_per_class", True
-            ),
-            noise_std=float(check_number(payload["noise_std"], "noise_std")),
-            seed=check_number(payload["seed"], "seed", True),
-        )
+        return cls(**payload)
 
 
 # Desk-scale benchmark used by the experiment harness and the test suite.

@@ -1,6 +1,7 @@
 """Ensemble behavior: regrouping, voting, both fit/predict routes, Eq-style
 vote-error analysis against brute-force enumeration."""
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -276,6 +277,26 @@ class TestTelviFit:
                 votes.append(labels[int(np.argmin(dists))])
             expected = min(set(votes), key=lambda c: (-votes.count(c), c))
             assert predicted[m] == expected
+
+    @pytest.mark.parametrize(
+        "rank, message",
+        [
+            ((2.5, 2, 1), "rank must be an integer, got 2.5"),
+            ((True, 2, 1), "rank must be a number, got True"),
+        ],
+        ids=["half", "bool"],
+    )
+    @pytest.mark.parametrize("caller", ["clamp_rank", "hosvd", "telvi_fit"])
+    def test_non_integer_rank_rejected(self, caller, rank, message):
+        # int(r) ran these at rank (2, 2, 1) and (1, 2, 1) without a word
+        data = random_dataset(np.random.default_rng(359), (4, 4, 3), 3)
+        call = {
+            "clamp_rank": lambda: clamp_rank(rank, data.shape),
+            "hosvd": lambda: hosvd(data.samples[0], rank),
+            "telvi_fit": lambda: telvi_fit(data, rank, ClassifierSpec("knn"), 0),
+        }[caller]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_single_class_rejected(self):
         rng = np.random.default_rng(353)

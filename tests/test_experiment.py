@@ -1,8 +1,10 @@
 """Experiment harness, canonical serialization, model files, CLI."""
 
+import dataclasses
 import json
 import re
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -184,12 +186,24 @@ class TestConfigValidation:
         ],
     )
     def test_non_integer_rejected(self, where, key, value, message):
-        # these were truncated or coerced by int(...) without a word
-        payload = benchmark_config(method="bagging", pca_dim=16).to_dict()
+        # these were truncated or coerced by int(...) without a word, and a
+        # config built in Python was not checked at all
+        self._rejected_both_ways(where, key, value, message)
+
+    @staticmethod
+    def _rejected_both_ways(where, key, value, message):
+        """A bagging benchmark config whose ``key`` (at the top level or in
+        its synthetic spec) is ``value`` fails with ``message``, read from
+        a file and built by the constructor alike."""
+        config = benchmark_config(method="bagging", pca_dim=16)
+        payload = config.to_dict()
         target = payload if where == "config" else payload["dataset"]["synthetic"]
         target[key] = value
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ExperimentConfig.from_dict(payload)
+        built = config if where == "config" else config.synthetic
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(built, **{key: value})
 
     @pytest.mark.parametrize(
         "where, key, value, message",
@@ -210,11 +224,7 @@ class TestConfigValidation:
     def test_non_number_rejected(self, where, key, value, message):
         # float(...) read "0.5" and true as numbers, and a string threshold
         # failed only in the decompose stage
-        payload = benchmark_config(method="bagging", pca_dim=16).to_dict()
-        target = payload if where == "config" else payload["dataset"]["synthetic"]
-        target[key] = value
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            ExperimentConfig.from_dict(payload)
+        self._rejected_both_ways(where, key, value, message)
 
     @pytest.mark.parametrize(
         "knobs, message",
@@ -523,9 +533,9 @@ class TestModelFiles:
         save_model(loaded, b)
         assert a.read_bytes() == b.read_bytes()
 
-    # (learner kind or "pca", path to a number in the model file, field the
-    # error names): each float field of every model kind, and fields read
-    # as integers, which the error names by their path in the file
+    # (learner kind or "pca", path to a number in the model file, the error):
+    # each float field of every model kind, which fails naming the field,
+    # and fields read as integers, which fail by check_number's rule
     FLOAT_FIELDS = [
         ("knn", ["model", "train_features", 0, 0], "knn train_features"),
         ("tree", ["model", "root", "threshold"], "tree split threshold"),
@@ -541,20 +551,38 @@ class TestModelFiles:
         ("svm", ["model", "binaries", 0, "bias"], "svm binary 0 bias"),
         ("pca", ["pca", "mean", 0], "pca mean"),
         ("pca", ["pca", "components", 0, 0], "pca components"),
-        ("knn", ["model", "class_labels", 1], "model file field model.class_labels.1"),
-        ("knn", ["model", "train_labels", 0], "model file field model.train_labels.0"),
-        ("tree", ["model", "n_features"], "model file field model.n_features"),
-        ("tree", ["model", "root", "feature"], "model file field model.root.feature"),
-        ("pca", ["seed"], "model file field seed"),
-        ("pca", ["bootstrap_seeds", 0], "model file field bootstrap_seeds.0"),
     ]
+    # ids name each integer field by its path in the file
+    INTEGER_FIELDS = {
+        "model-file-field-model.class_labels.1": (
+            "knn", ["model", "class_labels", 1], "single model: class_labels[1]",
+        ),
+        "model-file-field-model.train_labels.0": (
+            "knn", ["model", "train_labels", 0], "single model: knn train_labels[0]",
+        ),
+        "model-file-field-model.n_features": (
+            "tree", ["model", "n_features"], "single model: tree n_features",
+        ),
+        "model-file-field-model.root.feature": (
+            "tree", ["model", "root", "feature"], "single model: tree split feature",
+        ),
+        "model-file-field-seed": ("pca", ["seed"], "seed"),
+        "model-file-field-bootstrap_seeds.0": (
+            "pca", ["bootstrap_seeds", 0], "bootstrap_seeds[0]",
+        ),
+    }
 
     @pytest.mark.parametrize(
-        "kind, where, field", FLOAT_FIELDS,
-        ids=[field.replace(" ", "-") for _, _, field in FLOAT_FIELDS],
+        "kind, where, message",
+        [(kind, where, f"{field} has a non-finite value")
+         for kind, where, field in FLOAT_FIELDS]
+        + [(kind, where, f"{field} must be finite, got inf")
+           for kind, where, field in INTEGER_FIELDS.values()],
+        ids=[field.replace(" ", "-") for _, _, field in FLOAT_FIELDS]
+        + list(INTEGER_FIELDS),
     )
     def test_overflowing_literal_rejected_by_its_field(
-        self, tmp_path, kind, where, field
+        self, tmp_path, kind, where, message
     ):
         rng = np.random.default_rng(449)
         data = tiny_tensor_dataset(rng)
@@ -573,7 +601,7 @@ class TestModelFiles:
         assert text.count("123456.75") == 1
         model_path = tmp_path / "model.json"
         model_path.write_text(text.replace("123456.75", "1e999"))
-        with pytest.raises(ValueError, match=f"{field} has a non-finite value$"):
+        with pytest.raises(ValueError, match=f"{re.escape(message)}$"):
             load_model(model_path)
 
     @pytest.mark.parametrize(
@@ -865,6 +893,95 @@ class TestModelFiles:
         path.write_text('{"format_version": 1, "type": "mystery"}')
         with pytest.raises(ValueError, match="unknown model type"):
             load_model(path)
+
+
+def single_field_edits(node, path=()):
+    """``(path, value)`` of every single-field edit of a parsed model file:
+    a list loses or repeats its last entry, an int becomes x + 1, x - 1, 0,
+    x + 0.5, true or "1", and a float is negated or scaled by 1e300."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from single_field_edits(value, path + (key,))
+    elif isinstance(node, list):
+        if node:
+            yield path, node[:-1]
+            yield path, node + node[-1:]
+        for index, value in enumerate(node):
+            yield from single_field_edits(value, path + (index,))
+    elif isinstance(node, int):
+        for value in (node + 1, node - 1, 0, node + 0.5, True, "1"):
+            yield path, value
+    elif isinstance(node, float):
+        yield path, -node
+        yield path, node * 1e300
+
+
+class TestTamperedModelFiles:
+    """Every single-field edit of a small model file of each learner kind
+    and method fails at load with a ValueError, or loads and predicts
+    labels from the model's class labels without a warning, or fails at
+    predict by the svm rule for non-finite decision values."""
+
+    SPECS = {
+        "knn": ClassifierSpec("knn", {"k": 1}),
+        "tree": ClassifierSpec("tree", {"max_depth": 2}),
+        "logit": ClassifierSpec("logit", {"max_iterations": 20}),
+        "svm": ClassifierSpec("svm", {"kernel": "poly", "max_passes": 2}),
+    }
+
+    @pytest.mark.parametrize("method", ["telvi", "bagging", "single"])
+    @pytest.mark.parametrize("kind", ["knn", "tree", "logit", "svm"])
+    def test_every_single_field_edit(self, tmp_path, kind, method):
+        data = tiny_tensor_dataset(np.random.default_rng(467), 4, (2, 3, 2))
+        spec = self.SPECS[kind]
+        if method == "telvi":
+            model = telvi_fit(data, (1, 1, 1), spec, 3)
+        elif method == "bagging":
+            model = bagging_fit(data, 2, 2, spec, 5)
+        else:
+            flat = VectorDataset(flatten_samples(data.samples), data.labels)
+            model = SingleModel(data.shape, fit(spec, flat, 1))
+        text = canonical_json(model_to_dict(model))
+        path = tmp_path / "model.json"
+        outcomes, wrong = Counter(), []
+        for where, value in single_field_edits(json.loads(text)):
+            payload = json.loads(text)
+            *parents, last = where
+            node = payload
+            for key in parents:
+                node = node[key]
+            node[last] = value
+            path.write_text(json.dumps(payload))
+            outcome = self._outcome(path, data.samples)
+            outcomes[outcome.split(":")[0]] += 1
+            if outcome.startswith("wrong"):
+                wrong.append((where, value, outcome))
+        assert wrong == []
+        assert outcomes["rejected"] > 0 and outcomes["predicted"] > 0
+
+    @staticmethod
+    def _outcome(path, samples) -> str:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                loaded = load_model(path)
+            except ValueError:
+                return "rejected"
+            except Exception as exc:
+                return f"wrong: {type(exc).__name__} at load: {exc}"
+            try:
+                votes = predict_votes(loaded, samples)[1]
+            except ValueError as exc:
+                if re.fullmatch(r"svm decision values of row \d+ are not finite", str(exc)):
+                    return "svm rule"
+                return f"wrong: ValueError at predict: {exc}"
+            except Exception as exc:
+                return f"wrong: {type(exc).__name__} at predict: {exc}"
+        model = loaded.learner if isinstance(loaded, SingleModel) else loaded
+        labels = set(majority_labels(votes).tolist())
+        if not labels <= set(model.class_labels.tolist()):
+            return f"wrong: labels {sorted(labels)} outside the class labels"
+        return "predicted"
 
 
 # Model files and config echoes of tiny hand-built objects, byte for byte.
