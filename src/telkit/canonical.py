@@ -6,10 +6,10 @@ whitespace, so equal content always produces equal bytes.  ``plain``
 turns a telkit object into that content: every model file and config
 echo is written from its dataclass fields by name.  Config objects read
 back in go through ``check_keys``, so a typo'd key fails.  ``check_number``
-is the one number rule of every value telkit builds from outside: each
-config and spec constructor, ``hosvd.clamp_rank`` and the model reader
-run it on every number they take, so a number given anything else, or a
-non-integral one where an integer belongs, fails naming its field.
+is the one number rule of every value telkit builds from outside, and
+``check_array`` its form for each entry of an array; configs, specs,
+ranks, tensors, datasets, ``pca_fit`` and the model reader run them.  A
+float array's finiteness is checked by the model that holds it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Any, Iterable, Mapping
 import numpy as np
 
 __all__ = ["plain", "canonical_json", "dump_canonical", "check_keys",
-           "check_number"]
+           "check_number", "check_array"]
 
 
 def plain(value) -> Any:
@@ -87,6 +87,8 @@ def check_number(value, key: str, integral: bool = False):
     """``value`` of number ``key``, an int if ``integral``.  A bool, a str or
     any other non-number, a non-finite value and, if ``integral``, a
     non-integral number are a ValueError naming ``key``."""
+    if type(value) is int:  # the common case, valid as it is
+        return value
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ValueError(f"{key} must be a number, got {value!r}")
     if not isinstance(value, Integral) and not math.isfinite(value):
@@ -96,3 +98,28 @@ def check_number(value, key: str, integral: bool = False):
             raise ValueError(f"{key} must be an integer, got {value!r}")
         return int(value)
     return value
+
+
+def check_array(values, key: str, integral: bool = False) -> np.ndarray:
+    """``values`` as a float64 array, int64 if ``integral``, by
+    ``check_number``'s rule for each entry, an error naming it ``key[i][j]``;
+    an int64 entry must fit.  A number ndarray that casts safely is taken
+    as it is, and a list's entry types are scanned in one pass."""
+    dtype, kinds = (np.int64, "iu") if integral else (np.float64, "iuf")
+    if isinstance(values, np.ndarray) and (values.dtype == dtype or (
+            values.dtype.kind in kinds and np.can_cast(values.dtype, dtype))):
+        return np.asarray(values, dtype=dtype)
+    entries = np.asarray(values, dtype=object)
+    if set(map(type, entries.flat)) <= ({int} if integral else {int, float}):
+        try:
+            return entries.astype(dtype)
+        except OverflowError:  # named below
+            pass
+    info = np.iinfo(dtype) if integral else np.finfo(dtype)
+    for index, value in np.ndenumerate(entries):
+        if isinstance(value, float) and not integral:
+            continue  # its finiteness is its holder's check
+        name = key + "".join(f"[{i}]" for i in index)
+        if not int(info.min) <= check_number(value, name, integral) <= int(info.max):
+            raise ValueError(f"{name} must fit in {np.dtype(dtype)}, got {value!r}")
+    return entries.astype(dtype)

@@ -20,11 +20,12 @@ once, for the search, and regroups from those factors.
 The bagging baseline flattens samples column-major, reduces with PCA and
 trains the same base-learner kind on bootstrap resamples; a resample that
 holds one class is drawn again from its estimator's generator, so every
-estimator fits on two classes or more.
-``telvi_fit_regrouped`` and ``bagging_fit_reduced`` check their training
-labels with ``learners.base.two_class_labels``, the one training-set
-rule, which the tree, logit and svm fits and the single model build of
-``experiment.train_model`` apply too.
+estimator fits on two classes or more.  Training labels pass
+``learners.base.two_class_labels``, the one training-set rule of every
+fit.  Each model checks itself when it is built, by a fit or the model
+reader alike: ``TelviModel`` its rank against its shape and one learner
+key per factor column, ``BaggingModel`` its PCA against its shape, and
+all three each voter's width and class labels (``_check_voter``).
 
 ``predict_votes`` is the one prediction path of every model kind, used by
 the harness, the CLI and ``telvi_predict``/``bagging_predict``; for step 4
@@ -52,6 +53,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _pool
+from .canonical import check_array
 from .hosvd import MultilinearRank, hosvd_factors
 from .learners import (ClassifierSpec, KnnModel, TrainedModel, VectorDataset,
                        fit, majority_labels)
@@ -98,18 +100,13 @@ class LabeledTensorDataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = check_array(self.labels, "labels", integral=True)
         if len(self.samples) != labels.size:
-            raise ValueError(
-                f"{len(self.samples)} samples but {labels.size} labels"
-            )
-        if len(self.samples) > 0:
-            shape = self.samples[0].shape
-            for x in self.samples:
-                if x.shape != shape:
-                    raise ValueError(
-                        f"samples disagree in shape: {x.shape} vs {shape}"
-                    )
+            raise ValueError(f"{len(self.samples)} samples but {labels.size} labels")
+        for x in self.samples:
+            if x.shape != self.samples[0].shape:
+                raise ValueError(f"samples disagree in shape: {x.shape} vs "
+                                 f"{self.samples[0].shape}")
         if labels.size > 0 and labels.min() < 0:
             raise ValueError("labels must be nonnegative integers")
         object.__setattr__(self, "labels", labels)
@@ -196,6 +193,23 @@ class TelviModel:
     class_labels: np.ndarray
     seed: int
 
+    def __post_init__(self):
+        rank, shape = list(self.rank), list(self.shape)
+        if len(rank) != len(shape):
+            raise ValueError(f"telvi rank {rank} has {len(rank)} modes but shape "
+                             f"{shape} has {len(shape)}")
+        # one learner per factor column: keys (n, r) for r < rank[n], no others
+        expected = {(n, r) for n, r_n in enumerate(rank) for r in range(r_n)}
+        offending = sorted(set(self.base_models) ^ expected)
+        if offending:
+            key = offending[0]
+            problem = "unexpected" if key in self.base_models else "missing"
+            raise ValueError(f"telvi base_models key '{key[0]},{key[1]}' is "
+                             f"{problem} for rank {rank}")
+        for (n, r), learner in sorted(self.base_models.items()):
+            _check_voter(learner, f"telvi base_models key '{n},{r}'", shape[n],
+                         self.class_labels)
+
     @property
     def n_learners(self) -> int:
         return len(self.base_models)
@@ -277,21 +291,39 @@ class BaggingModel:
     class_labels: np.ndarray
     seed: int
 
+    def __post_init__(self):
+        size, components = math.prod(self.shape), self.pca.components
+        if self.pca.mean.size != size:
+            raise ValueError(f"bagging pca mean has length {self.pca.mean.size}, "
+                             f"expected {size} for shape {list(self.shape)}")
+        if components.ndim != 2 or components.shape[0] != size:
+            raise ValueError(f"bagging pca components have shape "
+                             f"{list(components.shape)}, expected [{size}, k] "
+                             f"for shape {list(self.shape)}")
+        for e, learner in enumerate(self.estimators):
+            _check_voter(learner, f"bagging estimator {e}", self.pca.retained,
+                         self.class_labels)
+
     @property
     def n_estimators(self) -> int:
         return len(self.estimators)
 
 
-def bootstrap_indices(n_samples: int, seed: int) -> np.ndarray:
-    """Seeded resample-with-replacement index multiset of size n."""
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, n_samples, size=n_samples)
+def _check_voter(learner: TrainedModel, where: str, width: int, class_labels=None):
+    """Reject the voter ``learner`` at ``where`` in a model unless it knows
+    only the model's ``class_labels``, if given, and takes ``width`` features."""
+    labels = learner.class_labels
+    if class_labels is not None and np.setdiff1d(labels, class_labels).size:
+        raise ValueError(f"{where} has class labels {labels.tolist()} outside "
+                         f"the model's {class_labels.tolist()}")
+    if learner.n_features != width:
+        raise ValueError(f"{where} has width {learner.n_features}, expected {width}")
 
 
 def _resample(labels: np.ndarray, seed: int) -> np.ndarray:
-    """``bootstrap_indices(labels.size, seed)``, drawn again from the same
-    generator while it holds one class: every base learner then fits on
-    two classes or more, as the training set does."""
+    """A seeded resample with replacement of ``labels.size`` indices, drawn
+    again from the same generator while it holds one class: every base
+    learner then fits on two classes or more, as the training set does."""
     rng = np.random.default_rng(seed)
     while True:
         idx = rng.integers(0, labels.size, size=labels.size)
@@ -357,6 +389,9 @@ class SingleModel:
 
     shape: tuple[int, ...]
     learner: TrainedModel
+
+    def __post_init__(self):
+        _check_voter(self.learner, "single model", math.prod(self.shape))
 
 
 def bagging_predict(model: BaggingModel, x: DenseTensor) -> tuple[int, VoteTally]:

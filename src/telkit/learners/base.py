@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..canonical import check_array
+
 __all__ = ["VectorDataset", "Scaler", "standardize_fit", "majority_labels",
            "two_class_labels", "check_finite", "check_finite_field",
            "check_shape", "check_rank", "check_features", "accuracy"]
@@ -19,15 +21,13 @@ class VectorDataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        features = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        features = check_array(self.features, "features")
+        labels = check_array(self.labels, "labels", integral=True)
         if features.ndim != 2:
             raise ValueError("features must be a 2-d samples-by-dim matrix")
         if labels.ndim != 1 or labels.size != features.shape[0]:
-            raise ValueError(
-                f"label count {labels.size} does not match "
-                f"{features.shape[0]} feature rows"
-            )
+            raise ValueError(f"label count {labels.size} does not match "
+                             f"{features.shape[0]} feature rows")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .canonical import check_number
 from .learners.base import check_finite_field
 
 __all__ = ["PcaModel", "pca_fit", "pca_transform"]
@@ -53,6 +54,7 @@ def pca_fit(data: np.ndarray, r: int) -> PcaModel:
     data, sign-canonicalized per component.  ``r`` is clamped to
     min(samples, features).  Raises ValueError on empty or non-finite input.
     """
+    r = check_number(r, "retained dimension", True)
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise ValueError("pca_fit expects a 2-d samples-by-features matrix")
@@ -66,7 +68,7 @@ def pca_fit(data: np.ndarray, r: int) -> PcaModel:
         raise ValueError("pca_fit input contains non-finite entries")
     mean = data.mean(axis=0)
     centered = data - mean
-    r = min(int(r), min(data.shape))
+    r = min(r, min(data.shape))
     components = np.linalg.svd(centered, full_matrices=False)[2][:r].T.copy()
     _canonicalize_signs(components)
     return PcaModel(mean=mean, components=components)

@@ -6,7 +6,8 @@ fastest).  Mode-n unfolding follows the Kolda-Bader convention: the
 columns of the unfolding are the mode-n fibers, enumerated so that the
 lowest surviving index varies fastest.  ``mode_n_product`` checks its
 operands and runs ``_mode_product``, the one product kernel, which
-``hosvd._multiply`` also runs, mode after mode, on plain arrays.
+``hosvd._multiply`` also runs, mode after mode, on plain arrays.  Shapes
+are read by ``canonical.check_number`` and data by ``check_array``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import math
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .canonical import check_array, check_number
 
 __all__ = [
     "DenseTensor",
@@ -41,12 +44,12 @@ class DenseTensor:
     __slots__ = ("_array",)
 
     def __init__(self, shape: Sequence[int], data: Iterable[float]):
-        shape = tuple(int(s) for s in shape)
+        shape = tuple(check_number(s, f"shape[{n}]", True) for n, s in enumerate(shape))
         if len(shape) < 1:
             raise ValueError("tensor order must be at least 1")
         if any(s < 1 for s in shape):
             raise ValueError(f"all dimensions must be >= 1, got {shape}")
-        flat = np.asarray(data, dtype=np.float64).ravel()
+        flat = check_array(data, "tensor data").ravel()
         expected = math.prod(shape)
         if flat.size != expected:
             raise ValueError(
@@ -60,7 +63,7 @@ class DenseTensor:
     @classmethod
     def from_array(cls, array: np.ndarray) -> "DenseTensor":
         """Build a tensor from an N-d array (values copied)."""
-        array = np.asarray(array, dtype=np.float64)
+        array = check_array(array, "tensor data")
         if array.ndim < 1:
             array = array.reshape(1)
         return cls(array.shape, array.ravel(order="F"))
@@ -126,7 +129,7 @@ def unfold(tensor: DenseTensor, mode: int) -> np.ndarray:
 
 def fold(matrix: np.ndarray, mode: int, shape: Sequence[int]) -> DenseTensor:
     """Inverse of :func:`unfold`: rebuild the tensor of ``shape``."""
-    shape = tuple(int(s) for s in shape)
+    shape = tuple(check_number(s, f"shape[{n}]", True) for n, s in enumerate(shape))
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError("fold expects a 2-d matrix")

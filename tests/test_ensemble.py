@@ -21,7 +21,6 @@ from telkit.ensemble import (
     bagging_fit,
     bagging_fit_reduced,
     bagging_predict,
-    bootstrap_indices,
     factor_columns,
     flatten_samples,
     majority_error_probability,
@@ -82,6 +81,25 @@ class TestLabeledTensorDataset:
         samples = [DenseTensor((2,), [1.0, 2.0])]
         with pytest.raises(ValueError, match="nonnegative"):
             LabeledTensorDataset(samples, np.array([-1]))
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ([0.5, 1.7], "labels[0] must be an integer, got 0.5"),
+            ([True, False], "labels[0] must be a number, got True"),
+            (["0", "1"], "labels[0] must be a number, got '0'"),
+            ([0, 2**70], "labels[1] must fit in int64, got 1180591620717411303424"),
+        ],
+        ids=["fraction", "bool", "str", "past-int64"],
+    )
+    @pytest.mark.parametrize("dataset", ["tensor", "vector"])
+    def test_non_integer_labels_rejected(self, dataset, labels, message):
+        # np.asarray(labels, dtype=np.int64) made the first three 0/1 labels
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            if dataset == "tensor":
+                LabeledTensorDataset([DenseTensor((2,), [1.0, 2.0])] * 2, labels)
+            else:
+                VectorDataset(np.eye(2), labels)
 
 
 class TestMajorityVote:
@@ -383,18 +401,13 @@ class TestTelviPredict:
 
 
 class TestBagging:
-    def test_bootstrap_indices_reproducible(self):
-        a = bootstrap_indices(5, mix_seed(99, 0))
-        b = bootstrap_indices(5, mix_seed(99, 0))
-        assert np.array_equal(a, b)
-        assert a.min() >= 0 and a.max() < 5 and a.size == 5
-
     def test_single_estimator_with_permutation_draw_equals_plain_fit(self):
         # find a seed whose one bootstrap draw hits all 5 distinct indices
         seed = next(
             s
             for s in range(10000)
-            if sorted(bootstrap_indices(5, mix_seed(s, 0)).tolist()) == [0, 1, 2, 3, 4]
+            if sorted(np.random.default_rng(mix_seed(s, 0)).integers(0, 5, size=5))
+            == [0, 1, 2, 3, 4]
         )
         rng = np.random.default_rng(367)
         samples = [DenseTensor((2, 3), rng.standard_normal(6)) for _ in range(5)]
@@ -467,7 +480,6 @@ class TestBagging:
         for estimator, seed in zip(model.estimators, model.bootstrap_seeds):
             generator = np.random.default_rng(seed)
             idx = generator.integers(0, 6, size=6)
-            assert np.array_equal(idx, bootstrap_indices(6, seed))
             while np.all(labels[idx] == 0):
                 redrawn += 1
                 idx = generator.integers(0, 6, size=6)

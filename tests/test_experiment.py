@@ -436,6 +436,23 @@ def first_leaf(node):
     return node
 
 
+def entry_index(where):
+    """The entry ``[i][j]`` that the trailing list indices of a path into a
+    model file name."""
+    tail = []
+    while where and isinstance(where[-1], int):
+        *where, last = where
+        tail.insert(0, f"[{last}]")
+    return "".join(tail)
+
+
+def add_knn_label(learner, label):
+    """Give a knn learner of a model file one more class label, consistent
+    with its own train_labels."""
+    learner["class_labels"].append(label)
+    learner["train_labels"][0] = label
+
+
 class TestModelFiles:
     @pytest.mark.parametrize(
         "spec",
@@ -572,6 +589,10 @@ class TestModelFiles:
         ),
     }
 
+    # integer array entries, read into int64 arrays
+    ARRAY_INTEGER_FIELDS = [INTEGER_FIELDS["model-file-field-model.class_labels.1"],
+                            INTEGER_FIELDS["model-file-field-model.train_labels.0"]]
+
     @pytest.mark.parametrize(
         "kind, where, message",
         [(kind, where, f"{field} has a non-finite value")
@@ -584,6 +605,38 @@ class TestModelFiles:
     def test_overflowing_literal_rejected_by_its_field(
         self, tmp_path, kind, where, message
     ):
+        path = self._field_file(tmp_path, kind, where, "1e999")
+        with pytest.raises(ValueError, match=f"{re.escape(message)}$"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "kind, where, token, message",
+        [
+            (kind, where, token, f"{field}{entry_index(where)} must be a number, "
+                                 f"got {shown}")
+            for kind, where, field in FLOAT_FIELDS
+            for token, shown in (('"1"', "'1'"), ("true", "True"))
+        ]
+        + [
+            (kind, where, str(2**70), f"{field} must fit in int64, got {2**70}")
+            for kind, where, field in ARRAY_INTEGER_FIELDS
+        ],
+        ids=[f"{field.replace(' ', '-')}-{token}" for _, _, field in FLOAT_FIELDS
+             for token in ("str", "bool")]
+        + [f"{field.split(': ')[1]}-2**70" for _, _, field in ARRAY_INTEGER_FIELDS],
+    )
+    def test_non_number_rejected_by_its_field(
+        self, tmp_path, kind, where, token, message
+    ):
+        # float casts loaded "1" and true; int64 casts raised OverflowError
+        path = self._field_file(tmp_path, kind, where, token)
+        with pytest.raises(ValueError, match=f"{re.escape(message)}$"):
+            load_model(path)
+
+    @staticmethod
+    def _field_file(tmp_path, kind, where, token):
+        """A single model of learner ``kind``, or a bagging model if
+        ``kind`` is "pca", saved with ``token`` at path ``where``."""
         rng = np.random.default_rng(449)
         data = tiny_tensor_dataset(rng)
         if kind == "pca":
@@ -600,9 +653,8 @@ class TestModelFiles:
         text = canonical_json(payload)
         assert text.count("123456.75") == 1
         model_path = tmp_path / "model.json"
-        model_path.write_text(text.replace("123456.75", "1e999"))
-        with pytest.raises(ValueError, match=f"{re.escape(message)}$"):
-            load_model(model_path)
+        model_path.write_text(text.replace("123456.75", token))
+        return model_path
 
     @pytest.mark.parametrize(
         "token, message",
@@ -637,7 +689,7 @@ class TestModelFiles:
                 r"key '0,0' has width 4, expected 3$",
             ),
             (
-                lambda p: p["base_models"]["0,1"]["class_labels"].append(7),
+                lambda p: add_knn_label(p["base_models"]["0,1"], 7),
                 r"key '0,1' has class labels \[0, 1, 7\] outside the model's \[0, 1\]",
             ),
             (
@@ -681,7 +733,7 @@ class TestModelFiles:
                 r"^bagging pca components have shape \[144\], expected",
             ),
             (
-                lambda p: p["estimators"][0]["class_labels"].append(5),
+                lambda p: add_knn_label(p["estimators"][0], 5),
                 r"^bagging estimator 0 has class labels \[0, 1, 5\] outside",
             ),
         ],
@@ -697,6 +749,81 @@ class TestModelFiles:
         )
         with pytest.raises(ValueError, match=message):
             load_model(self._tampered_file(tmp_path, model, tamper))
+
+    # (method, change to a fitted model, the reader's message for the same
+    # defect in a file): the models check themselves when they are built
+    LIBRARY_DEFECTS = {
+        "telvi-rank-shorter-than-shape": (
+            "telvi", lambda m: {"rank": (2, 2)}, "has 2 modes but shape",
+        ),
+        "telvi-missing-key": (
+            "telvi",
+            lambda m: {"base_models": {k: v for k, v in m.base_models.items()
+                                       if k != (1, 1)}},
+            "'1,1' is missing",
+        ),
+        "telvi-extra-key": (
+            "telvi",
+            lambda m: {"base_models": {**m.base_models, (2, 1): m.base_models[2, 0]}},
+            "'2,1' is unexpected",
+        ),
+        "telvi-learner-width": (
+            "telvi",
+            lambda m: {"base_models": {**m.base_models, (0, 0): m.base_models[1, 0]}},
+            r"key '0,0' has width 4, expected 3$",
+        ),
+        "telvi-learner-class-labels": (
+            "telvi",
+            lambda m: {"class_labels": np.array([0])},
+            r"key '0,0' has class labels \[0, 1\] outside the model's \[0\]",
+        ),
+        "bagging-pca-mean-length": (
+            "bagging",
+            lambda m: {"pca": PcaModel(m.pca.mean[:-1], m.pca.components)},
+            r"^bagging pca mean has length 23, expected 24 for shape \[3, 4, 2\]$",
+        ),
+        "bagging-pca-components-rows": (
+            "bagging",
+            lambda m: {"pca": PcaModel(m.pca.mean, m.pca.components[:-1])},
+            r"^bagging pca components have shape \[23, 6\], expected "
+            r"\[24, k\] for shape \[3, 4, 2\]$",
+        ),
+        "bagging-pca-components-flat": (
+            "bagging",
+            lambda m: {"pca": PcaModel(m.pca.mean, m.pca.components.ravel())},
+            r"^bagging pca components have shape \[144\], expected",
+        ),
+        "bagging-estimator-width": (
+            "bagging",
+            lambda m: {"pca": PcaModel(m.pca.mean, m.pca.components[:, :5])},
+            r"^bagging estimator 0 has width 6, expected 5$",
+        ),
+        "bagging-estimator-class-labels": (
+            "bagging",
+            lambda m: {"class_labels": np.array([0])},
+            r"^bagging estimator 0 has class labels \[0, 1\] outside",
+        ),
+        "single-width": (
+            "single", lambda m: {"shape": (3, 4, 3)},
+            "^single model has width 24, expected 36$",
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "method, change, message", LIBRARY_DEFECTS.values(), ids=list(LIBRARY_DEFECTS)
+    )
+    def test_library_built_model_checks_itself(self, method, change, message):
+        data = tiny_tensor_dataset(np.random.default_rng(449))
+        spec = ClassifierSpec("knn", {"k": 1})
+        if method == "telvi":
+            model = telvi_fit(data, (2, 2, 1), spec, 3)
+        elif method == "bagging":
+            model = bagging_fit(data, 3, 6, spec, 5)
+        else:
+            flat = VectorDataset(flatten_samples(data.samples), data.labels)
+            model = SingleModel(data.shape, fit(spec, flat, 1))
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(model, **change(model))
 
     def test_tampered_single_model_rejected(self, tmp_path):
         rng = np.random.default_rng(461)
@@ -894,11 +1021,29 @@ class TestModelFiles:
         with pytest.raises(ValueError, match="unknown model type"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "version, message",
+        [
+            ("true", "format_version must be a number, got True"),
+            ('"1"', "format_version must be a number, got '1'"),
+            ("1.5", "format_version must be an integer, got 1.5"),
+            ("2", "unsupported model format version 2"),
+        ],
+        ids=["bool", "str", "half", "two"],
+    )
+    def test_format_version_rejected(self, tmp_path, version, message):
+        # true equals 1, so it loaded
+        path = tmp_path / "x.json"
+        path.write_text(f'{{"format_version": {version}, "type": "single"}}')
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_model(path)
+
 
 def single_field_edits(node, path=()):
     """``(path, value)`` of every single-field edit of a parsed model file:
     a list loses or repeats its last entry, an int becomes x + 1, x - 1, 0,
-    x + 0.5, true or "1", and a float is negated or scaled by 1e300."""
+    x + 0.5, true, "1" or 2**70, and a float is negated, scaled by 1e300 or
+    becomes "1" or true."""
     if isinstance(node, dict):
         for key, value in node.items():
             yield from single_field_edits(value, path + (key,))
@@ -909,18 +1054,19 @@ def single_field_edits(node, path=()):
         for index, value in enumerate(node):
             yield from single_field_edits(value, path + (index,))
     elif isinstance(node, int):
-        for value in (node + 1, node - 1, 0, node + 0.5, True, "1"):
+        for value in (node + 1, node - 1, 0, node + 0.5, True, "1", 2**70):
             yield path, value
     elif isinstance(node, float):
-        yield path, -node
-        yield path, node * 1e300
+        for value in (-node, node * 1e300, "1", True):
+            yield path, value
 
 
 class TestTamperedModelFiles:
     """Every single-field edit of a small model file of each learner kind
     and method fails at load with a ValueError, or loads and predicts
     labels from the model's class labels without a warning, or fails at
-    predict by the svm rule for non-finite decision values."""
+    predict by the svm rule for non-finite decision values; an edit to a
+    bool or a str always fails at load."""
 
     SPECS = {
         "knn": ClassifierSpec("knn", {"k": 1}),
@@ -954,6 +1100,8 @@ class TestTamperedModelFiles:
             path.write_text(json.dumps(payload))
             outcome = self._outcome(path, data.samples)
             outcomes[outcome.split(":")[0]] += 1
+            if isinstance(value, (bool, str)) and outcome != "rejected":
+                outcome = f"wrong: {value!r} not rejected"
             if outcome.startswith("wrong"):
                 wrong.append((where, value, outcome))
         assert wrong == []

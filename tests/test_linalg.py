@@ -129,6 +129,20 @@ class TestPca:
                 after = np.linalg.norm(out[i] - out[j])
                 assert after == pytest.approx(before, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "r, message",
+        [
+            (2.5, "retained dimension must be an integer, got 2.5"),
+            (True, "retained dimension must be a number, got True"),
+            ("2", "retained dimension must be a number, got '2'"),
+        ],
+        ids=["half", "bool", "str"],
+    )
+    def test_non_integer_retained_dimension_rejected(self, r, message):
+        # int(r) ran these at 2, 1 and 2 without a word
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pca_fit(np.random.default_rng(71).standard_normal((6, 4)), r)
+
     def test_constant_dataset_transforms_to_zero(self):
         data = np.full((6, 4), 2.5)
         model = pca_fit(data, 1)

@@ -64,6 +64,46 @@ class TestDenseTensor:
         with pytest.raises(ValueError, match="order"):
             DenseTensor((), [1.0])
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda: DenseTensor((2.5, 2), range(4)),
+                r"shape\[0\] must be an integer, got 2.5",
+            ),
+            (
+                lambda: DenseTensor((True, 4), range(4)),
+                r"shape\[0\] must be a number, got True",
+            ),
+            (
+                lambda: DenseTensor(("2", 2), range(4)),
+                r"shape\[0\] must be a number, got '2'",
+            ),
+            (
+                lambda: DenseTensor((2, 2), ["1", True, 3, 4]),
+                r"tensor data\[0\] must be a number, got '1'",
+            ),
+            (
+                lambda: DenseTensor((2, 2), [1, True, 3, 4]),
+                r"tensor data\[1\] must be a number, got True",
+            ),
+            (
+                lambda: DenseTensor.from_array(np.array([[True, False]])),
+                r"tensor data\[0\]\[0\] must be a number",
+            ),
+            (
+                lambda: fold(np.ones((2, 2)), 0, (2, 2.5)),
+                r"shape\[1\] must be an integer, got 2.5",
+            ),
+        ],
+        ids=["shape-half", "shape-bool", "shape-str", "data-str", "data-bool",
+             "from-array-bool", "fold-shape-half"],
+    )
+    def test_non_number_rejected(self, build, message):
+        # int(s) and float casts ran these without a word
+        with pytest.raises(ValueError, match=f"^{message}"):
+            build()
+
     def test_immutable(self):
         x = DenseTensor((2, 2), range(4))
         with pytest.raises(ValueError):
