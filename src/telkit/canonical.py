@@ -8,8 +8,9 @@ echo is written from its dataclass fields by name.  Config objects read
 back in go through ``check_keys``, so a typo'd key fails.  ``check_number``
 is the one number rule of every value telkit builds from outside, and
 ``check_array`` its form for each entry of an array; configs, specs,
-ranks, tensors, datasets, ``pca_fit`` and the model reader run them.  A
-float array's finiteness is checked by the model that holds it.
+ranks, seeds, tensors, datasets, the model reader and every array a
+caller hands to a learner's prediction, PCA and the tensor kernels run
+them.  A float array's finiteness is checked by its holder.
 """
 
 from __future__ import annotations

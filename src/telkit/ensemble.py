@@ -53,7 +53,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _pool
-from .canonical import check_array
+from .canonical import check_array, check_number
 from .hosvd import MultilinearRank, hosvd_factors
 from .learners import (ClassifierSpec, KnnModel, TrainedModel, VectorDataset,
                        fit, majority_labels)
@@ -235,6 +235,7 @@ def telvi_fit_regrouped(
     ``shape``.  Learner (n, r) trains with seed mix_seed(seed, flat index),
     so a parallel training schedule cannot change the result.
     """
+    seed = check_number(seed, "seed", integral=True)
     keys = sorted(datasets)
     class_labels = two_class_labels(datasets[keys[0]].labels, "training")
     rows = sum(datasets[key].n_samples for key in keys)
@@ -357,6 +358,8 @@ def bagging_fit_reduced(
     ``shape`` flattened and projected by ``pca``.
     """
     class_labels = two_class_labels(reduced.labels, "training")
+    seed = check_number(seed, "seed", integral=True)
+    n_estimators = check_number(n_estimators, "n_estimators", integral=True)
     if n_estimators < 1:
         raise ValueError(f"n_estimators must be >= 1, got {n_estimators}")
     bootstrap_seeds = [mix_seed(seed, e) for e in range(n_estimators)]

@@ -36,7 +36,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import _pool
-from .canonical import check_number
+from .canonical import check_array, check_number
 from .linalg import _canonicalize_signs
 from .tensor import DenseTensor, _mode_product, frobenius_norm
 
@@ -155,7 +155,7 @@ def _chunk_factors(shared, start: int) -> list[np.ndarray]:
 
 
 def _multiply(x: DenseTensor, matrices: Sequence[np.ndarray]) -> DenseTensor:
-    """``x`` times ``matrices[n]`` along every mode n, unchecked.
+    """``x`` times the float64 ``matrices[n]`` along every mode n, unchecked.
 
     Each mode is one ``tensor._mode_product`` on a plain array, so only the
     result is wrapped in a DenseTensor; its bits are those of chained
@@ -163,7 +163,7 @@ def _multiply(x: DenseTensor, matrices: Sequence[np.ndarray]) -> DenseTensor:
     """
     array = x.to_array()
     for n, matrix in enumerate(matrices):
-        array = _mode_product(array, np.asarray(matrix, dtype=np.float64), n)
+        array = _mode_product(array, matrix, n)
     return DenseTensor.from_array(array)
 
 
@@ -205,21 +205,22 @@ def hosvd(x: DenseTensor, rank: Sequence[int]) -> HosvdFactors:
 
 
 def reconstruct(f: HosvdFactors) -> DenseTensor:
-    """Multiply the core by every factor along its mode."""
+    """Multiply the core by every factor, read by ``check_array``, along its mode."""
     if f.core.order != len(f.factors):
         raise ValueError(
             f"core order {f.core.order} does not match "
             f"{len(f.factors)} factors"
         )
-    for n, factor in enumerate(f.factors):
+    factors = [check_array(m, f"factors[{n}]") for n, m in enumerate(f.factors)]
+    for n, factor in enumerate(factors):
+        if factor.ndim != 2:
+            raise ValueError("factor must be a 2-d matrix")
         if factor.shape[1] != f.core.shape[n]:
             raise ValueError(
                 f"factor {n} has {factor.shape[1]} columns but core mode "
                 f"{n} has size {f.core.shape[n]}"
             )
-    if any(np.ndim(factor) != 2 for factor in f.factors):
-        raise ValueError("factor must be a 2-d matrix")
-    return _multiply(f.core, f.factors)
+    return _multiply(f.core, factors)
 
 
 def relative_error(x: DenseTensor, approx: DenseTensor) -> float:

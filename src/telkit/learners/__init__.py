@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .base import Scaler, VectorDataset, accuracy, check_finite, majority_labels
+from .base import Scaler, VectorDataset, accuracy, check_features, majority_labels
 from .grid import grid_search_cv, kfold_indices
 from .knn import KnnModel, fit_knn
 from .logit import LogitModel, fit_logit, logit_gradient, logit_loss
@@ -58,5 +58,5 @@ def fit(spec: ClassifierSpec, data: VectorDataset, seed: int) -> TrainedModel:
     """Train a base learner of the spec's kind; deterministic per seed."""
     if data.n_samples == 0:
         raise ValueError("cannot fit on an empty dataset")
-    check_finite(data.features)
+    check_features(data.features, data.n_features)
     return _FITTERS[spec.kind](spec, data, seed)

@@ -1,4 +1,5 @@
-"""Shared learner plumbing: datasets, standardization, the plurality vote."""
+"""Shared learner plumbing: datasets, standardization, the plurality vote, and
+``check_features``, every learner's input read by ``canonical.check_array``."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import numpy as np
 from ..canonical import check_array
 
 __all__ = ["VectorDataset", "Scaler", "standardize_fit", "majority_labels",
-           "two_class_labels", "check_finite", "check_finite_field",
+           "two_class_labels", "check_finite_field",
            "check_shape", "check_rank", "check_features", "accuracy"]
 
 
@@ -87,14 +88,6 @@ def two_class_labels(labels: np.ndarray, who: str) -> np.ndarray:
     return class_labels
 
 
-def check_finite(X: np.ndarray) -> None:
-    """Reject NaN or infinite features, naming the first such row."""
-    finite = np.isfinite(X)
-    if not finite.all():
-        row = int(np.argmin(finite.all(axis=1)))
-        raise ValueError(f"feature row {row} has a non-finite value")
-
-
 def check_finite_field(name: str, values) -> None:
     """Reject a model field ``name`` whose ``values`` (an array or a
     number) hold NaN or an infinity: the one finiteness rule of every
@@ -120,7 +113,8 @@ def check_rank(name: str, array: np.ndarray, ndim: int) -> None:
 
 
 def check_features(X: np.ndarray, expected_width: int) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
+    """Every learner's input: finite float64 rows of ``expected_width`` features."""
+    X = check_array(X, "features")
     if X.ndim != 2:
         raise ValueError("features must be a 2-d matrix")
     if X.shape[1] != expected_width:
@@ -128,7 +122,10 @@ def check_features(X: np.ndarray, expected_width: int) -> np.ndarray:
             f"feature width {X.shape[1]} does not match training width "
             f"{expected_width}"
         )
-    check_finite(X)
+    finite = np.isfinite(X)
+    if not finite.all():
+        row = int(np.argmin(finite.all(axis=1)))
+        raise ValueError(f"feature row {row} has a non-finite value")
     return X
 
 

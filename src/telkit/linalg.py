@@ -5,7 +5,8 @@ the sign convention and the rank-clamping contract that the pipeline
 relies on.  Sign canonicalization: in every column the entry of largest
 magnitude is made nonnegative (ties go to the lowest row index), so
 repeated runs produce bit-identical components.  HOSVD applies the same
-rule to its factor matrices through ``_canonicalize_signs``.
+rule to its factor matrices through ``_canonicalize_signs``.  The data of
+``pca_fit`` and ``pca_transform`` is read by ``canonical.check_array``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import check_number
+from .canonical import check_array, check_number
 from .learners.base import check_finite_field
 
 __all__ = ["PcaModel", "pca_fit", "pca_transform"]
@@ -55,7 +56,7 @@ def pca_fit(data: np.ndarray, r: int) -> PcaModel:
     min(samples, features).  Raises ValueError on empty or non-finite input.
     """
     r = check_number(r, "retained dimension", True)
-    data = np.asarray(data, dtype=np.float64)
+    data = check_array(data, "pca data")
     if data.ndim != 2:
         raise ValueError("pca_fit expects a 2-d samples-by-features matrix")
     if data.shape[0] < 2:
@@ -76,7 +77,7 @@ def pca_fit(data: np.ndarray, r: int) -> PcaModel:
 
 def pca_transform(model: PcaModel, data: np.ndarray) -> np.ndarray:
     """Project rows of ``data`` onto the fitted components."""
-    data = np.asarray(data, dtype=np.float64)
+    data = check_array(data, "pca data")
     if data.ndim != 2 or data.shape[1] != model.mean.size:
         raise ValueError(
             f"data width {data.shape[1] if data.ndim == 2 else 'n/a'} does "

@@ -3,8 +3,11 @@
 Every component that needs its own random stream (one per base learner,
 per bootstrap resample, per synthetic class) derives a child seed from
 the master seed and its integer coordinates.  Results are therefore
-independent of training/execution order.
+independent of training/execution order.  The master seed, any int, is
+read by ``canonical.check_number``.
 """
+
+from .canonical import check_number
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -23,7 +26,7 @@ def mix_seed(seed: int, *parts: int) -> int:
     The mixing is a splitmix64 chain: each part is absorbed and the
     state is scrambled, so (seed, 1, 0) and (seed, 0, 1) land far apart.
     """
-    state = seed & _MASK
+    state = check_number(seed, "seed", integral=True) & _MASK
     state = _splitmix64(state)
     for part in parts:
         state = _splitmix64(state ^ (part & _MASK))

@@ -7,12 +7,14 @@ columns of the unfolding are the mode-n fibers, enumerated so that the
 lowest surviving index varies fastest.  ``mode_n_product`` checks its
 operands and runs ``_mode_product``, the one product kernel, which
 ``hosvd._multiply`` also runs, mode after mode, on plain arrays.  Shapes
-are read by ``canonical.check_number`` and data by ``check_array``.
+are read by ``canonical.check_number``, and data, ``fold``'s matrix,
+``mode_n_product``'s factor and ``outer_product``'s vectors by ``check_array``.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,9 +65,7 @@ class DenseTensor:
     @classmethod
     def from_array(cls, array: np.ndarray) -> "DenseTensor":
         """Build a tensor from an N-d array (values copied)."""
-        array = check_array(array, "tensor data")
-        if array.ndim < 1:
-            array = array.reshape(1)
+        array = np.atleast_1d(check_array(array, "tensor data"))
         return cls(array.shape, array.ravel(order="F"))
 
     @property
@@ -130,7 +130,7 @@ def unfold(tensor: DenseTensor, mode: int) -> np.ndarray:
 def fold(matrix: np.ndarray, mode: int, shape: Sequence[int]) -> DenseTensor:
     """Inverse of :func:`unfold`: rebuild the tensor of ``shape``."""
     shape = tuple(check_number(s, f"shape[{n}]", True) for n, s in enumerate(shape))
-    matrix = np.asarray(matrix, dtype=np.float64)
+    matrix = check_array(matrix, "matrix")
     if matrix.ndim != 2:
         raise ValueError("fold expects a 2-d matrix")
     if not 0 <= mode < len(shape):
@@ -154,7 +154,7 @@ def mode_n_product(
     result equals ``factor @ unfold(tensor, mode)``.
     """
     _require_mode(tensor, mode)
-    factor = np.asarray(factor, dtype=np.float64)
+    factor = check_array(factor, "factor")
     if factor.ndim != 2:
         raise ValueError("factor must be a 2-d matrix")
     if factor.shape[1] != tensor.shape[mode]:
@@ -189,15 +189,8 @@ def outer_product(vectors: Sequence[np.ndarray]) -> DenseTensor:
     """Outer product of N vectors: a rank-1 tensor of order N."""
     if len(vectors) == 0:
         raise ValueError("outer_product needs at least one vector")
-    arrays = [np.asarray(v, dtype=np.float64).ravel() for v in vectors]
-    if any(a.size == 0 for a in arrays):
-        raise ValueError("outer_product vectors must be nonempty")
-    result = arrays[0]
-    for vec in arrays[1:]:
-        result = np.multiply.outer(result, vec)
-    if result.ndim == 1:
-        return DenseTensor((result.size,), result)
-    return DenseTensor.from_array(result)
+    arrays = [check_array(v, f"vectors[{k}]").ravel() for k, v in enumerate(vectors)]
+    return DenseTensor.from_array(reduce(np.multiply.outer, arrays))
 
 
 def frobenius_norm(tensor: DenseTensor) -> float:

@@ -30,7 +30,8 @@ from telkit.ensemble import (
     telvi_predict,
 )
 from telkit.hosvd import _search, clamp_rank, hosvd, hosvd_factors, rank_search
-from telkit.learners import ClassifierSpec, VectorDataset, fit, majority_labels
+from telkit.learners import (ClassifierSpec, VectorDataset, fit, grid_search_cv,
+                             majority_labels)
 from telkit.linalg import pca_fit, pca_transform
 from telkit.seeding import mix_seed
 from telkit.tensor import DenseTensor, outer_product
@@ -593,6 +594,54 @@ class TestPredictVotes:
         model = telvi_fit(data, (2, 2, 1), KINDS["knn"], 5)
         with pytest.raises(ValueError, match="at least one sample"):
             predict_votes(model, [])
+
+
+class TestSeedRule:
+    """A seed, and bagging's estimator count, are read by
+    ``canonical.check_number``: a numpy int is its int, a bool fails."""
+
+    SVM = ClassifierSpec("svm", {"max_passes": 3})
+    KNN = ClassifierSpec("knn", {"k": 1})
+
+    def test_mix_seed_reads_a_numpy_int_as_its_int(self):
+        assert mix_seed(np.int64(3), 1) == mix_seed(3, 1)
+        assert mix_seed(np.uint64(2**64 - 1), 5) == mix_seed(-1, 5)
+        with pytest.raises(ValueError, match="^seed must be a number, got True$"):
+            mix_seed(True, 1)
+
+    def test_numpy_int_seeds_train_as_their_ints(self):
+        rng = np.random.default_rng(607)
+        data = random_dataset(rng, (3, 2), 6)
+        flat = VectorDataset(flatten_samples(data.samples), data.labels)
+        probes = rng.standard_normal((10, 6))
+        assert np.array_equal(fit(self.SVM, flat, np.int64(3)).predict(probes),
+                              fit(self.SVM, flat, 3).predict(probes))
+        assert grid_search_cv([self.KNN, self.SVM], [flat], 3, np.int64(3)) is \
+            grid_search_cv([self.KNN, self.SVM], [flat], 3, 3)
+        telvi = telvi_fit(data, (1, 1), self.KNN, np.int64(3))
+        bagged = bagging_fit(data, np.int64(2), 3, self.KNN, np.int64(3))
+        assert type(telvi.seed) is int and telvi.seed == 3
+        assert type(bagged.seed) is int and bagged.seed == 3
+        assert bagged.n_estimators == 2
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda data, knn: telvi_fit(data, (1, 1), knn, True),
+             "seed must be a number, got True"),
+            (lambda data, knn: bagging_fit(data, 2, 3, knn, True),
+             "seed must be a number, got True"),
+            (lambda data, knn: bagging_fit(data, True, 3, knn, 0),
+             "n_estimators must be a number, got True"),
+            (lambda data, knn: bagging_fit(data, 2.5, 3, knn, 0),
+             "n_estimators must be an integer, got 2.5"),
+        ],
+        ids=["telvi-seed", "bagging-seed", "n_estimators-bool", "n_estimators-half"],
+    )
+    def test_a_bool_seed_or_estimator_count_fails(self, build, message):
+        data = random_dataset(np.random.default_rng(613), (3, 2), 6)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(data, self.KNN)
 
 
 class TestMajorityErrorProbability:

@@ -34,8 +34,8 @@ from telkit.experiment import (
     write_learner_csv,
     write_report,
 )
-from telkit.hosvd import (hosvd, hosvd_factors, rank_search, reconstruct,
-                          relative_error)
+from telkit.hosvd import (HosvdFactors, hosvd, hosvd_factors, rank_search,
+                          reconstruct, relative_error)
 from telkit.io import save_tensor_dataset
 from telkit.learners import (
     BinarySvm,
@@ -533,6 +533,23 @@ class TestModelFiles:
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         save_model(model, a)
         save_model(model, b)
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("seed", [-1, 2**70], ids=["-1", "2**70"])
+    @pytest.mark.parametrize("method", ["telvi", "bagging"])
+    def test_any_int_seed_round_trips(self, tmp_path, method, seed):
+        # a library caller may pass any int seed; the reader puts no range on it
+        data = tiny_tensor_dataset(np.random.default_rng(449))
+        knn = ClassifierSpec("knn", {"k": 1})
+        if method == "telvi":
+            model = telvi_fit(data, (1, 1, 1), knn, seed)
+        else:
+            model = bagging_fit(data, 2, 3, knn, seed)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        save_model(model, a)
+        loaded = load_model(a)
+        assert loaded.seed == seed
+        save_model(loaded, b)
         assert a.read_bytes() == b.read_bytes()
 
     @staticmethod
@@ -1988,6 +2005,62 @@ class TestCpuCount:
         assert messages[0].startswith("tune stage failed: no svm for seed ")
         assert lines[0] == lines[1] == f"error: ExperimentError: {messages[0]}\n"
         assert not (tmp_path / "report.json").exists()
+
+
+def spoiled(array, case):
+    """``array`` as nested lists with one entry made a str or a bool, or
+    its last row cut short ("ragged"); a 1-d array's first entry becomes a
+    one-entry list in that case."""
+    rows = np.asarray(array).tolist()
+    if case == "ragged":
+        if isinstance(rows[0], list):
+            rows[-1] = rows[-1][:-1]
+        else:
+            rows[0] = [rows[0]]
+    else:
+        row = rows[0] if isinstance(rows[0], list) else rows
+        row[0] = {"str": "1", "bool": True}[case]
+    return rows
+
+
+def _learner(kind):
+    rng = np.random.default_rng(457)
+    features = np.vstack([rng.standard_normal((6, 2)), 4.0 + rng.standard_normal((6, 2))])
+    return fit(ClassifierSpec(kind, {}), VectorDataset(features, [0] * 6 + [1] * 6), 0)
+
+
+def _reconstruct(factor):
+    f = hosvd(DenseTensor.from_array(np.arange(12.0).reshape(3, 4)), (2, 2))
+    return reconstruct(HosvdFactors(f.core, [f.factors[0], factor], f.effective_rank))
+
+
+class TestCallerArrays:
+    """Every array telkit takes from a caller is read by
+    ``canonical.check_array``: a str, a bool or a ragged row fails naming
+    its field, where a float cast coerced it or failed without a name."""
+
+    X = np.arange(6.0).reshape(3, 2)
+    # (entry point, its field, the call on a spoiled array)
+    ENTRIES = [
+        *((f"{kind}.predict", "features", lambda a, kind=kind: _learner(kind).predict(a))
+          for kind in ["knn", "tree", "logit", "svm"]),
+        ("pca_fit", "pca data", lambda a: pca_fit(a, 1)),
+        ("pca_transform", "pca data", lambda a: pca_transform(pca_fit(np.eye(3)[:, :2], 1), a)),
+        ("fold", "matrix", lambda a: tk.fold(a, 0, (3, 2))),
+        ("mode_n_product", "factor",
+         lambda a: tk.mode_n_product(DenseTensor.from_array(np.ones((3, 2))), a, 1)),
+        ("outer_product", "vectors[1]", lambda a: tk.outer_product([[1.0, 2.0], a])),
+        ("reconstruct", "factors[1]", _reconstruct),
+    ]
+    VALID = {"outer_product": np.arange(3.0), "reconstruct": np.eye(4)[:, :2]}
+
+    @pytest.mark.parametrize("case", ["str", "bool", "ragged"])
+    @pytest.mark.parametrize("name, field, call", ENTRIES, ids=[e[0] for e in ENTRIES])
+    def test_a_spoiled_array_fails_naming_its_field(self, name, field, call, case):
+        valid = self.VALID.get(name, self.X)
+        call(valid)  # the unspoiled array is accepted
+        with pytest.raises(ValueError, match=rf"^{re.escape(field)}\[[0-9]+\]"):
+            call(spoiled(valid, case))
 
 
 class TestPublicSurface:

@@ -316,13 +316,16 @@ class TestMultiply:
         assert same_bits(result.to_array(), defined.to_array())
         return result
 
-    def test_reconstruct_rejects_a_factor_that_is_not_a_matrix(self):
+    @pytest.mark.parametrize(
+        "spoil", [lambda m: m[:, :, None], lambda m: m[:, 0]], ids=["3-d", "1-d"]
+    )
+    def test_reconstruct_rejects_a_factor_that_is_not_a_matrix(self, spoil):
         rng = np.random.default_rng(223)
         f = hosvd(random_tensor(rng, (3, 3)), (2, 2))
         from telkit.hosvd import HosvdFactors
 
         stacked = HosvdFactors(
-            core=f.core, factors=[f.factors[0], f.factors[1][:, :, None]],
+            core=f.core, factors=[f.factors[0], spoil(f.factors[1])],
             effective_rank=f.effective_rank,
         )
         with pytest.raises(ValueError, match="^factor must be a 2-d matrix$"):

@@ -258,6 +258,10 @@ class TestOuterProduct:
         with pytest.raises(ValueError, match="at least one"):
             outer_product([])
 
+    def test_empty_vector_rejected_by_the_tensor_rule(self):
+        with pytest.raises(ValueError, match=r"^all dimensions must be >= 1, got \(2, 0\)$"):
+            outer_product([np.array([1.0, 2.0]), np.array([])])
+
     def test_every_unfolding_has_rank_one(self):
         rng = np.random.default_rng(29)
         for _ in range(10):
