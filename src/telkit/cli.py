@@ -25,7 +25,7 @@ from .experiment import (
     write_learner_csv,
     write_report,
 )
-from .hosvd import _decompositions, relative_error, reconstruct
+from .hosvd import _reconstruction_errors
 from .io import load_tensor_dataset, save_tensor_dataset
 from .learners import accuracy, majority_labels
 from .model_io import load_model, save_model
@@ -70,10 +70,7 @@ def _load_cli_dataset(args):
 def _cmd_decompose(args) -> int:
     data = _load_cli_dataset(args)
     rank = _parse_rank(args.rank)
-    errors = []
-    for factors, x in zip(_decompositions(data.samples, rank), data.samples):
-        effective = factors.effective_rank
-        errors.append(relative_error(x, reconstruct(factors)))
+    effective, errors = _reconstruction_errors(data.samples, rank)
     mean_error = float(np.mean(errors))
     print(
         f"rank={','.join(map(str, effective))} samples={data.n_samples} "

@@ -24,8 +24,9 @@ estimator fits on two classes or more.  Training labels pass
 ``learners.base.two_class_labels``, the one training-set rule of every
 fit.  Each model checks itself when it is built, by a fit or the model
 reader alike: ``TelviModel`` its rank against its shape and one learner
-key per factor column, ``BaggingModel`` its PCA against its shape, and
-all three each voter's width and class labels (``_check_voter``).
+key per factor column, ``BaggingModel`` its PCA against its shape and
+one bootstrap seed in [0, 2**64) per estimator, and all three each
+voter's width and class labels (``_check_voter``).
 
 ``predict_votes`` is the one prediction path of every model kind, used by
 the harness, the CLI and ``telvi_predict``/``bagging_predict``; for step 4
@@ -304,6 +305,14 @@ class BaggingModel:
         for e, learner in enumerate(self.estimators):
             _check_voter(learner, f"bagging estimator {e}", self.pca.retained,
                          self.class_labels)
+        if len(self.bootstrap_seeds) != len(self.estimators):
+            raise ValueError(f"bagging bootstrap_seeds has length "
+                             f"{len(self.bootstrap_seeds)}, expected "
+                             f"{len(self.estimators)}, one per estimator")
+        for e, seed in enumerate(self.bootstrap_seeds):
+            if not 0 <= seed < 2**64:  # the range of mix_seed
+                raise ValueError(f"bagging bootstrap_seeds[{e}] must be in "
+                                 f"[0, 2**64), got {seed}")
 
     @property
     def n_estimators(self) -> int:

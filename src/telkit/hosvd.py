@@ -14,17 +14,19 @@ same-shape samples per mode and makes one stacked LAPACK SVD call per
 chunk of samples and mode, keeping the factors only.  Each LAPACK call
 sees one matrix, so the chunks are exact on their own: a batch of at
 least ``_POOL_ENTRIES`` samples x tensor entries runs its chunks on
-``telkit._pool``, a smaller one in the process.  ``_decompositions``
-adds each sample's core from column slices of one full-rank kernel call;
-``hosvd`` runs it on a batch of one, ``rank_search`` and ``telkit
-decompose`` on a whole sample set, so every decomposition in telkit gives
-the same factor and core bits.  A rank search hands its full-rank factors
-on (``_search``), so a rank-searched telvi run decomposes each training
+``telkit._pool``, a smaller one in the process.  ``_multiply``, the one
+"tensor times matrices" loop (Kolda & Bader, 2009), runs
+``tensor._mode_product``, the batched product kernel, once per mode on a
+chunk of ``_CHUNK`` samples laid out as one F-ordered batch;
+``_chunk_cores`` builds every chunk's cores with it, from column slices
+of one full-rank kernel call.  ``hosvd`` runs that path on a batch of
+one, ``rank_search`` and ``telkit decompose`` (``_reconstruction_errors``)
+on a whole sample set, and each item of a batched product has the bits
+of a batch of one, so every decomposition in telkit gives the same factor
+and core bits.  A rank search hands its full-rank factors on
+(``_search``), so a rank-searched telvi run decomposes each training
 sample once: its learners' factor columns are the leading columns of the
-factors the search already computed.  ``_multiply``, the one "tensor times
-matrices" loop (Kolda & Bader, 2009), builds every core and reconstruction
-on plain arrays, one ``tensor._mode_product`` per mode, and wraps a
-DenseTensor only around the result.
+factors the search already computed.
 """
 
 from __future__ import annotations
@@ -154,54 +156,60 @@ def _chunk_factors(shared, start: int) -> list[np.ndarray]:
     return factors
 
 
-def _multiply(x: DenseTensor, matrices: Sequence[np.ndarray]) -> DenseTensor:
-    """``x`` times the float64 ``matrices[n]`` along every mode n, unchecked.
+def _batch(samples: Sequence[DenseTensor]) -> np.ndarray:
+    """The ``samples`` as one batch in ``tensor._mode_product``'s layout."""
+    flat = np.stack([x.data for x in samples])
+    return flat.T.reshape(samples[0].shape + (len(samples),), order="F")
 
-    Each mode is one ``tensor._mode_product`` on a plain array, so only the
-    result is wrapped in a DenseTensor; its bits are those of chained
-    ``mode_n_product`` calls.
-    """
-    array = x.to_array()
+
+def _multiply(batch: np.ndarray, matrices: Sequence[np.ndarray]) -> np.ndarray:
+    """Every item of ``batch`` times the float64 ``matrices[n]`` along every
+    mode n, unchecked: one ``tensor._mode_product`` per mode, ``matrices[n]``
+    shared by the items (2-d) or one per item (3-d, batch first)."""
     for n, matrix in enumerate(matrices):
-        array = _mode_product(array, matrix, n)
-    return DenseTensor.from_array(array)
+        batch = _mode_product(batch, matrix, n)
+    return batch
 
 
-def _decompositions(
+def _leading(
     samples: Sequence[DenseTensor], rank: Sequence[int]
-) -> Iterator[HosvdFactors]:
-    """Each sample's decomposition at ``rank`` (clamped), in order, from
-    one full-rank ``hosvd_factors`` call."""
+) -> tuple[list[np.ndarray], MultilinearRank]:
+    """The factor stacks of every sample at ``rank`` (clamped), as column
+    slices of one full-rank ``hosvd_factors`` call.
+
+    Rank-R factors are prefixes of the full-rank ones, and the rounding
+    of a product depends on its factors' memory layout, which slices keep:
+    a core has the same bits whatever the batch it was decomposed in.
+    """
     if len(samples) == 0:
         raise ValueError("hosvd needs at least one sample")
     shape = samples[0].shape
     effective = clamp_rank(rank, shape)
     stacks, _ = hosvd_factors(samples, shape)
-    return _sliced(samples, stacks, effective)
+    return [stack[:, :, :r] for stack, r in zip(stacks, effective)], effective
 
 
-def _sliced(
-    samples: Sequence[DenseTensor],
-    stacks: Sequence[np.ndarray],
-    rank: MultilinearRank,
-) -> Iterator[HosvdFactors]:
-    """Each sample's decomposition at ``rank`` from the full-rank factor
-    ``stacks`` of ``hosvd_factors(samples, shape)``.
-
-    The factors are column slices of the full-rank factors (rank-R factors
-    are their prefixes): the rounding of the core's products depends on
-    the factors' memory layout, and slices keep it, so a core has the same
-    bits whatever the batch it was decomposed in.
-    """
-    for m, x in enumerate(samples):
-        factors = [stack[m, :, :r] for stack, r in zip(stacks, rank)]
-        core = _multiply(x, [factor.T for factor in factors])
-        yield HosvdFactors(core=core, factors=factors, effective_rank=rank)
+def _chunk_cores(
+    samples: Sequence[DenseTensor], stacks: Sequence[np.ndarray]
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """``(part, cores)`` for each chunk ``samples[part]`` of ``_CHUNK``
+    samples: their cores as one batch, each sample times its factors
+    ``stacks[n][m]`` transposed, one kernel call per mode."""
+    for start in range(0, len(samples), _CHUNK):
+        part = slice(start, start + _CHUNK)
+        factors = [stack[part].transpose(0, 2, 1) for stack in stacks]
+        yield part, _multiply(_batch(samples[part]), factors)
 
 
 def hosvd(x: DenseTensor, rank: Sequence[int]) -> HosvdFactors:
     """Decompose ``x`` at multilinear rank ``rank`` (clamped per mode)."""
-    return next(_decompositions([x], rank))
+    stacks, effective = _leading([x], rank)
+    _, cores = next(_chunk_cores([x], stacks))
+    return HosvdFactors(
+        core=DenseTensor.from_array(cores[..., 0]),
+        factors=[stack[0] for stack in stacks],
+        effective_rank=effective,
+    )
 
 
 def reconstruct(f: HosvdFactors) -> DenseTensor:
@@ -220,7 +228,24 @@ def reconstruct(f: HosvdFactors) -> DenseTensor:
                 f"factor {n} has {factor.shape[1]} columns but core mode "
                 f"{n} has size {f.core.shape[n]}"
             )
-    return _multiply(f.core, factors)
+    product = _multiply(f.core.to_array()[..., None], factors)
+    return DenseTensor.from_array(product[..., 0])
+
+
+def _reconstruction_errors(
+    samples: Sequence[DenseTensor], rank: Sequence[int]
+) -> tuple[MultilinearRank, list[float]]:
+    """The clamped ``rank`` and each sample's ``relative_error`` against
+    its reconstruction at that rank, a chunk of samples per kernel call."""
+    stacks, effective = _leading(samples, rank)
+    errors = []
+    for part, cores in _chunk_cores(samples, stacks):
+        approx = _multiply(cores, [stack[part] for stack in stacks])
+        errors += [
+            relative_error(x, DenseTensor.from_array(approx[..., j]))
+            for j, x in enumerate(samples[part])
+        ]
+    return effective, errors
 
 
 def relative_error(x: DenseTensor, approx: DenseTensor) -> float:
@@ -286,9 +311,12 @@ def _search(
         )
     shape = samples[0].shape
     stacks, current = hosvd_factors(samples, shape)
-    energy = np.stack([
-        f.core.to_array() ** 2 for f in _sliced(samples, stacks, current)
-    ])
+    # squared cores in one batch, read sample-first: the layout the
+    # tail sums have always reduced over, so the errors keep their bits
+    energy = np.empty(current + (len(samples),), order="F")
+    for part, cores in _chunk_cores(samples, stacks):
+        np.square(cores, out=energy[..., part])
+    energy = np.moveaxis(energy, -1, 0)
     norms = np.array([frobenius_norm(x) for x in samples])
     while True:
         best = None  # (mean_error, storage, mode, candidate)

@@ -1,12 +1,17 @@
 """Seeded synthetic tensor datasets with per-class low-rank structure.
 
 Each class gets its own random orthonormal factor matrices and a base
-core tensor; a sample is the ``hosvd.reconstruct`` of a slightly perturbed
-core plus elementwise Gaussian noise.  Cores are scaled so the clean samples
-have unit-RMS entries, which makes ``noise_std`` directly comparable
-across shapes and ranks.  ``SyntheticSpec`` reads every number field
-through ``canonical.check_number`` when it is built, in Python or from a
-config, so a shape of 8.7 or a seed of true fails naming its field.
+core tensor; a sample is the reconstruction of a slightly perturbed core
+plus elementwise Gaussian noise.  A class is built in chunks of
+``hosvd._CHUNK`` samples: their cores, one batch, times the class factors
+in one batched ``tensor._mode_product`` per mode (``hosvd._multiply``).
+Each sample's own generator draws its jitter, then its noise, and the
+kernel gives each item the bits of a batch of one, so a sample's bytes do
+not depend on how many samples its class has.  Cores are scaled so the
+clean samples have unit-RMS entries, which makes ``noise_std`` directly
+comparable across shapes and ranks.  ``SyntheticSpec`` reads every number
+field through ``canonical.check_number`` when it is built, in Python or
+from a config, so a shape of 8.7 or a seed of true fails naming its field.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 
 from .canonical import check_keys, check_number, plain
 from .ensemble import LabeledTensorDataset
-from .hosvd import HosvdFactors, reconstruct
+from .hosvd import _CHUNK, _multiply
 from .seeding import mix_seed
 from .tensor import DenseTensor
 
@@ -83,7 +88,6 @@ BENCHMARK_SPEC = SyntheticSpec(
 def synth_generate(spec: SyntheticSpec) -> LabeledTensorDataset:
     """Deterministically generate the dataset described by ``spec``."""
     samples = []
-    labels = []
     # unit-RMS scaling: E||core||^2 = prod(rank) spreads over prod(shape)
     scale = float(np.sqrt(np.prod(spec.shape) / np.prod(spec.rank)))
     for k in range(spec.classes):
@@ -94,18 +98,24 @@ def synth_generate(spec: SyntheticSpec) -> LabeledTensorDataset:
             q, _ = np.linalg.qr(gaussian)
             factors.append(q[:, :r])
         base_core = scale * class_rng.standard_normal(spec.rank)
-        for m in range(spec.samples_per_class):
-            sample_rng = np.random.default_rng(mix_seed(spec.seed, k, m))
-            jitter = CORE_JITTER * scale * sample_rng.standard_normal(spec.rank)
-            core = DenseTensor.from_array(base_core + jitter)
-            clean = reconstruct(HosvdFactors(core, factors, spec.rank))
+        for start in range(0, spec.samples_per_class, _CHUNK):
+            stop = min(start + _CHUNK, spec.samples_per_class)
+            rngs = [np.random.default_rng(mix_seed(spec.seed, k, m))
+                    for m in range(start, stop)]
+            cores = np.empty(spec.rank + (len(rngs),), order="F")
+            for j, sample_rng in enumerate(rngs):
+                jitter = CORE_JITTER * scale * sample_rng.standard_normal(spec.rank)
+                cores[..., j] = base_core + jitter
+            clean = _multiply(cores, factors)
             with np.errstate(over="ignore", invalid="ignore"):
-                noise = spec.noise_std * sample_rng.standard_normal(spec.shape)
-                sample = clean.to_array() + noise
-            if not np.isfinite(sample).all():
-                raise ValueError(
-                    f"noise_std {spec.noise_std} overflows sample {m} of class {k}"
-                )
-            samples.append(DenseTensor.from_array(sample))
-            labels.append(k)
-    return LabeledTensorDataset(samples, np.array(labels, dtype=np.int64))
+                for j, sample_rng in enumerate(rngs):
+                    noise = spec.noise_std * sample_rng.standard_normal(spec.shape)
+                    sample = clean[..., j] + noise
+                    if not np.isfinite(sample).all():
+                        raise ValueError(f"noise_std {spec.noise_std} overflows "
+                                         f"sample {start + j} of class {k}")
+                    samples.append(DenseTensor.from_array(sample))
+            del clean  # one chunk's product held at a time bounds peak memory
+    labels = np.repeat(np.arange(spec.classes, dtype=np.int64),
+                       spec.samples_per_class)
+    return LabeledTensorDataset(samples, labels)

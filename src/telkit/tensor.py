@@ -4,11 +4,19 @@ A :class:`DenseTensor` is an immutable real-valued array of order N >= 1
 whose canonical linearization is column-major (the first index varies
 fastest).  Mode-n unfolding follows the Kolda-Bader convention: the
 columns of the unfolding are the mode-n fibers, enumerated so that the
-lowest surviving index varies fastest.  ``mode_n_product`` checks its
-operands and runs ``_mode_product``, the one product kernel, which
-``hosvd._multiply`` also runs, mode after mode, on plain arrays.  Shapes
-are read by ``canonical.check_number``, and data, ``fold``'s matrix,
-``mode_n_product``'s factor and ``outer_product``'s vectors by ``check_array``.
+lowest surviving index varies fastest.
+
+``_mode_product`` is the one product kernel.  It multiplies a batch of
+same-shape items, laid out as a DenseTensor stores its entries with the
+batch as the last, slowest axis, by one factor shared by the items or one
+per item, in one ``np.matmul`` per mode.  Per item that call sees the
+operand shapes and strides of a lone ``factor @ unfold(x, mode)`` and
+fills a C-contiguous output as it does, so numpy makes the same BLAS call
+for each item: an item has the same bits whatever batch it is in.
+``mode_n_product`` checks its operands and runs the kernel on a batch of
+one.  Shapes are read by ``canonical.check_number``, and data, ``fold``'s
+matrix, ``mode_n_product``'s factor and ``outer_product``'s vectors by
+``check_array``.
 """
 
 from __future__ import annotations
@@ -162,27 +170,42 @@ def mode_n_product(
             f"factor has {factor.shape[1]} columns but mode {mode} has "
             f"size {tensor.shape[mode]}"
         )
-    return DenseTensor.from_array(_mode_product(tensor.to_array(), factor, mode))
+    product = _mode_product(tensor.to_array()[..., None], factor, mode)
+    return DenseTensor.from_array(product[..., 0])
 
 
-def _mode_product(array: np.ndarray, factor: np.ndarray, mode: int) -> np.ndarray:
-    """``factor`` times ``array`` along ``mode``, unchecked, on plain arrays.
+def _mode_product(batch: np.ndarray, factor: np.ndarray, mode: int) -> np.ndarray:
+    """``factor`` times every item of ``batch`` along ``mode``, unchecked.
 
-    The one product kernel: ``array`` is laid out as a DenseTensor stores
-    its entries, unfolded as :func:`unfold` does, and the product is folded
-    back as :func:`fold` does and laid out the same way, so chained calls
-    round exactly as chained :func:`mode_n_product` calls do.
+    ``batch`` holds M items laid out as a DenseTensor stores its entries,
+    the batch being its last, slowest axis; ``factor`` is shared by the
+    items (2-d) or one per item (3-d, batch first).  Each item is unfolded
+    as :func:`unfold` does and folded back as :func:`fold` does, so chained
+    calls round as chained :func:`mode_n_product` calls do.  The batch
+    axis changes no item's strides, nor whether its unfolding is a view or
+    a copy; items stacked in C order, or one GEMM over all items with a
+    shared factor, would change the BLAS call, and so the bits, where an
+    unfolding has one row or column.
     """
-    # the transposes are np.moveaxis(array, mode, 0) and its inverse, the
-    # same views without moveaxis's axis normalization
-    others = tuple(range(mode)) + tuple(range(mode + 1, array.ndim))
-    unfolded = array.transpose((mode,) + others).reshape(
-        array.shape[mode], -1, order="F"
+    # the transposes are np.moveaxis(item, mode, 0) and its inverse, with
+    # the batch axis kept last
+    shape, order = batch.shape, batch.ndim - 1
+    others = (*range(mode), *range(mode + 1, order))
+    unfolded = batch.transpose(mode, *others, order).reshape(
+        shape[mode], -1, shape[-1], order="F"
     )
-    rest = tuple(array.shape[a] for a in others)
-    moved = (factor @ unfolded).reshape((factor.shape[0],) + rest, order="F")
-    result = moved.transpose(tuple(range(1, mode + 1)) + (0,) + others[mode:])
-    return result.ravel(order="F").reshape(result.shape, order="F")
+    product = np.matmul(factor, unfolded.transpose(2, 0, 1))
+    # each item's product is C-ordered (R, P), so the transposed batch is
+    # F-ordered (P, R, M), and P splits over the other modes as fold does
+    moved = product.T.reshape(
+        shape[:mode] + shape[mode + 1 : -1] + product.shape[1:2] + shape[-1:],
+        order="F",
+    )
+    if mode == order - 1:  # R is already in place: the batch's layout
+        return moved
+    return moved.transpose(
+        *range(mode), order - 1, *range(mode, order - 1), order
+    ).copy(order="F")
 
 
 def outer_product(vectors: Sequence[np.ndarray]) -> DenseTensor:

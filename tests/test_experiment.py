@@ -753,10 +753,31 @@ class TestModelFiles:
                 lambda p: add_knn_label(p["estimators"][0], 5),
                 r"^bagging estimator 0 has class labels \[0, 1, 5\] outside",
             ),
+            (
+                lambda p: p["bootstrap_seeds"].pop(),
+                r"^bagging bootstrap_seeds has length 2, expected 3, one per "
+                r"estimator$",
+            ),
+            (
+                lambda p: p["bootstrap_seeds"].append(p["bootstrap_seeds"][0]),
+                r"^bagging bootstrap_seeds has length 4, expected 3, one per "
+                r"estimator$",
+            ),
+            (
+                lambda p: p["bootstrap_seeds"].__setitem__(1, -5),
+                r"^bagging bootstrap_seeds\[1\] must be in \[0, 2\*\*64\), got -5$",
+            ),
+            (
+                lambda p: p["bootstrap_seeds"].__setitem__(2, 2**70),
+                r"^bagging bootstrap_seeds\[2\] must be in \[0, 2\*\*64\), "
+                rf"got {2**70}$",
+            ),
         ],
         ids=[
             "estimator-width", "pca-mean-length", "pca-components-rows",
             "pca-components-flat", "estimator-class-labels",
+            "bootstrap-seed-dropped", "bootstrap-seed-appended",
+            "bootstrap-seed-negative", "bootstrap-seed-2**70",
         ],
     )
     def test_tampered_bagging_model_rejected(self, tmp_path, tamper, message):
@@ -819,6 +840,18 @@ class TestModelFiles:
             "bagging",
             lambda m: {"class_labels": np.array([0])},
             r"^bagging estimator 0 has class labels \[0, 1\] outside",
+        ),
+        "bagging-bootstrap-seeds-length": (
+            "bagging",
+            lambda m: {"bootstrap_seeds": m.bootstrap_seeds[:2]},
+            r"^bagging bootstrap_seeds has length 2, expected 3, one per "
+            r"estimator$",
+        ),
+        "bagging-bootstrap-seed-range": (
+            "bagging",
+            lambda m: {"bootstrap_seeds": [*m.bootstrap_seeds[:2], 2**64]},
+            r"^bagging bootstrap_seeds\[2\] must be in \[0, 2\*\*64\), "
+            rf"got {2**64}$",
         ),
         "single-width": (
             "single", lambda m: {"shape": (3, 4, 3)},

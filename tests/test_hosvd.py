@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from telkit.hosvd import (
+    HosvdFactors,
+    _batch,
+    _chunk_cores,
+    _leading,
     _multiply,
+    _reconstruction_errors,
     _storage,
     _tail_errors,
     clamp_rank,
@@ -281,9 +286,9 @@ class TestHosvdFactors:
 
 
 class TestMultiply:
-    """``_multiply`` runs every mode product on plain arrays and wraps one
-    DenseTensor; its bits are those of chained public ``mode_n_product``
-    calls and of the fold-of-unfolded-product definition."""
+    """``_multiply`` runs every mode product of a batch on plain arrays; the
+    bits of each item are those of chained public ``mode_n_product`` calls
+    and of the fold-of-unfolded-product definition."""
 
     @pytest.mark.parametrize(
         "shape",
@@ -296,25 +301,28 @@ class TestMultiply:
         stacks, full = hosvd_factors(samples, shape)
         ranks = {full, tuple(1 for _ in shape), tuple(max(1, r - 1) for r in full)}
         for rank in sorted(ranks):
-            for m, x in enumerate(samples):
-                # the transposed column slices ``_decompositions`` passes,
-                # then the plain slices ``reconstruct`` multiplies by
-                views = [stack[m, :, :r].T for stack, r in zip(stacks, rank)]
-                core = self.checked_multiply(x, views)
-                self.checked_multiply(core, [v.T for v in views])
+            # the transposed column slices ``_chunk_cores`` passes, then
+            # the plain slices ``_reconstruction_errors`` multiplies by
+            views = [stack[:, :, :r].transpose(0, 2, 1)
+                     for stack, r in zip(stacks, rank)]
+            cores = self.checked_multiply(samples, views)
+            self.checked_multiply(cores, [v.transpose(0, 2, 1) for v in views])
 
     @staticmethod
-    def checked_multiply(x, matrices):
-        chained, defined = x, x
-        for n, matrix in enumerate(matrices):
-            chained = mode_n_product(chained, matrix, n)
-            new_shape = list(defined.shape)
-            new_shape[n] = matrix.shape[0]
-            defined = fold(matrix @ unfold(defined, n), n, new_shape)
-        result = _multiply(x, matrices)
-        assert same_bits(result.to_array(), chained.to_array())
-        assert same_bits(result.to_array(), defined.to_array())
-        return result
+    def checked_multiply(items, matrices):
+        result = _multiply(_batch(items), matrices)
+        products = []
+        for m, x in enumerate(items):
+            chained, defined = x, x
+            for n, matrix in enumerate(matrices):
+                chained = mode_n_product(chained, matrix[m], n)
+                new_shape = list(defined.shape)
+                new_shape[n] = matrix.shape[1]
+                defined = fold(matrix[m] @ unfold(defined, n), n, new_shape)
+            assert same_bits(result[..., m], chained.to_array())
+            assert same_bits(result[..., m], defined.to_array())
+            products.append(chained)
+        return products
 
     @pytest.mark.parametrize(
         "spoil", [lambda m: m[:, :, None], lambda m: m[:, 0]], ids=["3-d", "1-d"]
@@ -322,8 +330,6 @@ class TestMultiply:
     def test_reconstruct_rejects_a_factor_that_is_not_a_matrix(self, spoil):
         rng = np.random.default_rng(223)
         f = hosvd(random_tensor(rng, (3, 3)), (2, 2))
-        from telkit.hosvd import HosvdFactors
-
         stacked = HosvdFactors(
             core=f.core, factors=[f.factors[0], spoil(f.factors[1])],
             effective_rank=f.effective_rank,
@@ -332,13 +338,78 @@ class TestMultiply:
             reconstruct(stacked)
 
 
+def defined_product(x: DenseTensor, matrices) -> DenseTensor:
+    """``x`` times ``matrices[n]`` along every mode n, one sample at a
+    time by the definition: fold(matrix @ unfold(x, n))."""
+    for n, matrix in enumerate(matrices):
+        shape = x.shape[:n] + (matrix.shape[0],) + x.shape[n + 1 :]
+        x = fold(matrix @ unfold(x, n), n, shape)
+    return x
+
+
+class TestBatchedKernel:
+    """Every core and reconstruction of a batch, with factors shared by
+    its samples or one per sample, has the bytes of the per-sample
+    definition, at any batch size: the kernel's per-item rule."""
+
+    # orders 1-4; (7, 1, 3) and (10, 2, 2) have clamped full ranks
+    SHAPES = [(6,), (5, 3), (1, 4), (7, 1, 3), (10, 2, 2), (8, 8, 3), (3, 4, 2, 3)]
+
+    @staticmethod
+    def ranks(shape):
+        full = clamp_rank(shape, shape)
+        return sorted({
+            full,
+            tuple(1 for _ in full),
+            tuple(max(1, r // 2) for r in full),
+            tuple(min(r, 2) for r in full),
+        })
+
+    @pytest.mark.parametrize("count", [1, HOSVD_MODULE._CHUNK + 6])
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_per_sample_factors(self, shape, count):
+        rng = np.random.default_rng([233, count, *shape])
+        samples = [random_tensor(rng, shape) for _ in range(count)]
+        for rank in self.ranks(shape):
+            stacks, effective = _leading(samples, rank)
+            cores = np.concatenate(
+                [chunk for _, chunk in _chunk_cores(samples, stacks)], axis=-1
+            )
+            approx = _multiply(cores, stacks)
+            found, errors = _reconstruction_errors(samples, rank)
+            assert found == effective
+            for m, x in enumerate(samples):
+                factors = [stack[m] for stack in stacks]
+                core = defined_product(x, [f.T for f in factors])
+                expected = defined_product(core, factors)
+                assert same_bits(cores[..., m], core.to_array())
+                assert same_bits(approx[..., m], expected.to_array())
+                assert errors[m] == relative_error(x, expected)
+            if count == 1:
+                assert same_bits(hosvd(samples[0], rank).core.to_array(), cores[..., 0])
+
+    @pytest.mark.parametrize("count", [1, HOSVD_MODULE._CHUNK + 6])
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_shared_factors(self, shape, count):
+        rng = np.random.default_rng([239, count, *shape])
+        for rank in self.ranks(shape):
+            # orthonormal factors, as synthetic data is built from
+            factors = [np.linalg.qr(rng.standard_normal((i, r)))[0]
+                       for i, r in zip(shape, rank)]
+            cores = [random_tensor(rng, rank) for _ in range(count)]
+            approx = _multiply(_batch(cores), factors)
+            for m, core in enumerate(cores):
+                expected = defined_product(core, factors)
+                assert same_bits(approx[..., m], expected.to_array())
+                rebuilt = reconstruct(HosvdFactors(core, factors, rank))
+                assert same_bits(rebuilt.to_array(), expected.to_array())
+
+
 class TestReconstruct:
     def test_identity_factors_reproduce_core(self):
         rng = np.random.default_rng(127)
         x = random_tensor(rng, (3, 4, 2))
         f = hosvd(x, (3, 4, 2))
-        from telkit.hosvd import HosvdFactors
-
         identity = HosvdFactors(
             core=x,
             factors=[np.eye(s) for s in x.shape],
@@ -358,8 +429,6 @@ class TestReconstruct:
         rng = np.random.default_rng(137)
         x = random_tensor(rng, (3, 3))
         f = hosvd(x, (2, 2))
-        from telkit.hosvd import HosvdFactors
-
         broken = HosvdFactors(
             core=f.core, factors=[f.factors[0][:, :1], f.factors[1]],
             effective_rank=f.effective_rank,

@@ -23,8 +23,9 @@ from telkit.io import (
     load_tensor_dataset,
     save_tensor_dataset,
 )
-from telkit.synth import BENCHMARK_SPEC, SyntheticSpec, synth_generate
-from telkit.tensor import DenseTensor
+from telkit.seeding import mix_seed
+from telkit.synth import BENCHMARK_SPEC, CORE_JITTER, SyntheticSpec, synth_generate
+from telkit.tensor import DenseTensor, fold, unfold
 
 
 def random_dataset(rng, shape=None, n=None) -> LabeledTensorDataset:
@@ -242,6 +243,28 @@ class TestPpmDirectory:
             load_ppm_dir(tmp_path)
 
 
+def reference_synth(spec) -> list[np.ndarray]:
+    """``synth_generate``'s samples built one at a time, each clean sample
+    by the definition of the mode product, fold(U @ unfold(G, n))."""
+    scale = float(np.sqrt(np.prod(spec.shape) / np.prod(spec.rank)))
+    samples = []
+    for k in range(spec.classes):
+        class_rng = np.random.default_rng(mix_seed(spec.seed, k))
+        factors = [np.linalg.qr(class_rng.standard_normal((i, r)))[0][:, :r]
+                   for i, r in zip(spec.shape, spec.rank)]
+        base_core = scale * class_rng.standard_normal(spec.rank)
+        for m in range(spec.samples_per_class):
+            rng = np.random.default_rng(mix_seed(spec.seed, k, m))
+            jitter = CORE_JITTER * scale * rng.standard_normal(spec.rank)
+            x = DenseTensor.from_array(base_core + jitter)
+            for n, factor in enumerate(factors):
+                shape = x.shape[:n] + (factor.shape[0],) + x.shape[n + 1 :]
+                x = fold(factor @ unfold(x, n), n, shape)
+            noise = spec.noise_std * rng.standard_normal(spec.shape)
+            samples.append(x.to_array() + noise)
+    return samples
+
+
 class TestSynthetic:
     def test_deterministic(self):
         a = synth_generate(BENCHMARK_SPEC)
@@ -266,6 +289,41 @@ class TestSynthetic:
                     p_ref = reference.factors[n] @ reference.factors[n].T
                     p_other = other.factors[n] @ other.factors[n].T
                     assert np.linalg.norm(p_ref - p_other) <= 1e-9
+
+    # the benchmark spec, a first unfolding of one column, and order 1
+    REFERENCE_SPECS = [
+        BENCHMARK_SPEC,
+        SyntheticSpec(shape=(4, 3, 2), classes=3, rank=(2, 1, 1),
+                      samples_per_class=70, noise_std=0.05, seed=3),
+        SyntheticSpec(shape=(7,), classes=2, rank=(1,),
+                      samples_per_class=5, noise_std=0.05, seed=3),
+    ]
+
+    @pytest.mark.parametrize(
+        "spec", REFERENCE_SPECS, ids=["benchmark", "rank-211", "order-1"]
+    )
+    def test_bits_equal_a_per_sample_reference(self, spec):
+        expected = reference_synth(spec)
+        data = synth_generate(spec)
+        assert ([x.data.tobytes() for x in data.samples]
+                == [x.tobytes(order="F") for x in expected])
+
+    def test_a_sample_does_not_depend_on_the_class_size(self):
+        # sample m of class k has its own generator and its own product,
+        # whatever chunk of its class it is built in
+        def generate(n):
+            return synth_generate(SyntheticSpec(
+                shape=(4, 3, 2), classes=2, rank=(2, 1, 1),
+                samples_per_class=n, noise_std=0.05, seed=3,
+            ))
+
+        largest = generate(70)
+        for n in (1, 3):
+            data = generate(n)
+            for k in range(2):
+                for m in range(n):
+                    assert (data.samples[k * n + m].data.tobytes()
+                            == largest.samples[k * 70 + m].data.tobytes())
 
     def test_counts_and_labels(self):
         data = synth_generate(BENCHMARK_SPEC)

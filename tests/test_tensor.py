@@ -227,7 +227,7 @@ class TestModeNProduct:
                     new_shape = shape[:mode] + (rows,) + shape[mode + 1 :]
                     expected = fold(factor @ unfold(x, mode), mode, new_shape)
                     product = mode_n_product(x, factor, mode)
-                    raw = _mode_product(x.to_array(), factor, mode)
+                    raw = _mode_product(x.to_array()[..., None], factor, mode)[..., 0]
                     assert product.to_array().tobytes() == expected.to_array().tobytes()
                     assert raw.tobytes(order="A") == expected.to_array().tobytes(order="A")
                     assert raw.strides == expected.to_array().strides
