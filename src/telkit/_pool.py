@@ -1,21 +1,21 @@
-"""One fork pool for telkit's independent batches.
+"""One batch runner for telkit's independent batches.
 
-``run(fn, shared, jobs)`` returns ``[fn(shared, job) for job in jobs]``,
-computed on a fork pool of one worker per CPU in this process's affinity
-mask, at most one per job, or in this process when that is one worker or
-when it is itself a pool worker (pools never nest).  ``fn`` and
-``shared`` reach the workers through fork, never pickled; each job and
-each result is.  Results come back in job order, and a job's exception
-is raised here as it would be serially: the first failing job's, with
-its own message.
+``run(fn, shared, jobs, pooled)`` returns ``[fn(shared, job) for job in
+jobs]``, computed on a fork pool of one worker per CPU in this process's
+affinity mask, at most one per job, or in this process by one serial
+loop: when ``pooled`` is False, when that is one worker or when it is
+itself a pool worker (pools never nest).  ``fn`` and ``shared`` reach
+the workers through fork, never pickled; each job and each result is.
+Results come back in job order, and a job's exception is raised here as
+it would be serially: the first failing job's, with its own message.
 
-Its callers are the batches whose jobs are exact on their own, each
-pooled only above a work gate of its own: the tuner's fold fits
-(``learners.grid``), ``hosvd_factors``' sample chunks, ``predict_votes``'
-voters and the telvi and bagging fit stages (``ensemble``).  No option
-selects the pool: ``taskset -c 0`` gives the serial run.  Python 3.12's
-warning that a multi-threaded process forks is hidden only while the
-caller has no Python thread but its own.
+Every batch whose jobs are exact on their own runs through ``run``, the
+one serial loop, each but the tuner's with a work gate of its own as
+``pooled``: the tuner's fold fits (``learners.grid``), ``hosvd_factors``'
+chunks, ``predict_votes``' voters and the telvi and bagging fit stages
+(``ensemble``).  No option selects the pool: ``taskset -c 0`` gives the
+serial run.  Python 3.12's warning that a multi-threaded process forks
+is hidden only while the caller has no Python thread but its own.
 """
 
 from __future__ import annotations
@@ -47,10 +47,11 @@ def _call(job):
     return fn(shared, job)
 
 
-def run(fn: Callable[[Any, Any], Any], shared: Any, jobs: Iterable) -> list:
-    """``fn(shared, job)`` for every job, in job order, on a fork pool."""
+def run(fn: Callable, shared: Any, jobs: Iterable, pooled: bool = True) -> list:
+    """``fn(shared, job)`` for every job, in job order, on a fork pool if
+    ``pooled`` (its caller's work gate) and there are two workers or more."""
     jobs = list(jobs)
-    workers = min(_cpu_count(), len(jobs))
+    workers = min(_cpu_count(), len(jobs)) if pooled else 1
     if workers <= 1 or _SHARED is not None:
         return [fn(shared, job) for job in jobs]
     import multiprocessing

@@ -37,12 +37,12 @@ Every vote, a whole vote matrix or one sample's, is combined by
 per label.
 
 The fit stages and the votes are independent per learner, so each runs
-on ``telkit._pool`` above a work gate of its own (``_POOL_FIT_ROWS`` by
-learner kind, ``_POOL_KNN_VOTES``), one job per learner, estimator or
-voter, with the same seeds and the results in key order; the bits are
-those of the serial loop.  Votes are never split by sample: logit and
-svm predictions go through BLAS products, whose rounding may depend on
-the number of rows.
+through ``telkit._pool.run``, the one batch runner, one job per learner,
+estimator or voter, with the same seeds and the results in key order;
+it pools them above the work gate passed here (``_POOL_FIT_ROWS`` by
+learner kind, ``_POOL_KNN_VOTES``), with the bits of its serial loop.
+Votes are never split by sample: logit and svm predictions go through
+BLAS products, whose rounding may depend on the number of rows.
 """
 
 from __future__ import annotations
@@ -240,9 +240,9 @@ def telvi_fit_regrouped(
     keys = sorted(datasets)
     class_labels = two_class_labels(datasets[keys[0]].labels, "training")
     rows = sum(datasets[key].n_samples for key in keys)
-    base_models = dict(zip(keys, _fits(
-        _fit_learner, (base, [datasets[key] for key in keys], seed), base, rows,
-        len(keys),
+    base_models = dict(zip(keys, _pool.run(
+        _fit_learner, (base, [datasets[key] for key in keys], seed),
+        range(len(keys)), rows >= _POOL_FIT_ROWS.get(base.kind, math.inf),
     )))
     # regroup makes datasets (n, 0) .. (n, R_n - 1) for every mode n
     rank = tuple(sum(1 for m, _ in keys if m == n) for n in range(len(shape)))
@@ -254,15 +254,6 @@ def telvi_fit_regrouped(
         class_labels=class_labels,
         seed=seed,
     )
-
-
-def _fits(job, shared, base: ClassifierSpec, rows: int, count: int) -> list:
-    """``job(shared, i)`` for i < ``count``, the fits of a fit stage of
-    ``rows`` training rows in all; on ``_pool`` above its work gate."""
-    jobs = range(count)
-    if rows >= _POOL_FIT_ROWS.get(base.kind, math.inf):
-        return _pool.run(job, shared, jobs)
-    return [job(shared, i) for i in jobs]
 
 
 def _fit_learner(shared, flat: int) -> TrainedModel:
@@ -372,9 +363,9 @@ def bagging_fit_reduced(
     if n_estimators < 1:
         raise ValueError(f"n_estimators must be >= 1, got {n_estimators}")
     bootstrap_seeds = [mix_seed(seed, e) for e in range(n_estimators)]
-    estimators = _fits(
-        _fit_estimator, (base, reduced, bootstrap_seeds), base,
-        reduced.n_samples * n_estimators, n_estimators,
+    estimators = _pool.run(
+        _fit_estimator, (base, reduced, bootstrap_seeds), range(n_estimators),
+        reduced.n_samples * n_estimators >= _POOL_FIT_ROWS.get(base.kind, math.inf),
     )
     return BaggingModel(
         shape=tuple(shape),
@@ -448,14 +439,13 @@ def predict_votes(
 def _votes(
     learners: Sequence[TrainedModel], features: Sequence[np.ndarray]
 ) -> np.ndarray:
-    """``learners[v].predict(features[v])`` as row v; on ``_pool``, one
-    job per voter, above its work gate."""
-    jobs = range(len(learners))
-    shared = (learners, features)
+    """``learners[v].predict(features[v])`` as row v, one ``_pool`` job per
+    voter, pooled above its work gate."""
     rows = sum(len(f) for f in features)
-    if isinstance(learners[0], KnnModel) and rows >= _POOL_KNN_VOTES:
-        return np.stack(_pool.run(_predict_voter, shared, jobs))
-    return np.stack([_predict_voter(shared, v) for v in jobs])
+    pooled = isinstance(learners[0], KnnModel) and rows >= _POOL_KNN_VOTES
+    return np.stack(_pool.run(
+        _predict_voter, (learners, features), range(len(learners)), pooled
+    ))
 
 
 def _predict_voter(shared, v: int) -> np.ndarray:
@@ -471,6 +461,8 @@ def majority_error_probability(p: float, n_voters: int) -> float:
     An exact even split counts as wrong here (the vote operations
     instead resolve splits by the tie rule).
     """
+    p = check_number(p, "p")
+    n_voters = check_number(n_voters, "n_voters", integral=True)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
     if n_voters < 1:

@@ -243,21 +243,12 @@ class ExperimentReport:
         return float(np.mean([e["accuracy"] for e in self.per_learner]))
 
     def to_canonical_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "format_version": self.format_version,
-            "config": self.config,
-            "method": self.method,
-            "chosen_spec": self.chosen_spec,
-            "per_learner_accuracy": self.per_learner,
-            "ensemble_accuracy": self.ensemble_accuracy,
-            "mean_learner_accuracy": self.mean_learner_accuracy(),
-            "seed": self.seed,
-            "train_size": self.train_size,
-            "test_size": self.test_size,
-            "class_labels": self.class_labels,
-        }
-        if self.effective_rank is not None:
-            out["effective_rank"] = self.effective_rank
+        """Every field but ``timings`` by name, ``per_learner`` as
+        ``per_learner_accuracy``, plus ``mean_learner_accuracy``."""
+        out = plain(self)
+        del out["timings"]
+        out["per_learner_accuracy"] = out.pop("per_learner")
+        out["mean_learner_accuracy"] = self.mean_learner_accuracy()
         return out
 
 

@@ -9,15 +9,16 @@ The decomposition of an order-N tensor X at rank (R_1, ..., R_N):
 Requested ranks are clamped per mode to min(I_n, prod of the other
 dimensions); the clamped tuple is reported as ``effective_rank``.
 
-``hosvd_factors`` is the one decomposition kernel: it unfolds a stack of
-same-shape samples per mode and makes one stacked LAPACK SVD call per
-chunk of samples and mode, keeping the factors only.  Each LAPACK call
-sees one matrix, so the chunks are exact on their own: a batch of at
-least ``_POOL_ENTRIES`` samples x tensor entries runs its chunks on
-``telkit._pool``, a smaller one in the process.  ``_multiply``, the one
-"tensor times matrices" loop (Kolda & Bader, 2009), runs
-``tensor._mode_product``, the batched product kernel, once per mode on a
-chunk of ``_CHUNK`` samples laid out as one F-ordered batch;
+``hosvd_factors`` is the one decomposition kernel: it lays a chunk of
+same-shape samples out as one batch (``_batch``), unfolds it per mode as
+the product kernel does (``tensor._unfold_batch``) and makes one stacked
+LAPACK SVD call per chunk and mode, keeping the factors only.  Each
+LAPACK call sees one matrix, so the chunks are exact on their own: they
+run through ``telkit._pool.run``, the one batch runner, pooled from
+``_POOL_ENTRIES`` samples x tensor entries and serially below.
+``_multiply``, the one "tensor times matrices" loop (Kolda & Bader,
+2009), runs ``tensor._mode_product``, the batched product kernel, once
+per mode on a chunk of ``_CHUNK`` samples in the same batch layout;
 ``_chunk_cores`` builds every chunk's cores with it, from column slices
 of one full-rank kernel call.  ``hosvd`` runs that path on a batch of
 one, ``rank_search`` and ``telkit decompose`` (``_reconstruction_errors``)
@@ -40,7 +41,7 @@ import numpy as np
 from . import _pool
 from .canonical import check_array, check_number
 from .linalg import _canonicalize_signs
-from .tensor import DenseTensor, _mode_product, frobenius_norm
+from .tensor import DenseTensor, _mode_product, _unfold_batch, frobenius_norm
 
 __all__ = [
     "MultilinearRank",
@@ -116,17 +117,11 @@ def hosvd_factors(
             raise ValueError(
                 f"sample {index} shape {x.shape} does not match {shape}"
             )
-    stacks = [np.empty((len(samples), i, r)) for i, r in zip(shape, effective)]
-    starts = range(0, len(samples), _CHUNK)
-    shared = (samples, effective)
-    if len(samples) * math.prod(shape) >= _POOL_ENTRIES:
-        chunks = _pool.run(_chunk_factors, shared, starts)
-    else:
-        chunks = (_chunk_factors(shared, start) for start in starts)
-    for start, factors in zip(starts, chunks):
-        for stack, kept in zip(stacks, factors):
-            stack[start : start + len(kept)] = kept
-    return stacks, effective
+    chunks = _pool.run(
+        _chunk_factors, (samples, effective), range(0, len(samples), _CHUNK),
+        len(samples) * math.prod(shape) >= _POOL_ENTRIES,
+    )
+    return [np.concatenate(parts) for parts in zip(*chunks)], effective
 
 
 def _chunk_factors(shared, start: int) -> list[np.ndarray]:
@@ -134,22 +129,16 @@ def _chunk_factors(shared, start: int) -> list[np.ndarray]:
     stacked LAPACK SVD call per mode; a non-finite sample is named by its
     index in ``samples``."""
     samples, effective = shared
-    chunk = np.stack([x.to_array() for x in samples[start : start + _CHUNK]])
-    finite = np.isfinite(chunk).reshape(len(chunk), -1).all(axis=1)
+    chunk = _batch(samples[start : start + _CHUNK])
+    finite = np.isfinite(chunk).reshape(-1, chunk.shape[-1], order="F").all(axis=0)
     if not finite.all():
         index = start + int(np.argmin(finite))
         raise ValueError(
             f"hosvd input contains non-finite entries in sample {index}"
         )
-    order = len(effective)
     factors = []
     for n, r in enumerate(effective):
-        # Kolda-Bader columns: the other axes reversed, so that a C-order
-        # reshape makes the lowest surviving index vary fastest
-        others = [a for a in range(order, 0, -1) if a != n + 1]
-        unfolded = chunk.transpose(0, n + 1, *others).reshape(
-            len(chunk), chunk.shape[n + 1], -1
-        )
+        unfolded = _unfold_batch(chunk, n)
         kept = np.linalg.svd(unfolded, full_matrices=False)[0][..., :r].copy()
         _canonicalize_signs(kept)
         factors.append(kept)
@@ -250,6 +239,9 @@ def _reconstruction_errors(
 
 def relative_error(x: DenseTensor, approx: DenseTensor) -> float:
     """||x - approx||_F / ||x||_F (0 for an all-zero x matched exactly)."""
+    if x.shape != approx.shape:
+        raise ValueError(f"approx shape {approx.shape} does not match "
+                         f"x shape {x.shape}")
     denom = frobenius_norm(x)
     diff = float(np.linalg.norm(x.data - approx.data))
     if denom == 0.0:

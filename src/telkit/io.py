@@ -77,10 +77,17 @@ class ImageFormatError(ValueError):
 
 
 def save_tensor_dataset(data: LabeledTensorDataset, path: str | Path) -> None:
-    """Write a dataset in TELD format (lossless round-trip)."""
+    """Write a dataset in TELD format (lossless round-trip); one whose
+    labels or dimensions do not all fit in u32 writes no file."""
     if data.n_samples == 0:
         raise ValueError("refusing to save an empty dataset")
     shape = data.shape
+    for name, values in (("dimension", shape), ("label of sample", data.labels)):
+        too_big = np.flatnonzero(np.asarray(values) >= 1 << 32)
+        if too_big.size:
+            index = int(too_big[0])
+            raise ValueError(f"TELD {name} {index} is {values[index]}, "
+                             "which does not fit in u32")
     with open(path, "wb") as handle:
         handle.write(TELD_MAGIC)
         handle.write(struct.pack("<III", TELD_VERSION, data.n_samples, len(shape)))

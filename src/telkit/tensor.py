@@ -174,6 +174,19 @@ def mode_n_product(
     return DenseTensor.from_array(product[..., 0])
 
 
+def _unfold_batch(batch: np.ndarray, mode: int) -> np.ndarray:
+    """Every item of ``batch``, laid out as ``_mode_product`` takes it,
+    unfolded along ``mode`` as :func:`unfold` does: an ``(M, I_mode, P)``
+    stack, batch first, each item with the strides of a lone unfolding."""
+    # np.moveaxis(item, mode, 0) with the batch axis kept last
+    shape, order = batch.shape, batch.ndim - 1
+    others = (*range(mode), *range(mode + 1, order))
+    unfolded = batch.transpose(mode, *others, order).reshape(
+        shape[mode], -1, shape[-1], order="F"
+    )
+    return unfolded.transpose(2, 0, 1)
+
+
 def _mode_product(batch: np.ndarray, factor: np.ndarray, mode: int) -> np.ndarray:
     """``factor`` times every item of ``batch`` along ``mode``, unchecked.
 
@@ -187,16 +200,11 @@ def _mode_product(batch: np.ndarray, factor: np.ndarray, mode: int) -> np.ndarra
     shared factor, would change the BLAS call, and so the bits, where an
     unfolding has one row or column.
     """
-    # the transposes are np.moveaxis(item, mode, 0) and its inverse, with
-    # the batch axis kept last
     shape, order = batch.shape, batch.ndim - 1
-    others = (*range(mode), *range(mode + 1, order))
-    unfolded = batch.transpose(mode, *others, order).reshape(
-        shape[mode], -1, shape[-1], order="F"
-    )
-    product = np.matmul(factor, unfolded.transpose(2, 0, 1))
+    product = np.matmul(factor, _unfold_batch(batch, mode))
     # each item's product is C-ordered (R, P), so the transposed batch is
-    # F-ordered (P, R, M), and P splits over the other modes as fold does
+    # F-ordered (P, R, M), and P splits over the other modes as fold does;
+    # the transpose below undoes _unfold_batch's np.moveaxis
     moved = product.T.reshape(
         shape[:mode] + shape[mode + 1 : -1] + product.shape[1:2] + shape[-1:],
         order="F",

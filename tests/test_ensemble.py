@@ -684,3 +684,22 @@ class TestMajorityErrorProbability:
             majority_error_probability(1.5, 3)
         with pytest.raises(ValueError, match="n_voters"):
             majority_error_probability(0.3, 0)
+
+    def test_an_integral_float_voter_count_is_read_as_an_int(self):
+        expected = majority_error_probability(0.3, 11)
+        assert majority_error_probability(0.3, 11.0) == expected
+
+    @pytest.mark.parametrize(
+        "p, n_voters, message",
+        [
+            (True, 3, "p must be a number, got True"),
+            ("0.3", 3, "p must be a number, got '0.3'"),
+            (float("nan"), 3, "p must be finite, got nan"),
+            (0.3, True, "n_voters must be a number, got True"),
+            (0.3, 2.5, "n_voters must be an integer, got 2.5"),
+        ],
+        ids=["bool-p", "str-p", "nan-p", "bool-voters", "fractional-voters"],
+    )
+    def test_untyped_inputs_fail_by_name(self, p, n_voters, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            majority_error_probability(p, n_voters)

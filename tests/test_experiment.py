@@ -1954,9 +1954,10 @@ class TestCpuCount:
         pooled_jobs = []
         run = _pool.run
 
-        def recording_run(fn, shared, jobs):
-            pooled_jobs.append(fn.__name__)
-            return run(fn, shared, jobs)
+        def recording_run(fn, shared, jobs, pooled=True):
+            if pooled:
+                pooled_jobs.append(fn.__name__)
+            return run(fn, shared, jobs, pooled)
 
         monkeypatch.setattr(_pool, "run", recording_run)
         if method == "single":
@@ -1984,6 +1985,35 @@ class TestCpuCount:
         # the same calls at each count, and a pool for each call at 2 CPUs
         assert len(cpus.pools) == len(pooled_jobs) / 2
         assert set(pooled_jobs) == self._pooled_jobs(method, kind)
+
+    def test_every_batch_runs_through_the_pool_runner(
+        self, tmp_path, capsys, cpus, monkeypatch
+    ):
+        # at one CPU, under every work gate, each batch still runs through
+        # _pool.run, the one serial loop: decomposition chunks, the fit
+        # stage and the votes
+        from telkit import _pool
+
+        calls = []
+        run = _pool.run
+
+        def recording_run(fn, shared, jobs, pooled=True):
+            calls.append(fn.__name__)
+            return run(fn, shared, jobs, pooled)
+
+        monkeypatch.setattr(_pool, "run", recording_run)
+        cpus(1)
+        cpus.forbid_pools()
+        config = self._config(tmp_path, method="telvi", rank=[2, 2, 1])
+        config.write_text(json.dumps(
+            {**json.loads(config.read_text()), "base_grid": [KNN3]}
+        ))
+        model = tmp_path / "model.json"
+        assert main(["train", "--config", str(config), "--out", str(model)]) == 0
+        assert main(["predict", "--model", str(model), "--config", str(config),
+                     "--out", str(tmp_path / "predictions.csv")]) == 0
+        assert calls == ["_chunk_factors", "_fit_learner",
+                         "_chunk_factors", "_predict_voter"]
 
     def test_rank_search_size_opens_only_the_tuner_pool(self, tmp_path, cpus):
         # the rank-search benchmark's size (160 samples of 12x12x3, rank

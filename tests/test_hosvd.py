@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -435,6 +436,20 @@ class TestReconstruct:
         )
         with pytest.raises(ValueError, match="columns"):
             reconstruct(broken)
+
+
+class TestRelativeError:
+    @pytest.mark.parametrize(
+        "shape, other", [((2, 2), (1,)), ((2, 2), (4,)), ((3, 2), (2, 3))],
+        ids=["broadcast", "same-size", "transposed"],
+    )
+    def test_mismatched_shapes_rejected(self, shape, other):
+        rng = np.random.default_rng(139)
+        x, approx = random_tensor(rng, shape), random_tensor(rng, other)
+        message = (f"approx shape {re.escape(str(other))} does not match "
+                   f"x shape {re.escape(str(shape))}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            relative_error(x, approx)
 
 
 class TestRankSearch:

@@ -1,5 +1,6 @@
 """File formats and data sources: TELD, PPM/PGM, synthetic, splitting."""
 
+import re
 import struct
 
 import numpy as np
@@ -128,6 +129,28 @@ class TestTeldFormat:
             + struct.pack("<4d", 1.0, 2.0, 3.0, 4.0)
         )
         assert path.read_bytes() == expected
+
+    @pytest.mark.parametrize("label", [2**32, 2**40, 2**63 - 1])
+    def test_a_label_beyond_u32_writes_no_file(self, tmp_path, label):
+        rng = np.random.default_rng(421)
+        data = random_dataset(rng, shape=(2, 2), n=4)
+        labels = data.labels.copy()
+        labels[2] = label
+        labels[3] = 2**33  # only the first offending label is named
+        path = tmp_path / "big-label.teld"
+        message = f"TELD label of sample 2 is {label}, which does not fit in u32"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            save_tensor_dataset(LabeledTensorDataset(data.samples, labels), path)
+        assert not path.exists()
+
+    def test_the_largest_u32_label_round_trips(self, tmp_path):
+        data = LabeledTensorDataset(
+            [DenseTensor((2,), [1.0, 2.0]), DenseTensor((2,), [3.0, 4.0])],
+            np.array([0, 2**32 - 1]),
+        )
+        path = tmp_path / "max-label.teld"
+        save_tensor_dataset(data, path)
+        assert load_tensor_dataset(path).labels.tolist() == [0, 2**32 - 1]
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)

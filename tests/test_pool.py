@@ -42,6 +42,15 @@ def test_no_pool_for_one_job(cpus):
     assert _pool.run(_square_and_pid, (), [4]) == [(16, os.getpid())]
 
 
+def test_no_pool_when_the_caller_does_not_pool(cpus):
+    cpus(2)
+    cpus.forbid_pools()
+    results = _pool.run(_square_and_pid, (), range(5), pooled=False)
+    assert results == [(j * j, os.getpid()) for j in range(5)]
+    with pytest.raises(ValueError, match="^job 3 failed$"):
+        _pool.run(_square_and_pid, {3, 4}, range(5), pooled=False)
+
+
 def test_a_job_never_opens_a_pool(cpus):
     cpus(2)
     for outer, inner in _pool.run(_inner_pids, None, [0, 1]):
