@@ -16,18 +16,60 @@ chunks, ``predict_votes``' voters and the telvi and bagging fit stages
 (``ensemble``).  No option selects the pool: ``taskset -c 0`` gives the
 serial run.  Python 3.12's warning that a multi-threaded process forks
 is hidden only while the caller has no Python thread but its own.
+
+The only parallelism is the pool's.  Importing telkit sets numpy's
+bundled OpenBLAS to one thread (``_one_blas_thread``), in the parent, so
+every worker inherits it: a BLAS product may round differently on more
+threads, and with one thread a result has the same bits whatever the CPU
+count.  Where no known setter is found (a numpy built against another
+BLAS), nothing is set.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import os
 import threading
 import warnings
 from typing import Any, Callable, Iterable
 
+import numpy as np
+
 # (fn, shared) in a pool worker, set by the pool initializer; under fork
 # it is inherited, never pickled.  None in a process that is no worker.
 _SHARED = None
+
+# The OpenBLAS that numpy's wheels bundle, by the path from numpy's own
+# directory, and the (setter, getter) of its thread count, by build.
+_BLAS_LIBRARIES = ("../numpy.libs/*openblas*", ".dylibs/*openblas*")
+_BLAS_CALLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _one_blas_thread():
+    """Set numpy's bundled OpenBLAS to one thread and return its thread
+    count getter; None, with nothing set, where no known setter is found.
+    ``ctypes`` opens the library numpy already loaded, by the same path."""
+    home = os.path.dirname(np.__file__)
+    for pattern in _BLAS_LIBRARIES:
+        for path in sorted(glob.glob(os.path.join(home, pattern))):
+            library = ctypes.CDLL(path)
+            for setter, getter in _BLAS_CALLS:
+                if hasattr(library, setter):
+                    set_threads, get_threads = library[setter], library[getter]
+                    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                    set_threads(1)
+                    return get_threads
+    return None
+
+
+# Once, at import and in the parent, so every fork worker inherits it.
+_BLAS_THREADS = _one_blas_thread()
 
 
 def _cpu_count() -> int:

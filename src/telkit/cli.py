@@ -70,7 +70,7 @@ def _load_cli_dataset(args):
 def _cmd_decompose(args) -> int:
     data = _load_cli_dataset(args)
     rank = _parse_rank(args.rank)
-    effective, errors = _reconstruction_errors(data.samples, rank)
+    effective, errors = _reconstruction_errors(data.data, data.shape, rank)
     mean_error = float(np.mean(errors))
     print(
         f"rank={','.join(map(str, effective))} samples={data.n_samples} "
@@ -103,7 +103,7 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
     data = _load_cli_dataset(args)
-    _, votes = predict_votes(model, data.samples)
+    _, votes = predict_votes(model, data.data, data.shape)
     predicted = majority_labels(votes)
     lines = ["index,label"] + [
         f"{i},{label}" for i, label in enumerate(predicted)

@@ -17,10 +17,11 @@ slices columns with ``_columns``, which also takes the full-rank factors
 of a rank search: a rank-searched run decomposes each training sample
 once, for the search, and regroups from those factors.
 
-The bagging baseline flattens samples column-major, reduces with PCA and
-trains the same base-learner kind on bootstrap resamples; a resample that
-holds one class is drawn again from its estimator's generator, so every
-estimator fits on two classes or more.  Training labels pass
+The bagging baseline reads ``LabeledTensorDataset.data``'s rows as the
+samples' vectors, reduces with PCA and trains the same base-learner kind
+on bootstrap resamples; a resample that holds one class is drawn again
+from its estimator's generator, so every estimator fits on two classes
+or more.  Training labels pass
 ``learners.base.two_class_labels``, the one training-set rule of every
 fit.  Each model checks itself when it is built, by a fit or the model
 reader alike: ``TelviModel`` its rank against its shape and one learner
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -61,7 +63,7 @@ from .learners import (ClassifierSpec, KnnModel, TrainedModel, VectorDataset,
 from .learners.base import two_class_labels
 from .linalg import PcaModel, pca_fit, pca_transform
 from .seeding import mix_seed
-from .tensor import DenseTensor
+from .tensor import DenseTensor, _empty_rows, _rows
 
 __all__ = [
     "LabeledTensorDataset",
@@ -95,7 +97,10 @@ _POOL_KNN_VOTES = 2048
 
 @dataclass(frozen=True)
 class LabeledTensorDataset:
-    """Same-shape tensor samples with integer class labels."""
+    """Same-shape tensor samples with integer class labels.  ``data`` is
+    their entries as one read-only array of rows (``tensor._rows``): the
+    one a set read or generated is built from (``from_rows``), whose rows
+    its samples view, or else their stack, made on first use."""
 
     samples: list[DenseTensor]
     labels: np.ndarray
@@ -111,6 +116,19 @@ class LabeledTensorDataset:
         if labels.size > 0 and labels.min() < 0:
             raise ValueError("labels must be nonnegative integers")
         object.__setattr__(self, "labels", labels)
+
+    @classmethod
+    def from_rows(cls, data, shape, labels) -> "LabeledTensorDataset":
+        """The set whose ``data`` is ``data``, rows of samples of ``shape``."""
+        data, shape = _rows(data, shape)
+        dataset = cls([DenseTensor(shape, row) for row in data], labels)
+        object.__setattr__(dataset, "data", data)  # fills the cache below
+        return dataset
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        rows = _empty_rows(len(self.samples), math.prod(self.shape))
+        return _rows(np.stack([x.data for x in self.samples], out=rows), self.shape)[0]
 
     @property
     def n_samples(self) -> int:
@@ -147,12 +165,12 @@ def _vote(votes: np.ndarray) -> tuple[int, VoteTally]:
 
 
 def factor_columns(
-    samples: Sequence[DenseTensor], rank: Sequence[int]
+    data: np.ndarray, shape: Sequence[int], rank: Sequence[int]
 ) -> dict[tuple[int, int], np.ndarray]:
-    """Steps 1-2 of TEL: the ``(M, I_n)`` matrix (n, r) holds column r of
-    each sample's mode-n factor at ``rank`` (clamped), one row per sample.
-    """
-    return _columns(*hosvd_factors(samples, rank))
+    """Steps 1-2 of TEL on the rows of ``data``, samples of ``shape``: the
+    ``(M, I_n)`` matrix (n, r) holds column r of each sample's mode-n
+    factor at ``rank`` (clamped), one row per sample."""
+    return _columns(*hosvd_factors(data, shape, rank))
 
 
 def _columns(
@@ -173,7 +191,7 @@ def regroup(
 ) -> dict[tuple[int, int], VectorDataset]:
     """One dataset per (mode, component): ``factor_columns`` of the
     samples, each row paired with its sample's label."""
-    return _labeled(factor_columns(data.samples, rank), data.labels)
+    return _labeled(factor_columns(data.data, data.shape, rank), data.labels)
 
 
 def _labeled(
@@ -264,12 +282,7 @@ def _fit_learner(shared, flat: int) -> TrainedModel:
 
 def telvi_predict(model: TelviModel, x: DenseTensor) -> tuple[int, VoteTally]:
     """Majority vote of the base learners on the sample's factor columns."""
-    return _vote(predict_votes(model, [x])[1])
-
-
-def flatten_samples(samples: Sequence[DenseTensor]) -> np.ndarray:
-    """Column-major vectorization, one sample per row."""
-    return np.stack([x.data for x in samples])
+    return _vote(predict_votes(model, x.data.reshape(1, -1), x.shape)[1])
 
 
 @dataclass(frozen=True)
@@ -340,9 +353,8 @@ def bagging_fit(
     seed: int,
 ) -> BaggingModel:
     """Vectorize, reduce with PCA, train on bootstrap resamples."""
-    vectors = flatten_samples(data.samples)
-    pca = pca_fit(vectors, pca_dim)
-    reduced = VectorDataset(pca_transform(pca, vectors), data.labels)
+    pca = pca_fit(data.data, pca_dim)
+    reduced = VectorDataset(pca_transform(pca, data.data), data.labels)
     return bagging_fit_reduced(pca, reduced, data.shape, n_estimators, base, seed)
 
 
@@ -398,42 +410,37 @@ class SingleModel:
 
 
 def bagging_predict(model: BaggingModel, x: DenseTensor) -> tuple[int, VoteTally]:
-    """Flatten, project, and majority-vote the estimators."""
-    return _vote(predict_votes(model, [x])[1])
+    """Project the sample's entries and majority-vote the estimators."""
+    return _vote(predict_votes(model, x.data.reshape(1, -1), x.shape)[1])
 
 
 def predict_votes(
     model: TelviModel | BaggingModel | SingleModel,
-    samples: Sequence[DenseTensor],
+    data: np.ndarray,
+    shape: Sequence[int],
 ) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Every voter's label for every sample: ``(keys, votes)``, one row of
-    ``votes`` per key and one column per sample.  telvi voters are keyed
-    (mode, component), flat ones (bagging estimators, a single learner)
-    (-1, index).  Every sample's shape is checked against the training
-    shape before any sample is decomposed; any other model type, a bare
-    learner too, raises TypeError.
-    """
+    """Every voter's label for every sample of ``shape`` in the rows of
+    ``data``: ``(keys, votes)``, one row of ``votes`` per key and one
+    column per sample.  telvi voters are keyed (mode, component), flat
+    ones (bagging estimators, a single learner) (-1, index).  ``shape`` is
+    checked against the training shape before any sample is decomposed;
+    any other model type, a bare learner too, raises TypeError."""
     if not isinstance(model, (TelviModel, BaggingModel, SingleModel)):
         raise TypeError(f"unknown model type {type(model).__name__}")
-    if len(samples) == 0:
-        raise ValueError("prediction needs at least one sample")
-    for index, x in enumerate(samples):
-        if x.shape != model.shape:
-            raise ValueError(
-                f"sample {index} shape {x.shape} does not match training "
-                f"shape {model.shape}"
-            )
+    data, shape = _rows(data, shape)
+    if shape != model.shape:
+        raise ValueError(f"sample shape {shape} does not match training "
+                         f"shape {model.shape}")
     if isinstance(model, TelviModel):
         keys = sorted(model.base_models)
-        columns = factor_columns(samples, model.rank)
+        columns = factor_columns(data, shape, model.rank)
         learners = [model.base_models[k] for k in keys]
         return keys, _votes(learners, [columns[k] for k in keys])
-    vectors = flatten_samples(samples)
     if isinstance(model, BaggingModel):
-        vectors = pca_transform(model.pca, vectors)
+        vectors = pca_transform(model.pca, data)
         keys = [(-1, e) for e in range(model.n_estimators)]
         return keys, _votes(model.estimators, [vectors] * model.n_estimators)
-    return [(-1, 0)], _votes([model.learner], [vectors])
+    return [(-1, 0)], _votes([model.learner], [data])
 
 
 def _votes(

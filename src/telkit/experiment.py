@@ -29,7 +29,6 @@ from .ensemble import (
     _columns,
     _labeled,
     bagging_fit_reduced,
-    flatten_samples,
     predict_votes,
     regroup,
     telvi_fit_regrouped,
@@ -264,7 +263,7 @@ def _evaluate(
     model: TelviModel | BaggingModel | SingleModel, test: LabeledTensorDataset
 ) -> tuple[list[dict[str, Any]], float]:
     """Per-voter accuracies and the accuracy of their majority vote."""
-    keys, votes = predict_votes(model, test.samples)
+    keys, votes = predict_votes(model, test.data, test.shape)
     per_learner = [
         {"mode": n, "component": r, "accuracy": accuracy(row, test.labels)}
         for (n, r), row in zip(keys, votes)
@@ -309,12 +308,13 @@ def train_model(
             if config.rank is None:
                 # the search's full-rank factors lead with those at the
                 # rank it finds, so the samples are not decomposed again
-                rank, stacks = _search(data.samples, config.rank_search_threshold)
+                rank, stacks = _search(data.data, data.shape,
+                                       config.rank_search_threshold)
                 datasets = _labeled(_columns(stacks, rank), data.labels)
             else:
                 datasets = regroup(data, config.rank)
         else:
-            features = flatten_samples(data.samples)
+            features = data.data
             if config.method == "bagging":
                 pca = pca_fit(features, config.pca_dim)
                 features = pca_transform(pca, features)

@@ -9,9 +9,11 @@ The decomposition of an order-N tensor X at rank (R_1, ..., R_N):
 Requested ranks are clamped per mode to min(I_n, prod of the other
 dimensions); the clamped tuple is reported as ``effective_rank``.
 
-``hosvd_factors`` is the one decomposition kernel: it lays a chunk of
-same-shape samples out as one batch (``_batch``), unfolds it per mode as
-the product kernel does (``tensor._unfold_batch``) and makes one stacked
+A sample set is an ``(M, P)`` array of rows and the sample shape
+(``tensor._rows``), and a chunk of rows is a batch in the product
+kernel's layout with no copy (``tensor._batch_view``).  ``hosvd_factors``
+is the one decomposition kernel: it unfolds a chunk per mode as the
+product kernel does (``tensor._unfold_batch``) and makes one stacked
 LAPACK SVD call per chunk and mode, keeping the factors only.  Each
 LAPACK call sees one matrix, so the chunks are exact on their own: they
 run through ``telkit._pool.run``, the one batch runner, pooled from
@@ -20,14 +22,14 @@ run through ``telkit._pool.run``, the one batch runner, pooled from
 2009), runs ``tensor._mode_product``, the batched product kernel, once
 per mode on a chunk of ``_CHUNK`` samples in the same batch layout;
 ``_chunk_cores`` builds every chunk's cores with it, from column slices
-of one full-rank kernel call.  ``hosvd`` runs that path on a batch of
-one, ``rank_search`` and ``telkit decompose`` (``_reconstruction_errors``)
-on a whole sample set, and each item of a batched product has the bits
-of a batch of one, so every decomposition in telkit gives the same factor
-and core bits.  A rank search hands its full-rank factors on
-(``_search``), so a rank-searched telvi run decomposes each training
-sample once: its learners' factor columns are the leading columns of the
-factors the search already computed.
+of one full-rank kernel call.  ``hosvd`` runs that path on its tensor's
+entries as one row, ``rank_search`` and ``telkit decompose``
+(``_reconstruction_errors``) on a whole sample set, and each item of a
+batched product has the bits of a batch of one, so every decomposition
+in telkit gives the same factor and core bits.  A rank search hands its
+full-rank factors on (``_search``), so a rank-searched telvi run
+decomposes each training sample once: its learners' factor columns are
+the leading columns of the factors the search already computed.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ import numpy as np
 from . import _pool
 from .canonical import check_array, check_number
 from .linalg import _canonicalize_signs
-from .tensor import DenseTensor, _mode_product, _unfold_batch, frobenius_norm
+from .tensor import (DenseTensor, _batch_view, _mode_product, _rows,
+                     _unfold_batch, frobenius_norm)
 
 __all__ = [
     "MultilinearRank",
@@ -101,41 +104,32 @@ def clamp_rank(rank: Sequence[int], shape: Sequence[int]) -> MultilinearRank:
 
 
 def hosvd_factors(
-    samples: Sequence[DenseTensor], rank: Sequence[int]
+    data: np.ndarray, shape: Sequence[int], rank: Sequence[int]
 ) -> tuple[list[np.ndarray], MultilinearRank]:
-    """Factors of every sample at multilinear rank ``rank`` (clamped).
+    """Factors of every sample, a row of ``data``, at rank ``rank`` (clamped).
 
     Returns one ``(M, I_n, R_n)`` stack per mode n, where ``[m]`` is
     sample m's mode-n factor, and the clamped rank.  No core is built.
     """
-    if len(samples) == 0:
-        raise ValueError("hosvd needs at least one sample")
-    shape = samples[0].shape
+    data, shape = _rows(data, shape)
     effective = clamp_rank(rank, shape)
-    for index, x in enumerate(samples):
-        if x.shape != shape:
-            raise ValueError(
-                f"sample {index} shape {x.shape} does not match {shape}"
-            )
     chunks = _pool.run(
-        _chunk_factors, (samples, effective), range(0, len(samples), _CHUNK),
-        len(samples) * math.prod(shape) >= _POOL_ENTRIES,
+        _chunk_factors, (data, shape, effective), range(0, len(data), _CHUNK),
+        data.size >= _POOL_ENTRIES,
     )
     return [np.concatenate(parts) for parts in zip(*chunks)], effective
 
 
 def _chunk_factors(shared, start: int) -> list[np.ndarray]:
-    """Mode-n factor stacks of ``samples[start : start + _CHUNK]``, one
-    stacked LAPACK SVD call per mode; a non-finite sample is named by its
-    index in ``samples``."""
-    samples, effective = shared
-    chunk = _batch(samples[start : start + _CHUNK])
-    finite = np.isfinite(chunk).reshape(-1, chunk.shape[-1], order="F").all(axis=0)
+    """Mode-n factor stacks of rows ``start : start + _CHUNK``, one stacked
+    LAPACK SVD call per mode; a non-finite sample is named by its row."""
+    data, shape, effective = shared
+    rows = data[start : start + _CHUNK]
+    finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         index = start + int(np.argmin(finite))
-        raise ValueError(
-            f"hosvd input contains non-finite entries in sample {index}"
-        )
+        raise ValueError(f"hosvd input contains non-finite entries in sample {index}")
+    chunk = _batch_view(rows, shape)
     factors = []
     for n, r in enumerate(effective):
         unfolded = _unfold_batch(chunk, n)
@@ -143,12 +137,6 @@ def _chunk_factors(shared, start: int) -> list[np.ndarray]:
         _canonicalize_signs(kept)
         factors.append(kept)
     return factors
-
-
-def _batch(samples: Sequence[DenseTensor]) -> np.ndarray:
-    """The ``samples`` as one batch in ``tensor._mode_product``'s layout."""
-    flat = np.stack([x.data for x in samples])
-    return flat.T.reshape(samples[0].shape + (len(samples),), order="F")
 
 
 def _multiply(batch: np.ndarray, matrices: Sequence[np.ndarray]) -> np.ndarray:
@@ -161,7 +149,7 @@ def _multiply(batch: np.ndarray, matrices: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _leading(
-    samples: Sequence[DenseTensor], rank: Sequence[int]
+    data: np.ndarray, shape: Sequence[int], rank: Sequence[int]
 ) -> tuple[list[np.ndarray], MultilinearRank]:
     """The factor stacks of every sample at ``rank`` (clamped), as column
     slices of one full-rank ``hosvd_factors`` call.
@@ -170,30 +158,28 @@ def _leading(
     of a product depends on its factors' memory layout, which slices keep:
     a core has the same bits whatever the batch it was decomposed in.
     """
-    if len(samples) == 0:
-        raise ValueError("hosvd needs at least one sample")
-    shape = samples[0].shape
     effective = clamp_rank(rank, shape)
-    stacks, _ = hosvd_factors(samples, shape)
+    stacks, _ = hosvd_factors(data, shape, shape)
     return [stack[:, :, :r] for stack, r in zip(stacks, effective)], effective
 
 
 def _chunk_cores(
-    samples: Sequence[DenseTensor], stacks: Sequence[np.ndarray]
+    data: np.ndarray, shape: Sequence[int], stacks: Sequence[np.ndarray]
 ) -> Iterator[tuple[slice, np.ndarray]]:
-    """``(part, cores)`` for each chunk ``samples[part]`` of ``_CHUNK``
-    samples: their cores as one batch, each sample times its factors
+    """``(part, cores)`` for each chunk ``data[part]`` of ``_CHUNK`` rows:
+    their cores as one batch, each sample times its factors
     ``stacks[n][m]`` transposed, one kernel call per mode."""
-    for start in range(0, len(samples), _CHUNK):
+    for start in range(0, len(data), _CHUNK):
         part = slice(start, start + _CHUNK)
         factors = [stack[part].transpose(0, 2, 1) for stack in stacks]
-        yield part, _multiply(_batch(samples[part]), factors)
+        yield part, _multiply(_batch_view(data[part], shape), factors)
 
 
 def hosvd(x: DenseTensor, rank: Sequence[int]) -> HosvdFactors:
     """Decompose ``x`` at multilinear rank ``rank`` (clamped per mode)."""
-    stacks, effective = _leading([x], rank)
-    _, cores = next(_chunk_cores([x], stacks))
+    row = x.data.reshape(1, -1)  # x as a batch of one, no copy
+    stacks, effective = _leading(row, x.shape, rank)
+    _, cores = next(_chunk_cores(row, x.shape, stacks))
     return HosvdFactors(
         core=DenseTensor.from_array(cores[..., 0]),
         factors=[stack[0] for stack in stacks],
@@ -222,18 +208,16 @@ def reconstruct(f: HosvdFactors) -> DenseTensor:
 
 
 def _reconstruction_errors(
-    samples: Sequence[DenseTensor], rank: Sequence[int]
+    data: np.ndarray, shape: Sequence[int], rank: Sequence[int]
 ) -> tuple[MultilinearRank, list[float]]:
     """The clamped ``rank`` and each sample's ``relative_error`` against
     its reconstruction at that rank, a chunk of samples per kernel call."""
-    stacks, effective = _leading(samples, rank)
+    stacks, effective = _leading(data, shape, rank)
     errors = []
-    for part, cores in _chunk_cores(samples, stacks):
+    for part, cores in _chunk_cores(data, shape, stacks):
         approx = _multiply(cores, [stack[part] for stack in stacks])
-        errors += [
-            relative_error(x, DenseTensor.from_array(approx[..., j]))
-            for j, x in enumerate(samples[part])
-        ]
+        errors += [relative_error(DenseTensor(shape, row), DenseTensor.from_array(a))
+                   for row, a in zip(data[part], np.moveaxis(approx, -1, 0))]
     return effective, errors
 
 
@@ -249,29 +233,36 @@ def relative_error(x: DenseTensor, approx: DenseTensor) -> float:
     return diff / denom
 
 
-def _tail_errors(
-    energy: np.ndarray, norms: np.ndarray, rank: MultilinearRank
-) -> np.ndarray:
-    """Per-sample relative error at ``rank`` from squared full-rank cores."""
-    # Core energy outside the leading block, as N disjoint slabs: the
-    # total minus the block would cancel to about sqrt(eps).
-    lead = tuple(slice(r) for r in rank)
-    axes = tuple(range(1, energy.ndim))
-    tail = sum(
-        energy[(slice(None),) + lead[:n] + (slice(r, None),)].sum(axis=axes)
-        for n, r in enumerate(rank)
-    )
-    return np.sqrt(tail) / np.where(norms > 0.0, norms, 1.0)  # 0 when x = 0
+def _tail_errors(energy: np.ndarray, norms: np.ndarray):
+    """``errors(rank)``: per-sample relative errors from squared full-rank
+    cores.  The core energy outside the leading block is N disjoint slabs
+    added in mode order (the total minus the block would cancel to about
+    sqrt(eps)); slab n depends on (R_1..R_n) only, so it is summed once."""
+    scale, axes = np.where(norms > 0.0, norms, 1.0), tuple(range(1, energy.ndim))
+    slabs: dict[MultilinearRank, np.ndarray] = {}
+
+    def errors(rank: MultilinearRank) -> np.ndarray:
+        tail = 0
+        for n, r in enumerate(rank):
+            if rank[: n + 1] not in slabs:
+                lead = tuple(slice(r_k) for r_k in rank[:n])
+                slab = energy[(slice(None),) + lead + (slice(r, None),)]
+                slabs[rank[: n + 1]] = slab.sum(axis=axes)
+            tail = tail + slabs[rank[: n + 1]]
+        return np.sqrt(tail) / scale  # 0 when x = 0
+
+    return errors
 
 
 def _storage(rank: MultilinearRank, shape: tuple[int, ...]) -> int:
-    return int(np.prod(rank)) + sum(i * r for i, r in zip(shape, rank))
+    return math.prod(rank) + sum(i * r for i, r in zip(shape, rank))
 
 
 def rank_search(
-    samples: Sequence[DenseTensor], max_relative_error: float
+    data: np.ndarray, shape: Sequence[int], max_relative_error: float
 ) -> MultilinearRank:
-    """Smallest rank tuple keeping mean reconstruction error in budget.
+    """Smallest rank tuple keeping the mean reconstruction error of the
+    samples of ``shape`` in the rows of ``data`` in budget.
 
     Greedy coordinate descent from full rank: repeatedly decrement the
     mode whose decrement keeps the mean relative error lowest, stopping
@@ -280,43 +271,41 @@ def rank_search(
     lower mode; an unattainable threshold (e.g. 0) returns full rank.
 
     Exact, from one full-rank ``hosvd_factors`` call over all samples
-    (each core equal to ``hosvd``'s bit for bit) and then O(M * prod(I))
-    per candidate: rank-R factors are prefixes of the full-rank ones, so
-    X_R = X x_n U_n U_n^T is an orthogonal projection and ||X - X_R||^2
-    is the energy of the full core (||G|| = ||X||) outside its leading
-    R block.
+    (each core equal to ``hosvd``'s bit for bit): rank-R factors are
+    prefixes of the full-rank ones, so X_R = X x_n U_n U_n^T is an
+    orthogonal projection and ||X - X_R||^2 is the energy of the full
+    core (||G|| = ||X||) outside its leading R block.  That energy is N
+    slab sums, each summed once per search (``_tail_errors``).
     """
-    return _search(samples, max_relative_error)[0]
+    return _search(data, shape, max_relative_error)[0]
 
 
 def _search(
-    samples: Sequence[DenseTensor], max_relative_error: float
+    data: np.ndarray, shape: Sequence[int], max_relative_error: float
 ) -> tuple[MultilinearRank, list[np.ndarray]]:
     """``rank_search``'s rank and the full-rank factor stacks of
     ``hosvd_factors`` it searched from, whose leading columns are the
     samples' factors at that rank, bit for bit."""
-    if len(samples) == 0:
-        raise ValueError("rank_search needs at least one sample")
+    data, shape = _rows(data, shape)
     if not 0.0 <= max_relative_error < 1.0:
         raise ValueError(
             f"max_relative_error must be in [0, 1), got {max_relative_error}"
         )
-    shape = samples[0].shape
-    stacks, current = hosvd_factors(samples, shape)
+    stacks, current = hosvd_factors(data, shape, shape)
     # squared cores in one batch, read sample-first: the layout the
     # tail sums have always reduced over, so the errors keep their bits
-    energy = np.empty(current + (len(samples),), order="F")
-    for part, cores in _chunk_cores(samples, stacks):
+    energy = np.empty(current + (len(data),), order="F")
+    for part, cores in _chunk_cores(data, shape, stacks):
         np.square(cores, out=energy[..., part])
-    energy = np.moveaxis(energy, -1, 0)
-    norms = np.array([frobenius_norm(x) for x in samples])
+    norms = np.array([np.linalg.norm(row) for row in data])
+    errors = _tail_errors(np.moveaxis(energy, -1, 0), norms)
     while True:
         best = None  # (mean_error, storage, mode, candidate)
         for n in range(len(shape)):
             if current[n] <= 1:
                 continue
             candidate = current[:n] + (current[n] - 1,) + current[n + 1 :]
-            err = float(np.mean(_tail_errors(energy, norms, candidate)))
+            err = float(np.mean(errors(candidate)))
             if err > max_relative_error:
                 continue
             key = (err, _storage(candidate, shape), n)

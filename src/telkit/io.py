@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .ensemble import LabeledTensorDataset
-from .tensor import DenseTensor
+from .tensor import DenseTensor, _empty_rows
 
 __all__ = [
     "TeldError",
@@ -122,8 +122,8 @@ class _Reader:
 def load_tensor_dataset(path: str | Path) -> LabeledTensorDataset:
     """Read a TELD file; every malformation has its own error class.
 
-    The header and then each sample are read from the open file, so no
-    copy of the whole file is ever held."""
+    The header and then each record, into its row of one array, are read
+    from the open file, so no copy of the whole file is ever held."""
     with open(path, "rb") as handle:
         return _read_teld(_Reader(handle))
 
@@ -160,16 +160,18 @@ def _read_teld(reader: _Reader) -> LabeledTensorDataset:
         raise UnsupportedDtypeError(
             f"unsupported dtype code {dtype} (supported: {TELD_DTYPE_F64})"
         )
-    samples = []
-    labels = []
+    # rows for the whole records there are: an overstated count fails later
+    whole = (reader.size - reader.offset) // (4 + 8 * n_elements)
+    data = _empty_rows(min(n_samples, whole), n_elements)
+    labels = np.empty(len(data), dtype=np.int64)
     for m in range(n_samples):
-        labels.append(reader.u32(f"label of sample {m}"))
+        label = reader.u32(f"label of sample {m}")
         payload = reader.take(8 * n_elements, f"payload of sample {m}")
         values = np.frombuffer(payload, dtype="<f8")
         if not np.isfinite(values).all():
             raise NonFiniteValueError(f"sample {m} has a non-finite value")
-        samples.append(DenseTensor(dims, values))
-    return LabeledTensorDataset(samples, np.array(labels, dtype=np.int64))
+        data[m], labels[m] = values, label
+    return LabeledTensorDataset.from_rows(data, dims, labels)
 
 
 def _ppm_tokens(blob: bytes):

@@ -2,9 +2,10 @@
 
 Each class gets its own random orthonormal factor matrices and a base
 core tensor; a sample is the reconstruction of a slightly perturbed core
-plus elementwise Gaussian noise.  A class is built in chunks of
-``hosvd._CHUNK`` samples: their cores, one batch, times the class factors
-in one batched ``tensor._mode_product`` per mode (``hosvd._multiply``).
+plus elementwise Gaussian noise, written into its row of the dataset's
+one array.  A class is built in chunks of ``hosvd._CHUNK`` samples: their
+cores, one batch, times the class factors in one batched
+``tensor._mode_product`` per mode (``hosvd._multiply``).
 Each sample's own generator draws its jitter, then its noise, and the
 kernel gives each item the bits of a batch of one, so a sample's bytes do
 not depend on how many samples its class has.  Cores are scaled so the
@@ -25,7 +26,7 @@ from .canonical import check_keys, check_number, plain
 from .ensemble import LabeledTensorDataset
 from .hosvd import _CHUNK, _multiply
 from .seeding import mix_seed
-from .tensor import DenseTensor
+from .tensor import _batch_view, _empty_rows
 
 __all__ = ["SyntheticSpec", "synth_generate", "BENCHMARK_SPEC"]
 
@@ -87,7 +88,8 @@ BENCHMARK_SPEC = SyntheticSpec(
 
 def synth_generate(spec: SyntheticSpec) -> LabeledTensorDataset:
     """Deterministically generate the dataset described by ``spec``."""
-    samples = []
+    data = _empty_rows(spec.classes * spec.samples_per_class, int(np.prod(spec.shape)))
+    classes = data.reshape(spec.classes, spec.samples_per_class, -1)
     # unit-RMS scaling: E||core||^2 = prod(rank) spreads over prod(shape)
     scale = float(np.sqrt(np.prod(spec.shape) / np.prod(spec.rank)))
     for k in range(spec.classes):
@@ -107,15 +109,14 @@ def synth_generate(spec: SyntheticSpec) -> LabeledTensorDataset:
                 jitter = CORE_JITTER * scale * sample_rng.standard_normal(spec.rank)
                 cores[..., j] = base_core + jitter
             clean = _multiply(cores, factors)
+            rows = _batch_view(classes[k, start:stop], spec.shape)
             with np.errstate(over="ignore", invalid="ignore"):
                 for j, sample_rng in enumerate(rngs):
                     noise = spec.noise_std * sample_rng.standard_normal(spec.shape)
-                    sample = clean[..., j] + noise
-                    if not np.isfinite(sample).all():
+                    np.add(clean[..., j], noise, out=rows[..., j])
+                    if not np.isfinite(rows[..., j]).all():
                         raise ValueError(f"noise_std {spec.noise_std} overflows "
                                          f"sample {start + j} of class {k}")
-                    samples.append(DenseTensor.from_array(sample))
             del clean  # one chunk's product held at a time bounds peak memory
-    labels = np.repeat(np.arange(spec.classes, dtype=np.int64),
-                       spec.samples_per_class)
-    return LabeledTensorDataset(samples, labels)
+    labels = np.arange(spec.classes).repeat(spec.samples_per_class)
+    return LabeledTensorDataset.from_rows(data, spec.shape, labels)

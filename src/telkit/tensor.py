@@ -14,14 +14,19 @@ operand shapes and strides of a lone ``factor @ unfold(x, mode)`` and
 fills a C-contiguous output as it does, so numpy makes the same BLAS call
 for each item: an item has the same bits whatever batch it is in.
 ``mode_n_product`` checks its operands and runs the kernel on a batch of
-one.  Shapes are read by ``canonical.check_number``, and data, ``fold``'s
-matrix, ``mode_n_product``'s factor and ``outer_product``'s vectors by
+one.  A sample set is one ``(M, P)`` array (``_rows``), row m sample m's
+entries as its ``DenseTensor.data`` holds them, so a chunk of rows is a
+batch in that layout with no copy (``_batch_view``); a set's array is
+allocated on pages of its own (``_empty_rows``).  Shapes are read by
+``canonical.check_number``, and data, ``fold``'s matrix,
+``mode_n_product``'s factor and ``outer_product``'s vectors by
 ``check_array``.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from functools import reduce
 from typing import Iterable, Sequence
 
@@ -54,11 +59,7 @@ class DenseTensor:
     __slots__ = ("_array",)
 
     def __init__(self, shape: Sequence[int], data: Iterable[float]):
-        shape = tuple(check_number(s, f"shape[{n}]", True) for n, s in enumerate(shape))
-        if len(shape) < 1:
-            raise ValueError("tensor order must be at least 1")
-        if any(s < 1 for s in shape):
-            raise ValueError(f"all dimensions must be >= 1, got {shape}")
+        shape = _check_shape(shape)
         flat = check_array(data, "tensor data").ravel()
         expected = math.prod(shape)
         if flat.size != expected:
@@ -114,6 +115,46 @@ class DenseTensor:
 
     def __repr__(self) -> str:
         return f"DenseTensor(shape={self.shape})"
+
+
+def _check_shape(shape: Sequence[int]) -> tuple[int, ...]:
+    """``shape`` as the tuple of its N >= 1 dimensions, each an int >= 1."""
+    shape = tuple(check_number(s, f"shape[{n}]", True) for n, s in enumerate(shape))
+    if len(shape) < 1:
+        raise ValueError("tensor order must be at least 1")
+    if any(s < 1 for s in shape):
+        raise ValueError(f"all dimensions must be >= 1, got {shape}")
+    return shape
+
+
+# Private anonymous pages where the platform has the flag (not Windows).
+_PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+
+
+def _empty_rows(m: int, p: int) -> np.ndarray:
+    """A zeroed ``(m, p)`` float64 array for a sample set, on pages of its
+    own (an anonymous mmap), which freeing it returns at once.  From
+    malloc, an array of that size can come from the heap once a larger
+    one was freed, and its pages then stay resident after it is freed."""
+    pages = mmap.mmap(-1, max(8 * m * p, 1), **_PRIVATE)
+    return np.frombuffer(pages, np.float64, m * p).reshape(m, p)
+
+
+def _rows(data, shape: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """A sample set in its one layout: ``data``, read by ``check_array``, as
+    a read-only view of C-ordered ``(M, P)`` rows, row m the P =
+    prod(shape) column-major entries of sample m, M >= 1, and ``shape``
+    read by ``_check_shape``.  The caller's array is left writable."""
+    shape = _check_shape(shape)
+    data = np.ascontiguousarray(check_array(data, "data")).view()
+    data.flags.writeable = False
+    size = math.prod(shape)
+    if data.ndim != 2 or data.shape[1] != size:
+        raise ValueError(f"samples of shape {shape} need rows of {size} "
+                         f"entries, got an array of shape {data.shape}")
+    if len(data) == 0:
+        raise ValueError("a sample set needs at least one sample")
+    return data, shape
 
 
 def _require_mode(tensor: DenseTensor, mode: int) -> None:
@@ -185,6 +226,13 @@ def _unfold_batch(batch: np.ndarray, mode: int) -> np.ndarray:
         shape[mode], -1, shape[-1], order="F"
     )
     return unfolded.transpose(2, 0, 1)
+
+
+def _batch_view(rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``_rows``' ``rows`` of samples of ``shape`` as one batch in
+    ``_mode_product``'s layout: a view, with the strides of the samples'
+    ``DenseTensor.data`` stacked."""
+    return rows.T.reshape(tuple(shape) + (len(rows),), order="F")
 
 
 def _mode_product(batch: np.ndarray, factor: np.ndarray, mode: int) -> np.ndarray:

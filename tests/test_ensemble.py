@@ -22,7 +22,6 @@ from telkit.ensemble import (
     bagging_fit_reduced,
     bagging_predict,
     factor_columns,
-    flatten_samples,
     majority_error_probability,
     predict_votes,
     regroup,
@@ -35,6 +34,12 @@ from telkit.learners import (ClassifierSpec, VectorDataset, fit, grid_search_cv,
 from telkit.linalg import pca_fit, pca_transform
 from telkit.seeding import mix_seed
 from telkit.tensor import DenseTensor, outer_product
+
+
+def rows(samples) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The ``(M, P)`` array and the shape of a list of same-shape samples."""
+    data = LabeledTensorDataset(samples, np.zeros(len(samples), int))
+    return data.data, data.shape
 
 
 def majority_vote(votes) -> VoteTally:
@@ -68,6 +73,14 @@ def random_dataset(rng, shape, n_per_class, classes=2, spread=4.0):
 
 
 class TestLabeledTensorDataset:
+    def test_rows_of_another_size_rejected(self):
+        message = (r"^samples of shape \(2, 3\) need rows of 6 entries, "
+                   r"got an array of shape \(2, 5\)$")
+        with pytest.raises(ValueError, match=message):
+            LabeledTensorDataset.from_rows(np.zeros((2, 5)), (2, 3), [0, 1])
+        with pytest.raises(ValueError, match="^2 samples but 3 labels$"):
+            LabeledTensorDataset.from_rows(np.zeros((2, 6)), (2, 3), [0, 1, 0])
+
     def test_length_mismatch_rejected(self):
         samples = [DenseTensor((2,), [1.0, 2.0])]
         with pytest.raises(ValueError, match="labels"):
@@ -213,9 +226,9 @@ class TestRegroup:
         # full-rank factors; 70 samples span two chunks of the kernel
         rng = np.random.default_rng([337, *shape])
         samples = [DenseTensor.from_array(rng.standard_normal(shape)) for _ in range(70)]
-        stacks, _ = hosvd_factors(samples, shape)
+        stacks, _ = hosvd_factors(*rows(samples), shape)
         sliced = _columns(stacks, clamp_rank(rank, shape))
-        expected = factor_columns(samples, rank)
+        expected = factor_columns(*rows(samples), rank)
         assert sorted(sliced) == sorted(expected)
         for key, column in expected.items():
             assert sliced[key].flags.c_contiguous
@@ -226,9 +239,9 @@ class TestRegroup:
         rng = np.random.default_rng(347)
         samples = [DenseTensor.from_array(rng.standard_normal((10, 2, 2)))
                    for _ in range(12)]
-        rank, stacks = _search(samples, threshold)
-        assert rank == rank_search(samples, threshold)
-        expected = factor_columns(samples, rank)
+        rank, stacks = _search(*rows(samples), threshold)
+        assert rank == rank_search(*rows(samples), threshold)
+        expected = factor_columns(*rows(samples), rank)
         sliced = _columns(stacks, rank)
         assert sorted(sliced) == sorted(expected)
         assert all(sliced[k].tobytes() == c.tobytes() for k, c in expected.items())
@@ -237,8 +250,8 @@ class TestRegroup:
         # (5, 2, 2) clamps mode 0 to rank 4; 70 samples span two chunks
         rng = np.random.default_rng(331)
         samples = [DenseTensor((5, 2, 2), rng.standard_normal(20)) for _ in range(70)]
-        stacks, effective = hosvd_factors(samples, (5, 2, 1))
-        columns = factor_columns(samples, (5, 2, 1))
+        stacks, effective = hosvd_factors(*rows(samples), (5, 2, 1))
+        columns = factor_columns(*rows(samples), (5, 2, 1))
         assert effective == (4, 2, 1)
         assert sorted(columns) == [(0, r) for r in range(4)] + [(1, 0), (1, 1), (2, 0)]
         for (n, r), column in columns.items():
@@ -352,6 +365,16 @@ class TestTelviPredict:
         model = telvi_fit(data, (2, 2, 1), ClassifierSpec("knn", {"k": 3}), 11)
         return rng, data, model
 
+    def test_one_sample_votes_as_in_its_batch(self, model_and_data):
+        rng, _, model = model_and_data
+        probes = LabeledTensorDataset.from_rows(
+            rng.standard_normal((12, 60)), (5, 4, 3), np.zeros(12, int)
+        )
+        _, votes = predict_votes(model, probes.data, probes.shape)
+        assert [telvi_predict(model, x)[0] for x in probes.samples] == (
+            majority_labels(votes).tolist()
+        )
+
     def test_matches_brute_force_reimplementation(self, model_and_data):
         rng, data, model = model_and_data
         for _ in range(20):
@@ -416,7 +439,7 @@ class TestBagging:
         spec = ClassifierSpec("tree", {"max_depth": 3})
 
         bagged = bagging_fit(data, 1, 4, spec, seed)
-        vectors = flatten_samples(samples)
+        vectors = rows(samples)[0]
         pca = pca_fit(vectors, 4)
         plain = fit(spec, VectorDataset(pca_transform(pca, vectors), data.labels), 0)
 
@@ -486,14 +509,14 @@ class TestBagging:
                 idx = generator.integers(0, 6, size=6)
             assert estimator.class_labels.tolist() == [0, 1]
             if kind == "knn":  # a knn estimator keeps its resample's rows
-                reduced = pca_transform(model.pca, flatten_samples(samples))
+                reduced = pca_transform(model.pca, rows(samples)[0])
                 assert np.array_equal(estimator.train_features, reduced[idx])
         assert redrawn > 0
 
     def test_reduced_fit_rejects_one_sample_and_no_estimators(self):
         rng = np.random.default_rng(397)
         data = random_dataset(rng, (3, 2), 4)
-        vectors = flatten_samples(data.samples)
+        vectors = data.data
         pca = pca_fit(vectors, 3)
         reduced = VectorDataset(pca_transform(pca, vectors), data.labels)
         spec = ClassifierSpec("knn", {"k": 1})
@@ -552,10 +575,10 @@ class TestPredictVotes:
             model = bagging_fit(data, 5, 6, base, 5)
             one_sample = bagging_predict
         else:
-            flat = VectorDataset(flatten_samples(data.samples), data.labels)
+            flat = VectorDataset(data.data, data.labels)
             model = SingleModel(data.shape, fit(base, flat, 5))
             one_sample = None
-        keys, votes = predict_votes(model, probes)
+        keys, votes = predict_votes(model, *rows(probes))
         assert votes.shape == (len(keys), len(probes))
         for j, x in enumerate(probes):
             assert votes[:, j].tolist() == one_row_votes(model, x)
@@ -567,12 +590,12 @@ class TestPredictVotes:
     def test_keys_follow_voters(self, data_and_probes):
         data, probes = data_and_probes
         telvi = telvi_fit(data, (2, 2, 1), KINDS["knn"], 5)
-        assert predict_votes(telvi, probes)[0] == sorted(telvi.base_models)
+        assert predict_votes(telvi, *rows(probes))[0] == sorted(telvi.base_models)
         bagged = bagging_fit(data, 3, 6, KINDS["knn"], 5)
-        assert predict_votes(bagged, probes)[0] == [(-1, 0), (-1, 1), (-1, 2)]
+        assert predict_votes(bagged, *rows(probes))[0] == [(-1, 0), (-1, 1), (-1, 2)]
 
     @pytest.mark.parametrize("method", ["telvi", "bagging"])
-    def test_bad_last_sample_rejected_before_any_decomposition(
+    def test_bad_shape_rejected_before_any_decomposition(
         self, data_and_probes, method, monkeypatch
     ):
         data, probes = data_and_probes
@@ -584,16 +607,17 @@ class TestPredictVotes:
         monkeypatch.setattr(
             "telkit.ensemble.hosvd_factors", lambda *args: calls.append(args)
         )
-        bad = probes + [DenseTensor((4, 2, 3), np.zeros(24))]
-        with pytest.raises(ValueError, match=f"sample {len(probes)} shape"):
-            predict_votes(model, bad)
+        data, _ = rows(probes)
+        message = r"^sample shape \(4, 2, 3\) does not match training shape"
+        with pytest.raises(ValueError, match=message):
+            predict_votes(model, data, (4, 2, 3))
         assert calls == []
 
     def test_empty_sample_set_rejected(self, data_and_probes):
         data, _ = data_and_probes
         model = telvi_fit(data, (2, 2, 1), KINDS["knn"], 5)
         with pytest.raises(ValueError, match="at least one sample"):
-            predict_votes(model, [])
+            predict_votes(model, np.empty((0, 24)), (4, 3, 2))
 
 
 class TestSeedRule:
@@ -612,7 +636,7 @@ class TestSeedRule:
     def test_numpy_int_seeds_train_as_their_ints(self):
         rng = np.random.default_rng(607)
         data = random_dataset(rng, (3, 2), 6)
-        flat = VectorDataset(flatten_samples(data.samples), data.labels)
+        flat = VectorDataset(data.data, data.labels)
         probes = rng.standard_normal((10, 6))
         assert np.array_equal(fit(self.SVM, flat, np.int64(3)).predict(probes),
                               fit(self.SVM, flat, 3).predict(probes))

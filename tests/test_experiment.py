@@ -21,7 +21,6 @@ from telkit.ensemble import (
     SingleModel,
     TelviModel,
     bagging_fit,
-    flatten_samples,
     predict_votes,
     regroup,
     telvi_fit,
@@ -482,18 +481,18 @@ class TestModelFiles:
     def test_bare_learner_rejected(self, tmp_path):
         rng = np.random.default_rng(439)
         data = tiny_tensor_dataset(rng)
-        flat = VectorDataset(flatten_samples(data.samples), data.labels)
+        flat = VectorDataset(data.data, data.labels)
         learner = fit(ClassifierSpec("knn", {"k": 1}), flat, 1)
         with pytest.raises(TypeError, match="^unknown model type KnnModel$"):
             save_model(learner, tmp_path / "model.json")
         assert not (tmp_path / "model.json").exists()
         with pytest.raises(TypeError, match="^unknown model type KnnModel$"):
-            predict_votes(learner, data.samples)
+            predict_votes(learner, data.data, data.shape)
 
     def test_single_model_records_its_shape(self, tmp_path):
         rng = np.random.default_rng(431)
         data = tiny_tensor_dataset(rng)
-        flat = VectorDataset(flatten_samples(data.samples), data.labels)
+        flat = VectorDataset(data.data, data.labels)
         model = SingleModel(data.shape, fit(ClassifierSpec("knn", {"k": 1}), flat, 1))
         path = tmp_path / "single.json"
         save_model(model, path)
@@ -501,8 +500,8 @@ class TestModelFiles:
         loaded = load_model(path)
         assert loaded.shape == data.shape
         assert np.array_equal(
-            predict_votes(model, data.samples)[1],
-            predict_votes(loaded, data.samples)[1],
+            predict_votes(model, data.data, data.shape)[1],
+            predict_votes(loaded, data.data, data.shape)[1],
         )
 
     def test_telvi_round_trip(self, tmp_path):
@@ -659,7 +658,7 @@ class TestModelFiles:
         if kind == "pca":
             model = bagging_fit(data, 2, 4, ClassifierSpec("knn", {"k": 1}), 3)
         else:
-            flat = VectorDataset(flatten_samples(data.samples), data.labels)
+            flat = VectorDataset(data.data, data.labels)
             model = SingleModel(data.shape, fit(ClassifierSpec(kind), flat, 1))
         payload = json.loads(canonical_json(model_to_dict(model)))
         *path, last = where
@@ -870,7 +869,7 @@ class TestModelFiles:
         elif method == "bagging":
             model = bagging_fit(data, 3, 6, spec, 5)
         else:
-            flat = VectorDataset(flatten_samples(data.samples), data.labels)
+            flat = VectorDataset(data.data, data.labels)
             model = SingleModel(data.shape, fit(spec, flat, 1))
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(model, **change(model))
@@ -878,7 +877,7 @@ class TestModelFiles:
     def test_tampered_single_model_rejected(self, tmp_path):
         rng = np.random.default_rng(461)
         data = tiny_tensor_dataset(rng)
-        flat = VectorDataset(flatten_samples(data.samples), data.labels)
+        flat = VectorDataset(data.data, data.labels)
         model = SingleModel(data.shape, fit(ClassifierSpec("tree"), flat, 1))
         path = self._tampered_file(
             tmp_path, model, lambda p: p.update(shape=[3, 4, 3])
@@ -1039,7 +1038,7 @@ class TestModelFiles:
     ):
         rng = np.random.default_rng(467)
         data = tiny_tensor_dataset(rng)
-        flat = VectorDataset(flatten_samples(data.samples), data.labels)
+        flat = VectorDataset(data.data, data.labels)
         model = SingleModel(data.shape, fit(ClassifierSpec(kind), flat, 1))
         path = self._tampered_file(tmp_path, model, lambda p: tamper(p["model"]))
         with pytest.raises(ValueError, match=message):
@@ -1048,7 +1047,7 @@ class TestModelFiles:
     def test_single_model_without_shape_rejected(self, tmp_path):
         rng = np.random.default_rng(463)
         data = tiny_tensor_dataset(rng)
-        flat = VectorDataset(flatten_samples(data.samples), data.labels)
+        flat = VectorDataset(data.data, data.labels)
         model = SingleModel(data.shape, fit(ClassifierSpec("knn", {"k": 1}), flat, 1))
         path = self._tampered_file(tmp_path, model, lambda p: p.pop("shape"))
         with pytest.raises(KeyError, match="shape"):
@@ -1135,7 +1134,7 @@ class TestTamperedModelFiles:
         elif method == "bagging":
             model = bagging_fit(data, 2, 2, spec, 5)
         else:
-            flat = VectorDataset(flatten_samples(data.samples), data.labels)
+            flat = VectorDataset(data.data, data.labels)
             model = SingleModel(data.shape, fit(spec, flat, 1))
         text = canonical_json(model_to_dict(model))
         path = tmp_path / "model.json"
@@ -1148,7 +1147,7 @@ class TestTamperedModelFiles:
                 node = node[key]
             node[last] = value
             path.write_text(json.dumps(payload))
-            outcome = self._outcome(path, data.samples)
+            outcome = self._outcome(path, data)
             outcomes[outcome.split(":")[0]] += 1
             if isinstance(value, (bool, str)) and outcome != "rejected":
                 outcome = f"wrong: {value!r} not rejected"
@@ -1158,7 +1157,7 @@ class TestTamperedModelFiles:
         assert outcomes["rejected"] > 0 and outcomes["predicted"] > 0
 
     @staticmethod
-    def _outcome(path, samples) -> str:
+    def _outcome(path, data) -> str:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
@@ -1168,7 +1167,7 @@ class TestTamperedModelFiles:
             except Exception as exc:
                 return f"wrong: {type(exc).__name__} at load: {exc}"
             try:
-                votes = predict_votes(loaded, samples)[1]
+                votes = predict_votes(loaded, data.data, data.shape)[1]
             except ValueError as exc:
                 if re.fullmatch(r"svm decision values of row \d+ are not finite", str(exc)):
                     return "svm rule"
@@ -1419,7 +1418,7 @@ class TestCli:
         data = tk.synth_generate(BENCHMARK_SPEC)
         grid = [ClassifierSpec.from_dict(spec) for spec in TWO_SPEC_GRID]
         tune_seed, fit_seed = mix_seed(7, 2), mix_seed(7, 3)
-        vectors = flatten_samples(data.samples)
+        vectors = data.data
         if method == "telvi":
             datasets = regroup(data, (2, 2, 1))
             chosen = grid_search_cv(
@@ -1451,7 +1450,7 @@ class TestCli:
         lib_path = tmp_path / "lib_model.json"
         assert main(["train", "--config", str(config_path), "--out", str(cli_path)]) == 0
         data = tk.synth_generate(BENCHMARK_SPEC)
-        rank = rank_search(data.samples, 0.35)
+        rank = rank_search(data.data, data.shape, 0.35)
         model = telvi_fit(
             data, rank, ClassifierSpec.from_dict(KNN3), mix_seed(7, 3)
         )
@@ -1549,8 +1548,8 @@ class TestCli:
             "predict", "--model", str(model_path), "--data", str(data_path),
             "--out", str(csv_path),
         ]) == 0
-        samples = tk.synth_generate(BENCHMARK_SPEC).samples
-        _, votes = predict_votes(load_model(model_path), samples)
+        data = tk.synth_generate(BENCHMARK_SPEC)
+        _, votes = predict_votes(load_model(model_path), data.data, data.shape)
         winners = majority_labels(votes).tolist()
         rows = csv_path.read_text().splitlines()
         assert rows == ["index,label"] + [f"{i},{w}" for i, w in enumerate(winners)]
@@ -1568,19 +1567,17 @@ class TestCli:
         model_path = tmp_path / "model.json"
         assert main(["train", "--config", str(config_path), "--out", str(model_path)]) == 0
         data = tk.synth_generate(BENCHMARK_SPEC)
-        relabelled = LabeledTensorDataset(
-            [DenseTensor((3, 8, 8), x.data) for x in data.samples], data.labels
-        )
+        relabelled = LabeledTensorDataset.from_rows(data.data, (3, 8, 8), data.labels)
         other_path = tmp_path / "other.teld"
         save_tensor_dataset(relabelled, other_path)
         capsys.readouterr()
         assert main(["predict", "--model", str(model_path), "--data", str(other_path)]) == 1
         assert capsys.readouterr().err == (
-            "error: ValueError: sample 0 shape (3, 8, 8) does not match "
+            "error: ValueError: sample shape (3, 8, 8) does not match "
             "training shape (8, 8, 3)\n"
         )
-        with pytest.raises(ValueError, match="sample 0 shape"):
-            predict_votes(load_model(model_path), relabelled.samples)
+        with pytest.raises(ValueError, match="sample shape"):
+            predict_votes(load_model(model_path), relabelled.data, relabelled.shape)
 
     def test_single_predict_rejects_a_file_without_shape(self, config_files, capsys):
         tmp_path, synth, _ = config_files
@@ -1746,7 +1743,7 @@ def count_decompositions(monkeypatch) -> list[tuple[tuple[int, ...], int]]:
     in telkit, ``hosvd``'s batches of one included."""
     original = sys.modules["telkit.hosvd"].hosvd_factors
     return count_calls(
-        monkeypatch, original, lambda samples, rank: (tuple(rank), len(samples))
+        monkeypatch, original, lambda data, shape, rank: (tuple(rank), len(data))
     )
 
 
@@ -2041,8 +2038,9 @@ class TestCpuCount:
         bad[7] = np.nan
         samples[100] = DenseTensor((16, 16, 4), bad)
         message = "hosvd input contains non-finite entries in sample 100"
+        data = LabeledTensorDataset(samples, np.zeros(256, int))
         with pytest.raises(ValueError, match=f"^{message}$"):
-            hosvd_factors(samples, (2, 2, 1))
+            hosvd_factors(data.data, data.shape, (2, 2, 1))
         assert cpus.pools == ([] if count == 1 else [2])
 
     def test_fold_fit_error_identical(self, tmp_path, capsys, cpus, monkeypatch):

@@ -7,9 +7,9 @@ import re
 import numpy as np
 import pytest
 
+from telkit.ensemble import LabeledTensorDataset
 from telkit.hosvd import (
     HosvdFactors,
-    _batch,
     _chunk_cores,
     _leading,
     _multiply,
@@ -25,12 +25,19 @@ from telkit.hosvd import (
 )
 from telkit.tensor import (
     DenseTensor,
+    _batch_view,
     fold,
     frobenius_norm,
     mode_n_product,
     outer_product,
     unfold,
 )
+
+
+def rows(samples) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The ``(M, P)`` array and the shape of a list of same-shape samples."""
+    data = LabeledTensorDataset(samples, np.zeros(len(samples), int))
+    return data.data, data.shape
 
 
 def random_tensor(rng, shape) -> DenseTensor:
@@ -244,7 +251,7 @@ class TestHosvdFactors:
         monkeypatch.setattr(HOSVD_MODULE, "_CHUNK", chunk)
         rng = np.random.default_rng(113)
         samples = kernel_samples(rng, shape)
-        stacks, effective = hosvd_factors(samples, rank)
+        stacks, effective = hosvd_factors(*rows(samples), rank)
         assert effective == clamp_rank(rank, shape)
         assert [s.shape for s in stacks] == [
             (len(samples), i, r) for i, r in zip(shape, effective)
@@ -275,15 +282,15 @@ class TestHosvdFactors:
         poisoned[5] = value
         samples[9] = DenseTensor((3, 4, 2), poisoned)
         with pytest.raises(ValueError, match="non-finite entries in sample 9"):
-            hosvd_factors(samples, (2, 2, 1))
+            hosvd_factors(*rows(samples), (2, 2, 1))
 
-    def test_mixed_shapes_and_empty_input_rejected(self):
-        rng = np.random.default_rng(137)
-        samples = [random_tensor(rng, (3, 4, 2)), random_tensor(rng, (4, 3, 2))]
-        with pytest.raises(ValueError, match=r"sample 1 shape \(4, 3, 2\)"):
-            hosvd_factors(samples, (2, 2, 1))
+    def test_rows_of_another_size_and_empty_input_rejected(self):
+        message = r"^samples of shape \(3, 4, 2\) need rows of 24 entries, got"
+        for data in (np.zeros((2, 25)), np.zeros(24), np.zeros((2, 3, 8))):
+            with pytest.raises(ValueError, match=message):
+                hosvd_factors(data, (3, 4, 2), (2, 2, 1))
         with pytest.raises(ValueError, match="at least one sample"):
-            hosvd_factors([], (2, 2, 1))
+            hosvd_factors(np.zeros((0, 24)), (3, 4, 2), (2, 2, 1))
 
 
 class TestMultiply:
@@ -299,7 +306,7 @@ class TestMultiply:
     def test_bits_equal_chained_mode_n_products(self, shape):
         rng = np.random.default_rng([211, *shape])
         samples = [random_tensor(rng, shape) for _ in range(3)]
-        stacks, full = hosvd_factors(samples, shape)
+        stacks, full = hosvd_factors(*rows(samples), shape)
         ranks = {full, tuple(1 for _ in shape), tuple(max(1, r - 1) for r in full)}
         for rank in sorted(ranks):
             # the transposed column slices ``_chunk_cores`` passes, then
@@ -311,7 +318,7 @@ class TestMultiply:
 
     @staticmethod
     def checked_multiply(items, matrices):
-        result = _multiply(_batch(items), matrices)
+        result = _multiply(_batch_view(*rows(items)), matrices)
         products = []
         for m, x in enumerate(items):
             chained, defined = x, x
@@ -371,13 +378,14 @@ class TestBatchedKernel:
     def test_per_sample_factors(self, shape, count):
         rng = np.random.default_rng([233, count, *shape])
         samples = [random_tensor(rng, shape) for _ in range(count)]
+        data, _ = rows(samples)
         for rank in self.ranks(shape):
-            stacks, effective = _leading(samples, rank)
+            stacks, effective = _leading(data, shape, rank)
             cores = np.concatenate(
-                [chunk for _, chunk in _chunk_cores(samples, stacks)], axis=-1
+                [chunk for _, chunk in _chunk_cores(data, shape, stacks)], axis=-1
             )
             approx = _multiply(cores, stacks)
-            found, errors = _reconstruction_errors(samples, rank)
+            found, errors = _reconstruction_errors(data, shape, rank)
             assert found == effective
             for m, x in enumerate(samples):
                 factors = [stack[m] for stack in stacks]
@@ -398,7 +406,7 @@ class TestBatchedKernel:
             factors = [np.linalg.qr(rng.standard_normal((i, r)))[0]
                        for i, r in zip(shape, rank)]
             cores = [random_tensor(rng, rank) for _ in range(count)]
-            approx = _multiply(_batch(cores), factors)
+            approx = _multiply(_batch_view(*rows(cores)), factors)
             for m, core in enumerate(cores):
                 expected = defined_product(core, factors)
                 assert same_bits(approx[..., m], expected.to_array())
@@ -459,12 +467,12 @@ class TestRankSearch:
         for _ in range(4):
             vectors = [rng.standard_normal(d) for d in (4, 3, 5)]
             samples.append(outer_product(vectors))
-        assert rank_search(samples, 0.01) == (1, 1, 1)
+        assert rank_search(*rows(samples), 0.01) == (1, 1, 1)
 
     def test_zero_threshold_returns_full_rank(self):
         rng = np.random.default_rng(149)
         samples = [random_tensor(rng, (3, 4, 2)) for _ in range(3)]
-        assert rank_search(samples, 0.0) == clamp_rank((3, 4, 2), (3, 4, 2))
+        assert rank_search(*rows(samples), 0.0) == clamp_rank((3, 4, 2), (3, 4, 2))
 
     def test_against_exhaustive_enumeration(self):
         rng = np.random.default_rng(151)
@@ -472,7 +480,7 @@ class TestRankSearch:
         target = relative_error(x, reconstruct(hosvd(x, (2, 2, 2))))
         threshold = target + 1e-6
 
-        result = rank_search([x], threshold)
+        result = rank_search(*rows([x]), threshold)
         result_err = relative_error(x, reconstruct(hosvd(x, result)))
         assert result_err <= threshold
         # greedy-minimal: no single decrement stays within budget
@@ -491,21 +499,21 @@ class TestRankSearch:
 
     def test_empty_sample_list_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            rank_search([], 0.1)
+            rank_search(np.zeros((0, 4)), (2, 2), 0.1)
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(157)
-        samples = [random_tensor(rng, (2, 2)), random_tensor(rng, (3, 2))]
+        data, _ = rows([random_tensor(rng, (3, 2)) for _ in range(2)])
         with pytest.raises(
-            ValueError, match=r"sample 1 shape \(3, 2\) does not match"
+            ValueError, match=r"samples of shape \(2, 2\) need rows of 4 entries"
         ):
-            rank_search(samples, 0.1)
+            rank_search(data, (2, 2), 0.1)
 
     def test_threshold_domain(self):
         rng = np.random.default_rng(163)
         samples = [random_tensor(rng, (2, 2))]
         with pytest.raises(ValueError, match="max_relative_error"):
-            rank_search(samples, 1.0)
+            rank_search(*rows(samples), 1.0)
 
     @pytest.mark.parametrize(
         "shape", [(12, 12, 3), (8, 8, 3), (10, 2, 2), (5, 7), (3, 4, 2, 3)]
@@ -517,7 +525,7 @@ class TestRankSearch:
             rng = np.random.default_rng([167, seed, *shape])
             samples = low_rank_samples(rng, shape, 4, noise)
             for threshold in (0.0, 0.05, 0.1, 0.3, 0.6):
-                assert rank_search(samples, threshold) == (
+                assert rank_search(*rows(samples), threshold) == (
                     reference_rank_search(samples, threshold)
                 ), (seed, threshold)
 
@@ -530,9 +538,9 @@ class TestRankSearch:
         ranks = list(itertools.product(*(range(1, i + 1) for i in shape)))
         # at full rank the tail is exactly 0; reconstruction rounds to ~eps
         assert ranks.pop() == shape
-        assert _tail_errors(energy, norms, shape)[0] == 0.0
+        assert _tail_errors(energy, norms)(shape)[0] == 0.0
         for rank in ranks:
-            tail = _tail_errors(energy, norms, rank)[0]
+            tail = _tail_errors(energy, norms)(rank)[0]
             direct = relative_error(x, reconstruct(hosvd(x, rank)))
             assert abs(tail - direct) <= 1e-12 * direct, rank
 
@@ -548,7 +556,7 @@ class TestRankSearch:
         ranks = list(itertools.product(*(range(2, i + 1) for i in shape)))
         assert ranks.pop() == shape
         for rank in ranks:
-            tail = _tail_errors(energy, norms, rank)[0]
+            tail = _tail_errors(energy, norms)(rank)[0]
             direct = relative_error(x, reconstruct(hosvd(x, rank)))
             assert direct < 1e-5
             assert abs(tail - direct) <= 1e-8 * direct, rank
@@ -558,20 +566,20 @@ class TestRankSearch:
         samples = low_rank_samples(rng, (6, 5, 3), 4, 0.2)
         samples.insert(2, DenseTensor.from_array(np.zeros((6, 5, 3))))
         for threshold in (0.0, 0.1, 0.3):
-            assert rank_search(samples, threshold) == (
+            assert rank_search(*rows(samples), threshold) == (
                 reference_rank_search(samples, threshold)
             )
         energy = np.stack(
             [hosvd(x, (6, 5, 3)).core.to_array() ** 2 for x in samples]
         )
         norms = np.array([frobenius_norm(x) for x in samples])
-        errors = _tail_errors(energy, norms, (2, 2, 1))
+        errors = _tail_errors(energy, norms)((2, 2, 1))
         assert np.all(np.isfinite(errors))
         assert errors[2] == 0.0
 
     def test_all_zero_samples_reach_rank_one(self):
         samples = [DenseTensor.from_array(np.zeros((4, 3, 2))) for _ in range(3)]
-        assert rank_search(samples, 0.0) == (1, 1, 1)
+        assert rank_search(*rows(samples), 0.0) == (1, 1, 1)
 
     def test_non_finite_sample_rejected(self):
         rng = np.random.default_rng(181)
@@ -580,7 +588,7 @@ class TestRankSearch:
         with pytest.raises(
             ValueError, match="hosvd input contains non-finite entries in sample 2"
         ):
-            rank_search(samples, 0.1)
+            rank_search(*rows(samples), 0.1)
 
     def test_decomposes_each_sample_once(self, monkeypatch):
         # the package re-exports ``hosvd``, shadowing the module attribute
@@ -588,9 +596,9 @@ class TestRankSearch:
         calls = []
         original = module.hosvd_factors
 
-        def counting_factors(samples, rank):
-            calls.append((len(samples), tuple(rank)))
-            return original(samples, rank)
+        def counting_factors(data, shape, rank):
+            calls.append((len(data), tuple(rank)))
+            return original(data, shape, rank)
 
         def forbidden(*args):
             raise AssertionError("rank_search must not call hosvd or reconstruct")
@@ -600,7 +608,7 @@ class TestRankSearch:
         monkeypatch.setattr(module, "reconstruct", forbidden)
         rng = np.random.default_rng(191)
         samples = low_rank_samples(rng, (8, 8, 3), 5, 0.1)
-        rank = rank_search(samples, 0.3)
+        rank = rank_search(*rows(samples), 0.3)
         assert rank != (8, 8, 3)  # the search took several steps
         assert calls == [(len(samples), (8, 8, 3))]  # one call, full rank
 
@@ -614,14 +622,107 @@ class TestRankSearch:
         energies = []
         original = module._tail_errors
 
-        def capturing(energy, norms, rank):
+        def capturing(energy, norms):
             energies.append(energy)
-            return original(energy, norms, rank)
+            return original(energy, norms)
 
         monkeypatch.setattr(module, "_tail_errors", capturing)
         rng = np.random.default_rng([199, *shape])
         samples = [random_tensor(rng, shape) for _ in range(130)]
-        rank_search(samples, 0.5)
+        rank_search(*rows(samples), 0.5)
         full = clamp_rank(shape, shape)
         expected = np.stack([hosvd(x, full).core.to_array() ** 2 for x in samples])
         assert energies and all(np.array_equal(e, expected) for e in energies)
+
+
+def uncached_tail_errors(energy, norms, rank):
+    """``_tail_errors`` as it was before each slab was summed once per
+    search: every slab of every candidate rank summed again."""
+    lead = tuple(slice(r) for r in rank)
+    axes = tuple(range(1, energy.ndim))
+    tail = sum(
+        energy[(slice(None),) + lead[:n] + (slice(r, None),)].sum(axis=axes)
+        for n, r in enumerate(rank)
+    )
+    return np.sqrt(tail) / np.where(norms > 0.0, norms, 1.0)
+
+
+class TestSlabCache:
+    """A rank search sums each core-energy slab once: its rank, its factor
+    stacks and the error of every candidate it tries keep the bits of
+    summing every slab of every candidate."""
+
+    @staticmethod
+    def search(monkeypatch, data, shape, threshold, tail_errors):
+        """``_search``'s rank and stacks, with each candidate's errors."""
+        seen = []
+
+        def recording(energy, norms):
+            errors = tail_errors(energy, norms)
+
+            def record(rank):
+                seen.append((rank, errors(rank).tobytes()))
+                return errors(rank)
+
+            return record
+
+        with monkeypatch.context() as patch:
+            patch.setattr(HOSVD_MODULE, "_tail_errors", recording)
+            rank, stacks = HOSVD_MODULE._search(data, shape, threshold)
+        return rank, [stack.tobytes() for stack in stacks], seen
+
+    @pytest.mark.parametrize(
+        "shape", [case[0] for case in TestHosvdFactors.CASES] + [(128, 128, 3)],
+        ids=lambda s: "x".join(map(str, s)),
+    )
+    def test_bits_equal_summing_every_slab_of_every_candidate(
+        self, monkeypatch, shape
+    ):
+        rng = np.random.default_rng([241, *shape])
+        if shape == (128, 128, 3):
+            samples = low_rank_samples(rng, shape, 3, 0.05)
+        else:
+            samples = kernel_samples(rng, shape)
+        data, _ = rows(samples)
+
+        def uncached(energy, norms):
+            return lambda rank: uncached_tail_errors(energy, norms, rank)
+
+        for threshold in (0.0, 0.1, 0.3, 0.6):
+            cached = self.search(
+                monkeypatch, data, shape, threshold, HOSVD_MODULE._tail_errors
+            )
+            assert cached[2]  # the search tried candidate ranks
+            assert cached == self.search(monkeypatch, data, shape, threshold, uncached)
+
+    def test_rank_search_benchmark_split_sums_125_slabs_for_207(self, monkeypatch):
+        # rank-search's training split: 80 samples of 12x12x3, threshold 0.3
+        from telkit.experiment import train_test_split
+        from telkit.seeding import mix_seed
+        from telkit.synth import SyntheticSpec, synth_generate
+
+        spec = SyntheticSpec((12, 12, 3), 4, (2, 2, 1), 40, 0.05, 7)
+        train, _ = train_test_split(synth_generate(spec), 0.5, mix_seed(7, 1))
+        sums, candidates = [], []
+
+        class CountingSums(np.ndarray):
+            def sum(self, *args, **kwargs):
+                sums.append(args)
+                return super().sum(*args, **kwargs)
+
+        original = HOSVD_MODULE._tail_errors
+
+        def counting(energy, norms):
+            errors = original(energy.view(CountingSums), norms)
+
+            def count(rank):
+                candidates.append(rank)
+                return errors(rank)
+
+            return count
+
+        monkeypatch.setattr(HOSVD_MODULE, "_tail_errors", counting)
+        assert train.n_samples == 80
+        assert rank_search(train.data, train.shape, 0.3) == (1, 1, 1)
+        # one slab sum per mode and candidate before: 3 x 69 = 207
+        assert (len(candidates), len(sums)) == (69, 125)

@@ -26,7 +26,7 @@ from telkit.io import (
 )
 from telkit.seeding import mix_seed
 from telkit.synth import BENCHMARK_SPEC, CORE_JITTER, SyntheticSpec, synth_generate
-from telkit.tensor import DenseTensor, fold, unfold
+from telkit.tensor import DenseTensor, _batch_view, fold, unfold
 
 
 def random_dataset(rng, shape=None, n=None) -> LabeledTensorDataset:
@@ -151,6 +151,84 @@ class TestTeldFormat:
         path = tmp_path / "max-label.teld"
         save_tensor_dataset(data, path)
         assert load_tensor_dataset(path).labels.tolist() == [0, 2**32 - 1]
+
+
+class TestOneArray:
+    """A set read or generated is one read-only ``(M, P)`` array of rows,
+    its samples read-only views of them, and a split shares its samples."""
+
+    @staticmethod
+    def read_and_generated(tmp_path):
+        spec = SyntheticSpec((16, 12, 3), 2, (2, 2, 1), 6, 0.05, 3)
+        generated = synth_generate(spec)
+        save_tensor_dataset(generated, tmp_path / "set.teld")
+        return generated, load_tensor_dataset(tmp_path / "set.teld")
+
+    def test_samples_are_read_only_views_of_data(self, tmp_path):
+        for data in self.read_and_generated(tmp_path):
+            array = data.data
+            assert (array.shape, array.dtype) == ((12, 576), np.float64)
+            assert array.flags.c_contiguous and not array.flags.writeable
+            for m, x in enumerate(data.samples):
+                assert np.shares_memory(x.to_array(), array[m])
+                assert not x.to_array().flags.writeable
+                assert x.data.tobytes() == array[m].tobytes()
+
+    def test_batch_views_equal_stacked_batches(self, tmp_path):
+        # the batch that stacking the tensors' entries gave, strides too, is
+        # a view of the rows, for a whole set and for a slice of it
+        for data in self.read_and_generated(tmp_path):
+            for part in (slice(None), slice(3, 10)):
+                stacked = np.stack([x.data for x in data.samples[part]])
+                expected = stacked.T.reshape(data.shape + (len(stacked),), order="F")
+                view = _batch_view(data.data[part], data.shape)
+                assert view.strides == expected.strides
+                assert np.array_equal(view, expected)
+                assert np.shares_memory(view, data.data)
+
+    def test_round_trip_is_byte_identical(self, tmp_path):
+        generated, read = self.read_and_generated(tmp_path)
+        assert read.data.tobytes() == generated.data.tobytes()
+        train, _ = train_test_split(read, 0.5, 3)
+        for data in (read, train):
+            save_tensor_dataset(data, tmp_path / "again.teld")
+            again = tmp_path / "again.teld"
+            save_tensor_dataset(load_tensor_dataset(again), tmp_path / "third.teld")
+            assert again.read_bytes() == (tmp_path / "third.teld").read_bytes()
+
+    def test_a_split_copies_no_sample(self, tmp_path):
+        data = self.read_and_generated(tmp_path)[1]
+        train, test = train_test_split(data, 0.5, 3)
+        position = {id(x): m for m, x in enumerate(data.samples)}
+        rows = [position[id(x)] for x in train.samples + test.samples]
+        assert sorted(rows) == list(range(data.n_samples))
+        assert train.data.tobytes() == data.data[rows[: train.n_samples]].tobytes()
+
+    def test_an_overstated_sample_count_fails_on_the_first_missing_record(
+        self, tmp_path
+    ):
+        # a header claiming 2**32 - 1 samples: rows are made for the 12
+        # records the file holds, and the 13th is the short read
+        self.read_and_generated(tmp_path)
+        path = tmp_path / "set.teld"
+        blob = bytearray(path.read_bytes())
+        blob[8:12] = struct.pack("<I", 2**32 - 1)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(TruncatedFileError,
+                           match=r"needed 4 bytes for label of sample 12 at"):
+            load_tensor_dataset(path)
+
+    def test_a_non_finite_record_fails_before_the_next(self, tmp_path):
+        self.read_and_generated(tmp_path)
+        path = tmp_path / "set.teld"
+        blob = bytearray(path.read_bytes())
+        header = 4 + 4 * 3 + 4 * 3 + 4
+        record = 4 + 8 * 576
+        offset = header + 5 * record + 4 + 8 * 100  # sample 5, entry 100
+        blob[offset : offset + 8] = struct.pack("<d", np.nan)
+        path.write_bytes(bytes(blob[: header + 7 * record - 1]))  # and short
+        with pytest.raises(NonFiniteValueError, match="^sample 5 has a non-finite"):
+            load_tensor_dataset(path)
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)

@@ -1,10 +1,16 @@
-"""The fork pool: job order, the first failing job's error, no nesting."""
+"""The fork pool: job order, the first failing job's error, no nesting,
+and one BLAS thread in the parent and in every worker."""
 
+import json
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import telkit
 from telkit import _pool
 
 
@@ -98,3 +104,53 @@ def test_only_the_fork_warning_is_silenced(cpus, monkeypatch):
         thread.join()
     assert [r for r, _ in results] == [4, 9]
     assert cpus.pools == [2, 2]
+
+
+def _blas_threads(shared, job):
+    return os.getpid(), _pool._BLAS_THREADS()
+
+
+@pytest.mark.skipif(_pool._BLAS_THREADS is None,
+                    reason="no known thread setter for numpy's BLAS")
+def test_one_blas_thread_in_the_parent_and_in_every_worker(cpus):
+    cpus(2)
+    assert _pool._BLAS_THREADS() == 1
+    results = _pool.run(_blas_threads, None, [0, 1])
+    assert [threads for _, threads in results] == [1, 1]
+    assert os.getpid() not in [pid for pid, _ in results]
+    assert cpus.pools == [2]
+
+
+# A bagging svm config whose model file had other bytes at two BLAS
+# threads than at one: PCA's products round by the thread count.
+BLAS_CONFIG = {
+    "dataset": {"synthetic": {"shape": [16, 16, 3], "classes": 4, "rank": [2, 2, 1],
+                              "samples_per_class": 100, "noise_std": 0.05, "seed": 7}},
+    "method": "bagging", "pca_dim": 64, "n_estimators": 2, "train_fraction": 0.75,
+    "base_grid": [{"kind": "svm", "hyperparameters": {"kernel": "rbf", "C": 1.0}}],
+    "cv_folds": 2, "seed": 7,
+}
+
+# Trains BLAS_CONFIG in a new process, on its first CPU only if asked:
+# OpenBLAS sizes its thread pool from the CPUs it may use when it loads.
+TRAIN = """
+import json, os, sys
+if sys.argv[1] == "one-cpu":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from telkit.experiment import ExperimentConfig, load_dataset, train_model
+from telkit.model_io import save_model
+config = ExperimentConfig.from_dict(json.loads(sys.argv[2]))
+save_model(train_model(config, load_dataset(config))[0], sys.argv[3])
+"""
+
+
+@pytest.mark.skipif(_pool._cpu_count() < 2, reason="needs 2 CPUs")
+def test_model_bytes_are_the_same_at_one_cpu_and_at_all(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(telkit.__file__).parents[1]))
+    models = []
+    for cpus in ("one-cpu", "all-cpus"):
+        path = tmp_path / f"{cpus}.json"
+        subprocess.run([sys.executable, "-c", TRAIN, cpus, json.dumps(BLAS_CONFIG),
+                        str(path)], check=True, env=env)
+        models.append(path.read_bytes())
+    assert models[0] == models[1]
