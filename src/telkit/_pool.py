@@ -1,10 +1,10 @@
 """One batch runner for telkit's independent batches.
 
-``run(fn, shared, jobs, pooled)`` returns ``[fn(shared, job) for job in
-jobs]``, computed on a fork pool of one worker per CPU in this process's
-affinity mask, at most one per job, or in this process by one serial
-loop: when ``pooled`` is False, when that is one worker or when it is
-itself a pool worker (pools never nest).  ``fn`` and ``shared`` reach
+``run(fn, jobs, pooled)`` returns ``[fn(job) for job in jobs]``, computed
+on a fork pool of one worker per CPU in this process's affinity mask, at
+most one per job, or in this process by one serial loop: when ``pooled``
+is False, when that is one worker or when it is itself a pool worker
+(pools never nest).  ``fn``, a closure over what its batch needs, reaches
 the workers through fork, never pickled; each job and each result is.
 Results come back in job order, and a job's exception is raised here as
 it would be serially: the first failing job's, with its own message.
@@ -32,12 +32,12 @@ import glob
 import os
 import threading
 import warnings
-from typing import Any, Callable, Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
-# (fn, shared) in a pool worker, set by the pool initializer; under fork
-# it is inherited, never pickled.  None in a process that is no worker.
+# The job function in a pool worker, set by the pool initializer; under
+# fork it is inherited, never pickled.  None in a process that is no worker.
 _SHARED = None
 
 # The OpenBLAS that numpy's wheels bundle, by the path from numpy's own
@@ -79,29 +79,28 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _share(fn: Callable, shared: Any) -> None:
+def _share(fn: Callable) -> None:
     global _SHARED
-    _SHARED = (fn, shared)
+    _SHARED = fn
 
 
 def _call(job):
-    fn, shared = _SHARED
-    return fn(shared, job)
+    return _SHARED(job)
 
 
-def run(fn: Callable, shared: Any, jobs: Iterable, pooled: bool = True) -> list:
-    """``fn(shared, job)`` for every job, in job order, on a fork pool if
+def run(fn: Callable, jobs: Iterable, pooled: bool = True) -> list:
+    """``fn(job)`` for every job, in job order, on a fork pool if
     ``pooled`` (its caller's work gate) and there are two workers or more."""
     jobs = list(jobs)
     workers = min(_cpu_count(), len(jobs)) if pooled else 1
     if workers <= 1 or _SHARED is not None:
-        return [fn(shared, job) for job in jobs]
+        return [fn(job) for job in jobs]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(
         workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_share, initargs=(fn, shared),
+        initializer=_share, initargs=(fn,),
     )
     # Python 3.12+ warns when a process with threads forks.  With no
     # Python thread but this one the fork is safe: the pool forks every

@@ -139,6 +139,10 @@ class LabeledTensorDataset:
         return self.samples[0].shape
 
     def subset(self, indices: Sequence[int]) -> "LabeledTensorDataset":
+        """The samples at ``indices``, sharing this set's rows: a subset
+        keeps the whole array of a set read or generated alive, and
+        ``from_rows(part.data, part.shape, part.labels)`` gives a subset
+        ``part`` an array of its own."""
         return LabeledTensorDataset(
             [self.samples[i] for i in indices], self.labels[list(indices)]
         )
@@ -259,7 +263,7 @@ def telvi_fit_regrouped(
     class_labels = two_class_labels(datasets[keys[0]].labels, "training")
     rows = sum(datasets[key].n_samples for key in keys)
     base_models = dict(zip(keys, _pool.run(
-        _fit_learner, (base, [datasets[key] for key in keys], seed),
+        lambda flat: fit(base, datasets[keys[flat]], mix_seed(seed, flat)),
         range(len(keys)), rows >= _POOL_FIT_ROWS.get(base.kind, math.inf),
     )))
     # regroup makes datasets (n, 0) .. (n, R_n - 1) for every mode n
@@ -272,12 +276,6 @@ def telvi_fit_regrouped(
         class_labels=class_labels,
         seed=seed,
     )
-
-
-def _fit_learner(shared, flat: int) -> TrainedModel:
-    """telvi learner ``flat``, in key order, fitted on its dataset."""
-    base, datasets, seed = shared
-    return fit(base, datasets[flat], mix_seed(seed, flat))
 
 
 def telvi_predict(model: TelviModel, x: DenseTensor) -> tuple[int, VoteTally]:
@@ -376,7 +374,8 @@ def bagging_fit_reduced(
         raise ValueError(f"n_estimators must be >= 1, got {n_estimators}")
     bootstrap_seeds = [mix_seed(seed, e) for e in range(n_estimators)]
     estimators = _pool.run(
-        _fit_estimator, (base, reduced, bootstrap_seeds), range(n_estimators),
+        lambda e: _fit_estimator(base, reduced, bootstrap_seeds[e]),
+        range(n_estimators),
         reduced.n_samples * n_estimators >= _POOL_FIT_ROWS.get(base.kind, math.inf),
     )
     return BaggingModel(
@@ -390,10 +389,8 @@ def bagging_fit_reduced(
     )
 
 
-def _fit_estimator(shared, e: int) -> TrainedModel:
-    """Bagging estimator ``e`` fitted on its resample."""
-    base, reduced, bootstrap_seeds = shared
-    est_seed = bootstrap_seeds[e]
+def _fit_estimator(base, reduced: VectorDataset, est_seed: int) -> TrainedModel:
+    """The bagging estimator of seed ``est_seed``, fitted on its resample."""
     idx = _resample(reduced.labels, est_seed)
     return fit(base, reduced.subset(idx), mix_seed(est_seed, 1))
 
@@ -451,13 +448,8 @@ def _votes(
     rows = sum(len(f) for f in features)
     pooled = isinstance(learners[0], KnnModel) and rows >= _POOL_KNN_VOTES
     return np.stack(_pool.run(
-        _predict_voter, (learners, features), range(len(learners)), pooled
+        lambda v: learners[v].predict(features[v]), range(len(learners)), pooled
     ))
-
-
-def _predict_voter(shared, v: int) -> np.ndarray:
-    learners, features = shared
-    return learners[v].predict(features[v])
 
 
 def majority_error_probability(p: float, n_voters: int) -> float:

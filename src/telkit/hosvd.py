@@ -114,16 +114,15 @@ def hosvd_factors(
     data, shape = _rows(data, shape)
     effective = clamp_rank(rank, shape)
     chunks = _pool.run(
-        _chunk_factors, (data, shape, effective), range(0, len(data), _CHUNK),
-        data.size >= _POOL_ENTRIES,
+        lambda start: _chunk_factors(data, shape, effective, start),
+        range(0, len(data), _CHUNK), data.size >= _POOL_ENTRIES,
     )
     return [np.concatenate(parts) for parts in zip(*chunks)], effective
 
 
-def _chunk_factors(shared, start: int) -> list[np.ndarray]:
+def _chunk_factors(data, shape, effective, start: int) -> list[np.ndarray]:
     """Mode-n factor stacks of rows ``start : start + _CHUNK``, one stacked
     LAPACK SVD call per mode; a non-finite sample is named by its row."""
-    data, shape, effective = shared
     rows = data[start : start + _CHUNK]
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():

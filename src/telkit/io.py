@@ -29,6 +29,7 @@ __all__ = [
     "UnsupportedVersionError",
     "UnsupportedDtypeError",
     "TruncatedFileError",
+    "TrailingDataError",
     "ShapeError",
     "NonFiniteValueError",
     "ImageFormatError",
@@ -61,6 +62,10 @@ class UnsupportedDtypeError(TeldError):
 
 
 class TruncatedFileError(TeldError):
+    pass
+
+
+class TrailingDataError(TeldError):
     pass
 
 
@@ -171,6 +176,11 @@ def _read_teld(reader: _Reader) -> LabeledTensorDataset:
         if not np.isfinite(values).all():
             raise NonFiniteValueError(f"sample {m} has a non-finite value")
         data[m], labels[m] = values, label
+    if reader.offset < reader.size:
+        raise TrailingDataError(
+            f"{reader.size - reader.offset} bytes after the last of {n_samples} "
+            f"records, at offset {reader.offset}"
+        )
     return LabeledTensorDataset.from_rows(data, dims, labels)
 
 

@@ -39,16 +39,13 @@ def kfold_indices(
     return [block for block in np.array_split(perm, folds)]
 
 
-def _job_accuracy(shared, job: tuple[int, int, int]) -> float:
-    """Accuracy on dataset ``d``'s fold ``f`` block of spec ``s`` fitted
-    on its other blocks."""
+def _job_accuracy(spec, data: VectorDataset, val_idx, seed: int) -> float:
+    """Accuracy on ``data``'s block ``val_idx`` of ``spec`` fitted on the
+    other rows with ``seed``."""
     from . import fit  # deferred: grid depends on the dispatcher
 
-    grid, datasets, blocks, seed = shared
-    s, d, f = job
-    data, val_idx = datasets[d], blocks[d][f]
     train_idx = np.setdiff1d(np.arange(data.n_samples), val_idx)
-    model = fit(grid[s], data.subset(train_idx), mix_seed(seed, f))
+    model = fit(spec, data.subset(train_idx), seed)
     return accuracy(model.predict(data.features[val_idx]), data.labels[val_idx])
 
 
@@ -80,7 +77,9 @@ def grid_search_cv(
         for d in range(len(datasets))
         for f in range(folds)
     ]
-    scores = _pool.run(_job_accuracy, (grid, datasets, blocks, seed), jobs)
+    scores = _pool.run(lambda job: _job_accuracy(
+        grid[job[0]], datasets[job[1]], blocks[job[1]][job[2]], mix_seed(seed, job[2])
+    ), jobs)
     scores = np.reshape(scores, (len(grid), len(datasets), folds))
     means = [
         np.mean([float(np.mean(fold_scores)) for fold_scores in spec_scores])

@@ -1929,16 +1929,22 @@ class TestCpuCount:
         "bagging": {"method": "bagging", "pca_dim": 8, "n_estimators": 16},
         "single": {"method": "single"},
     }
-    @staticmethod
-    def _pooled_jobs(method, kind) -> set[str]:
-        """The job functions (method, kind) runs on a pool at 2 CPUs."""
-        jobs = {"_chunk_factors"} if method.startswith("telvi") else set()
+    # the batches, by the qualified name of their job function
+    CHUNKS = "hosvd_factors.<locals>.<lambda>"
+    VOTES = "_votes.<locals>.<lambda>"
+    TELVI_FITS = "telvi_fit_regrouped.<locals>.<lambda>"
+    BAGGING_FITS = "bagging_fit_reduced.<locals>.<lambda>"
+
+    @classmethod
+    def _pooled_jobs(cls, method, kind) -> set[str]:
+        """The batches (method, kind) runs on a pool at 2 CPUs."""
+        jobs = {cls.CHUNKS} if method.startswith("telvi") else set()
         if method == "single":  # one voter, one fit
             return jobs
         if kind == "knn":
-            jobs.add("_predict_voter")
+            jobs.add(cls.VOTES)
         elif kind != "tree":  # knn and tree fit stages never pool
-            jobs.add("_fit_estimator" if method == "bagging" else "_fit_learner")
+            jobs.add(cls.BAGGING_FITS if method == "bagging" else cls.TELVI_FITS)
         return jobs
 
     @pytest.mark.parametrize("kind", sorted(CHEAP_SPECS))
@@ -1951,10 +1957,10 @@ class TestCpuCount:
         pooled_jobs = []
         run = _pool.run
 
-        def recording_run(fn, shared, jobs, pooled=True):
+        def recording_run(fn, jobs, pooled=True):
             if pooled:
-                pooled_jobs.append(fn.__name__)
-            return run(fn, shared, jobs, pooled)
+                pooled_jobs.append(fn.__qualname__)
+            return run(fn, jobs, pooled)
 
         monkeypatch.setattr(_pool, "run", recording_run)
         if method == "single":
@@ -1994,9 +2000,9 @@ class TestCpuCount:
         calls = []
         run = _pool.run
 
-        def recording_run(fn, shared, jobs, pooled=True):
-            calls.append(fn.__name__)
-            return run(fn, shared, jobs, pooled)
+        def recording_run(fn, jobs, pooled=True):
+            calls.append(fn.__qualname__)
+            return run(fn, jobs, pooled)
 
         monkeypatch.setattr(_pool, "run", recording_run)
         cpus(1)
@@ -2009,8 +2015,7 @@ class TestCpuCount:
         assert main(["train", "--config", str(config), "--out", str(model)]) == 0
         assert main(["predict", "--model", str(model), "--config", str(config),
                      "--out", str(tmp_path / "predictions.csv")]) == 0
-        assert calls == ["_chunk_factors", "_fit_learner",
-                         "_chunk_factors", "_predict_voter"]
+        assert calls == [self.CHUNKS, self.TELVI_FITS, self.CHUNKS, self.VOTES]
 
     def test_rank_search_size_opens_only_the_tuner_pool(self, tmp_path, cpus):
         # the rank-search benchmark's size (160 samples of 12x12x3, rank

@@ -16,6 +16,7 @@ from telkit.io import (
     ImageFormatError,
     NonFiniteValueError,
     ShapeError,
+    TrailingDataError,
     TruncatedFileError,
     UnsupportedDtypeError,
     UnsupportedVersionError,
@@ -84,6 +85,32 @@ class TestTeldFormat:
         path = tmp_path / "short.teld"
         path.write_bytes(b"TELD\x01\x00")
         with pytest.raises(TruncatedFileError, match="version"):
+            load_tensor_dataset(path)
+
+    @staticmethod
+    def benchmark_file(tmp_path):
+        """The 160-sample benchmark set as TELD: a 32-byte header and 160
+        records of 4 + 8 * 192 bytes."""
+        path = tmp_path / "bench.teld"
+        save_tensor_dataset(synth_generate(BENCHMARK_SPEC), path)
+        assert path.stat().st_size == 32 + 160 * 1540
+        return path
+
+    def test_bytes_after_the_last_record_are_rejected(self, tmp_path):
+        path = self.benchmark_file(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 21)
+        message = "21 bytes after the last of 160 records, at offset 246432"
+        with pytest.raises(TrailingDataError, match=f"^{message}$"):
+            load_tensor_dataset(path)
+
+    def test_an_understated_sample_count_is_rejected(self, tmp_path):
+        # a header count overwritten to 100 leaves 60 whole records over
+        path = self.benchmark_file(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[8:12] = struct.pack("<I", 100)
+        path.write_bytes(bytes(blob))
+        message = "92400 bytes after the last of 100 records, at offset 154032"
+        with pytest.raises(TrailingDataError, match=f"^{message}$"):
             load_tensor_dataset(path)
 
     def test_zero_dimension(self, tmp_path):

@@ -14,21 +14,21 @@ import telkit
 from telkit import _pool
 
 
-def _square_and_pid(shared, job):
-    if job in shared:
+def _square_and_pid(job, failing=()):
+    if job in failing:
         raise ValueError(f"job {job} failed")
     return job * job, os.getpid()
 
 
-def _inner_pids(shared, job):
+def _inner_pids(job):
     """The pids the jobs of a pool run inside this job ran in."""
-    return os.getpid(), [pid for _, pid in _pool.run(_square_and_pid, (), [1, 2])]
+    return os.getpid(), [pid for _, pid in _pool.run(_square_and_pid, [1, 2])]
 
 
 @pytest.mark.parametrize("count", [1, 2])
 def test_results_come_back_in_job_order(cpus, count):
     cpus(count)
-    results = _pool.run(_square_and_pid, (), range(7))
+    results = _pool.run(_square_and_pid, range(7))
     assert [square for square, _ in results] == [j * j for j in range(7)]
     pids = {pid for _, pid in results}
     assert (pids == {os.getpid()}) == (count == 1)
@@ -39,27 +39,45 @@ def test_results_come_back_in_job_order(cpus, count):
 def test_first_failing_job_raises_its_own_error(cpus, count):
     cpus(count)
     with pytest.raises(ValueError, match="^job 3 failed$"):
-        _pool.run(_square_and_pid, {3, 5}, range(7))
+        _pool.run(lambda job: _square_and_pid(job, {3, 5}), range(7))
 
 
 def test_no_pool_for_one_job(cpus):
     cpus(2)
     cpus.forbid_pools()
-    assert _pool.run(_square_and_pid, (), [4]) == [(16, os.getpid())]
+    assert _pool.run(_square_and_pid, [4]) == [(16, os.getpid())]
 
 
 def test_no_pool_when_the_caller_does_not_pool(cpus):
     cpus(2)
     cpus.forbid_pools()
-    results = _pool.run(_square_and_pid, (), range(5), pooled=False)
+    results = _pool.run(_square_and_pid, range(5), pooled=False)
     assert results == [(j * j, os.getpid()) for j in range(5)]
     with pytest.raises(ValueError, match="^job 3 failed$"):
-        _pool.run(_square_and_pid, {3, 4}, range(5), pooled=False)
+        _pool.run(lambda job: _square_and_pid(job, {3, 4}), range(5),
+                  pooled=False)
+
+
+def test_a_closure_over_an_unpicklable_object_runs_pooled(cpus):
+    # the job function reaches the workers through fork, never pickled:
+    # only its jobs and results cross the pipe
+    lock = threading.Lock()
+
+    def locked_square(job):
+        with lock:
+            return job * job, os.getpid()
+
+    serial = [square for square, _ in _pool.run(locked_square, range(5), False)]
+    cpus(2)
+    results = _pool.run(locked_square, range(5))
+    assert [square for square, _ in results] == serial == [j * j for j in range(5)]
+    assert os.getpid() not in {pid for _, pid in results}
+    assert cpus.pools == [2]
 
 
 def test_a_job_never_opens_a_pool(cpus):
     cpus(2)
-    for outer, inner in _pool.run(_inner_pids, None, [0, 1]):
+    for outer, inner in _pool.run(_inner_pids, [0, 1]):
         assert outer != os.getpid()
         assert inner == [outer, outer]
     assert cpus.pools == [2]
@@ -87,7 +105,7 @@ def test_only_the_fork_warning_is_silenced(cpus, monkeypatch):
 
     monkeypatch.setattr(os, "fork", warning_fork)
     cpus(2)
-    assert [r for r, _ in _pool.run(_square_and_pid, (), [2, 3])] == [4, 9]
+    assert [r for r, _ in _pool.run(_square_and_pid, [2, 3])] == [4, 9]
     assert cpus.pools == [2]
     with pytest.raises(DeprecationWarning, match="use of fork"):
         fork_warning()  # outside the pool the warning stays an error
@@ -98,7 +116,7 @@ def test_only_the_fork_warning_is_silenced(cpus, monkeypatch):
     thread.start()
     try:
         with pytest.warns(DeprecationWarning, match="use of fork"):
-            results = _pool.run(_square_and_pid, (), [2, 3])
+            results = _pool.run(_square_and_pid, [2, 3])
     finally:
         release.set()
         thread.join()
@@ -106,7 +124,7 @@ def test_only_the_fork_warning_is_silenced(cpus, monkeypatch):
     assert cpus.pools == [2, 2]
 
 
-def _blas_threads(shared, job):
+def _blas_threads(job):
     return os.getpid(), _pool._BLAS_THREADS()
 
 
@@ -115,7 +133,7 @@ def _blas_threads(shared, job):
 def test_one_blas_thread_in_the_parent_and_in_every_worker(cpus):
     cpus(2)
     assert _pool._BLAS_THREADS() == 1
-    results = _pool.run(_blas_threads, None, [0, 1])
+    results = _pool.run(_blas_threads, [0, 1])
     assert [threads for _, threads in results] == [1, 1]
     assert os.getpid() not in [pid for pid, _ in results]
     assert cpus.pools == [2]
