@@ -5,7 +5,8 @@ to round-trip IEEE doubles exactly), and there is no insignificant
 whitespace, so equal content always produces equal bytes.  ``plain``
 turns a telkit object into that content: every model file and config
 echo is written from its dataclass fields by name.  Config objects read
-back in go through ``check_keys``, so a typo'd key fails.  ``check_number``
+back in go through ``check_keys``: a typo'd key fails, as does a missing
+one that has no default.  ``check_number``
 is the one number rule of every value telkit builds from outside, and
 ``check_array`` its form for each entry of an array; configs, specs,
 ranks, seeds, tensors, datasets, the model reader and every array a
@@ -77,11 +78,19 @@ def dump_canonical(value, path) -> None:
         handle.write("\n")
 
 
-def check_keys(payload: Mapping, known: Iterable[str], where: str) -> None:
-    """Reject the first key of ``payload`` (sorted) that ``known`` lacks."""
-    unknown = sorted(set(payload) - set(known))
+def check_keys(payload: Mapping, known: Iterable[str] | type, where: str) -> None:
+    """Reject the first key of ``payload`` (sorted) that ``known`` lacks.  A
+    dataclass ``known`` has its field names as keys, and the first of its
+    fields with no default that ``payload`` lacks is rejected too."""
+    fields = dataclasses.fields(known) if dataclasses.is_dataclass(known) else ()
+    unknown = sorted(set(payload) - set([f.name for f in fields] if fields else known))
     if unknown:
         raise ValueError(f"unknown {where} key {unknown[0]!r}")
+    missing = [f.name for f in fields if f.name not in payload
+               and f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ValueError(f"missing {where} key {missing[0]!r}")
 
 
 def check_number(value, key: str, integral: bool = False):

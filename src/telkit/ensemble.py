@@ -97,23 +97,27 @@ _POOL_KNN_VOTES = 2048
 
 @dataclass(frozen=True)
 class LabeledTensorDataset:
-    """Same-shape tensor samples with integer class labels.  ``data`` is
-    their entries as one read-only array of rows (``tensor._rows``): the
-    one a set read or generated is built from (``from_rows``), whose rows
-    its samples view, or else their stack, made on first use."""
+    """One or more same-shape tensor samples with 1-d integer class labels.
+    ``data`` is their entries as one read-only array of rows (``tensor._rows``):
+    the one every set read or generated is built from (``from_rows``), whose
+    rows its samples view, or else their stack, made on first use."""
 
     samples: list[DenseTensor]
     labels: np.ndarray
 
     def __post_init__(self):
         labels = check_array(self.labels, "labels", integral=True)
+        if not self.samples:
+            raise ValueError("a sample set needs at least one sample")
+        if labels.ndim != 1:
+            raise ValueError(f"labels must be a 1-d array, got shape {labels.shape}")
         if len(self.samples) != labels.size:
             raise ValueError(f"{len(self.samples)} samples but {labels.size} labels")
         for x in self.samples:
             if x.shape != self.samples[0].shape:
                 raise ValueError(f"samples disagree in shape: {x.shape} vs "
                                  f"{self.samples[0].shape}")
-        if labels.size > 0 and labels.min() < 0:
+        if labels.min() < 0:
             raise ValueError("labels must be nonnegative integers")
         object.__setattr__(self, "labels", labels)
 

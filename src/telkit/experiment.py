@@ -4,17 +4,17 @@ Reports serialize canonically (sorted keys, fixed float formatting) so a
 rerun with the same config and seed writes byte-identical files.  Wall
 clock timings are collected on the report object but deliberately kept
 out of the canonical bytes; the CLI prints them instead.  An
-``ExperimentConfig`` reads each number field through
-``canonical.check_number`` when it is built, so a config made in Python
-and one read from a file meet the same rule; ``from_dict`` only checks
-the keys and builds the nested specs.
+``ExperimentConfig`` checks each field when it is built, its numbers by
+``canonical.check_number``, so a config made in Python and one read from
+a file meet the same rule; ``from_dict`` only checks the keys.  Each
+dataset source has one reader, and every reader fills one array.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -63,10 +63,10 @@ REPORT_FORMAT_VERSION = 1
 
 METHODS = ("telvi", "bagging", "single")
 
-# each "dataset" key of a config file with the ExperimentConfig field that
-# holds it; the other fields are keys of their own
-_DATASET_FIELDS = {"path": "dataset_path", "image_dir": "image_dir",
-                   "synthetic": "synthetic"}
+# the reader of each "dataset" source, looked up when it is called
+_READERS = {"path": lambda path: load_tensor_dataset(path),
+            "image_dir": lambda root: load_ppm_dir(root),
+            "synthetic": lambda spec: synth_generate(spec)}
 
 # ExperimentConfig's number fields, True where integral
 _NUMBERS = {"train_fraction": False, "rank_search_threshold": False,
@@ -119,11 +119,12 @@ def train_test_split(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: a dataset source, a method and its knobs."""
+    """One experiment: a dataset source, a method and its knobs.  ``dataset``
+    is the config file's ``dataset`` object, kept as its one source that is
+    not None; a synthetic spec and the ``base_grid`` specs are built from
+    their objects, so a file's config is ``cls(**payload)``."""
 
-    dataset_path: str | None = None
-    image_dir: str | None = None
-    synthetic: SyntheticSpec | None = None
+    dataset: Mapping[str, Any] = field(default_factory=dict)
     train_fraction: float = 0.5
     method: str = "telvi"
     rank: MultilinearRank | None = None
@@ -136,6 +137,7 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "dataset", _dataset_source(self.dataset))
         for name, integral in _NUMBERS.items():
             value = getattr(self, name)
             if value is not None or name not in _OPTIONAL:
@@ -143,35 +145,32 @@ class ExperimentConfig:
         if self.rank is not None:
             rank = tuple(check_number(r, "rank", True) for r in self.rank)
             object.__setattr__(self, "rank", rank)
-        sources = [
-            s for s in (self.dataset_path, self.image_dir, self.synthetic)
-            if s is not None
-        ]
-        if len(sources) != 1:
-            raise ValueError(
-                f"exactly one dataset source required, got {len(sources)}"
-            )
+        if not isinstance(self.output, (str, type(None))):
+            raise ValueError(f"output must be a string, got {self.output!r}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(
                 f"train_fraction must be in (0, 1), got {self.train_fraction}"
             )
         if self.method not in METHODS:
-            raise ValueError(
-                f"unknown method {self.method!r} (choose from {METHODS})"
-            )
-        if len(self.base_grid) == 0:
+            raise ValueError(f"unknown method {self.method!r} (choose from {METHODS})")
+        grid = self.base_grid
+        if not isinstance(grid, (list, tuple)) or not all(
+            isinstance(s, (Mapping, ClassifierSpec)) for s in grid
+        ):
+            raise ValueError("base_grid must be a list of classifier spec objects")
+        if len(grid) == 0:
             raise ValueError("base_grid must not be empty")
+        object.__setattr__(self, "base_grid", tuple(
+            ClassifierSpec.from_dict(s) if isinstance(s, Mapping) else s for s in grid
+        ))
         if self.cv_folds < 2:
             raise ValueError(f"cv_folds must be >= 2, got {self.cv_folds}")
         if self.n_estimators < 1:
-            raise ValueError(
-                f"n_estimators must be >= 1, got {self.n_estimators}"
-            )
-        if self.method == "telvi":
-            if (self.rank is None) == (self.rank_search_threshold is None):
-                raise ValueError(
-                    "telvi needs exactly one of rank / rank_search_threshold"
-                )
+            raise ValueError(f"n_estimators must be >= 1, got {self.n_estimators}")
+        if self.method == "telvi" and (
+            (self.rank is None) == (self.rank_search_threshold is None)
+        ):
+            raise ValueError("telvi needs exactly one of rank / rank_search_threshold")
         if self.method == "bagging" and self.pca_dim is None:
             raise ValueError("bagging requires pca_dim")
         if self.pca_dim is not None and self.pca_dim < 1:
@@ -180,45 +179,43 @@ class ExperimentConfig:
             rank = list(self.rank)
             if any(r < 1 for r in rank):
                 raise ValueError(f"rank entries must be >= 1, got {rank}")
-            if self.synthetic is not None and len(rank) != len(self.synthetic.shape):
+            synthetic = self.dataset.get("synthetic")
+            if synthetic is not None and len(rank) != len(synthetic.shape):
                 raise ValueError(
                     f"rank {rank} does not match the order of the "
-                    f"synthetic shape {list(self.synthetic.shape)}"
+                    f"synthetic shape {list(synthetic.shape)}"
                 )
         threshold = self.rank_search_threshold
         if threshold is not None and not 0.0 <= threshold < 1.0:
             raise ValueError(
                 f"rank_search_threshold must be in [0, 1), got {threshold}"
             )
-        object.__setattr__(
-            self, "base_grid", tuple(self.base_grid)
-        )
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ExperimentConfig":
-        sources = _DATASET_FIELDS.values()
-        keys = ["dataset"] + [f.name for f in fields(cls) if f.name not in sources]
-        check_keys(payload, keys, "experiment config")
-        source = payload.get("dataset", {})
-        check_keys(source, _DATASET_FIELDS, "dataset")
-        grid = payload.get("base_grid", ())
-        if not isinstance(grid, (list, tuple)) or not all(
-            isinstance(s, Mapping) for s in grid
-        ):
-            raise ValueError("base_grid must be a list of classifier spec objects")
-        values = {key: value for key, value in payload.items() if key != "dataset"}
-        values.update((_DATASET_FIELDS[key], value) for key, value in source.items())
-        synthetic = values.get("synthetic")
-        values["synthetic"] = SyntheticSpec.from_dict(synthetic) if synthetic else None
-        values["base_grid"] = tuple(ClassifierSpec.from_dict(s) for s in grid)
-        return cls(**values)
+        check_keys(payload, cls, "experiment config")
+        return cls(**payload)
 
     def to_dict(self) -> dict[str, Any]:
-        out = plain(self)
-        out["dataset"] = {
-            key: out.pop(name) for key, name in _DATASET_FIELDS.items() if name in out
-        }
-        return out
+        return plain(self)
+
+
+def _dataset_source(dataset) -> dict[str, Any]:
+    """``dataset``'s one source that is not None, checked: a ``path`` or
+    ``image_dir`` string, or a synthetic spec or its object."""
+    if not isinstance(dataset, Mapping):
+        raise ValueError(f"dataset must be an object, got {dataset!r}")
+    check_keys(dataset, _READERS, "dataset")
+    sources = {key: value for key, value in dataset.items() if value is not None}
+    if len(sources) != 1:
+        raise ValueError(f"exactly one dataset source required, got {len(sources)}")
+    (key, value), = sources.items()
+    if key == "synthetic" and isinstance(value, Mapping):
+        value = SyntheticSpec.from_dict(value)
+    elif not isinstance(value, SyntheticSpec if key == "synthetic" else str):
+        what = "a synthetic spec object" if key == "synthetic" else "a string"
+        raise ValueError(f"{key} must be {what}, got {value!r}")
+    return {key: value}
 
 
 @dataclass
@@ -256,11 +253,8 @@ class ExperimentReport:
 
 
 def load_dataset(config: ExperimentConfig) -> LabeledTensorDataset:
-    if config.dataset_path is not None:
-        return load_tensor_dataset(config.dataset_path)
-    if config.image_dir is not None:
-        return load_ppm_dir(config.image_dir)
-    return synth_generate(config.synthetic)
+    (kind, source), = config.dataset.items()
+    return _READERS[kind](source)
 
 
 def _evaluate(

@@ -8,8 +8,9 @@ TELD layout (all integers little-endian unsigned 32-bit):
 
 Image ingestion walks one subdirectory per class, decoding binary PPM
 (P6) and PGM (P5) files with maxval 255 into (height, width, channels)
-tensors scaled to [0, 1].  Subdirectories and files are visited in
-lexicographic order so sample order is deterministic.
+samples scaled to [0, 1], each into its row of one array as a TELD record
+is; subdirectories and files are visited in lexicographic order, so the
+sample order is fixed.
 """
 
 from __future__ import annotations
@@ -84,8 +85,6 @@ class ImageFormatError(ValueError):
 def save_tensor_dataset(data: LabeledTensorDataset, path: str | Path) -> None:
     """Write a dataset in TELD format (lossless round-trip); one whose
     labels or dimensions do not all fit in u32 writes no file."""
-    if data.n_samples == 0:
-        raise ValueError("refusing to save an empty dataset")
     shape = data.shape
     for name, values in (("dimension", shape), ("label of sample", data.labels)):
         too_big = np.flatnonzero(np.asarray(values) >= 1 << 32)
@@ -255,22 +254,23 @@ def load_ppm_dir(root_path: str | Path) -> LabeledTensorDataset:
     class_dirs = sorted(p for p in root.iterdir() if p.is_dir())
     if not class_dirs:
         raise ImageFormatError(f"no class subdirectories under {root}")
-    samples = []
-    labels = []
-    shape = None
+    files, labels = [], []
     for label, class_dir in enumerate(class_dirs):
-        files = sorted(p for p in class_dir.iterdir() if p.is_file())
-        if not files:
+        members = sorted(p for p in class_dir.iterdir() if p.is_file())
+        if not members:
             raise ImageFormatError(f"empty class directory {class_dir}")
-        for file in files:
-            tensor = decode_ppm(file.read_bytes())
-            if shape is None:
-                shape = tensor.shape
-            elif tensor.shape != shape:
-                raise ImageFormatError(
-                    f"inconsistent image sizes: {file} is {tensor.shape}, "
-                    f"expected {shape}"
-                )
-            samples.append(tensor)
-            labels.append(label)
-    return LabeledTensorDataset(samples, np.array(labels, dtype=np.int64))
+        files += members
+        labels += [label] * len(members)
+    data = shape = None
+    for m, file in enumerate(files):
+        tensor = decode_ppm(file.read_bytes())
+        if shape is None:
+            shape = tensor.shape
+            data = _empty_rows(len(files), tensor.size)
+        elif tensor.shape != shape:
+            raise ImageFormatError(
+                f"inconsistent image sizes: {file} is {tensor.shape}, "
+                f"expected {shape}"
+            )
+        data[m] = tensor.data
+    return LabeledTensorDataset.from_rows(data, shape, labels)

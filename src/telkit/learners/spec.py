@@ -65,8 +65,8 @@ class ClassifierSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ClassifierSpec":
-        check_keys(payload, ("kind", "hyperparameters"), "classifier spec")
-        return cls(payload["kind"], payload.get("hyperparameters", {}))
+        check_keys(payload, cls, "classifier spec")
+        return cls(**payload)
 
 
 def _validate(kind: str, params: dict[str, Any]) -> None:

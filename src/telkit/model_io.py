@@ -5,8 +5,9 @@ which round-trips float64 exactly), so saving a model twice gives the
 same bytes and a loaded model predicts as the original.  The writer
 ``plain``s the model's dataclass fields by name; the reader only types
 them: every number by ``canonical.check_number``, every array by
-``canonical.check_array``, and a key the writer never emits in a learner,
-its scaler, an svm binary or a tree node fails.  Everything else is
+``canonical.check_array``, and a key of a learner, its scaler, an svm
+binary or a tree node that the writer never emits, or a missing one
+without a default, fails.  Everything else is
 checked by the model built from the values, at fit and at load alike:
 each learner its own fields, the ensemble models rank, keys, PCA shape
 and each voter's width and class labels, and every model the finiteness
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import fields
 from pathlib import Path
 from typing import Any
 
@@ -46,20 +46,12 @@ MODEL_FORMAT_VERSION = 1
 _TYPES = {TelviModel: "telvi", BaggingModel: "bagging", SingleModel: "single"}
 
 
-def _field_names(cls) -> list[str]:
-    return [f.name for f in fields(cls)]
-
-
-# the keys the writer emits for each learner kind: its model's fields
-_LEARNER_KEYS = {
-    kind: _field_names(cls)
-    for kind, cls in (("knn", KnnModel), ("tree", TreeModel),
-                      ("logit", LogitModel), ("svm", SvmModel))
-}
+# each learner kind's model, whose fields are the keys the writer emits
+_LEARNERS = {"knn": KnnModel, "tree": TreeModel, "logit": LogitModel, "svm": SvmModel}
 
 
 def _tree_node_from_dict(payload: dict[str, Any]) -> TreeNode:
-    check_keys(payload, _field_names(TreeNode), "tree node")
+    check_keys(payload, TreeNode, "tree node")
     if "label" in payload:
         return TreeNode(label=check_number(payload["label"], "tree leaf label", True))
     return TreeNode(
@@ -71,14 +63,14 @@ def _tree_node_from_dict(payload: dict[str, Any]) -> TreeNode:
 
 
 def _scaler_from_dict(payload: dict[str, Any], kind: str) -> Scaler:
-    check_keys(payload, _field_names(Scaler), "scaler")
+    check_keys(payload, Scaler, "scaler")
     return Scaler(mean=check_array(payload["mean"], f"{kind} scaler mean"),
                   std=check_array(payload["std"], f"{kind} scaler std"))
 
 
 def _learner_from_dict(payload: dict[str, Any]) -> TrainedModel:
     spec = ClassifierSpec.from_dict(payload["spec"])
-    check_keys(payload, _LEARNER_KEYS[spec.kind], f"{spec.kind} learner")
+    check_keys(payload, _LEARNERS[spec.kind], f"{spec.kind} learner")
     labels = check_array(payload["class_labels"], "class_labels", True)
     if spec.kind == "knn":
         return KnnModel(
@@ -108,7 +100,7 @@ def _learner_from_dict(payload: dict[str, Any]) -> TrainedModel:
 
 
 def _binary_from_dict(payload: dict[str, Any], where: str, width: int) -> BinarySvm:
-    check_keys(payload, _field_names(BinarySvm), "svm binary")
+    check_keys(payload, BinarySvm, "svm binary")
     return BinarySvm(
         support_vectors=check_array(payload["support_vectors"],
                                     f"{where} support_vectors").reshape(-1, width),

@@ -17,7 +17,7 @@ from a config, so a shape of 8.7 or a seed of true fails naming its field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 import numpy as np
@@ -71,7 +71,7 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "SyntheticSpec":
-        check_keys(payload, [f.name for f in fields(cls)], "synthetic spec")
+        check_keys(payload, cls, "synthetic spec")
         return cls(**payload)
 
 

@@ -45,3 +45,24 @@ class CpuPin:
 @pytest.fixture
 def cpus(monkeypatch):
     return CpuPin(monkeypatch)
+
+
+@pytest.fixture()
+def ppm_tree(tmp_path):
+    """A writer of a directory of ``classes`` class folders, each of
+    ``per_class`` P6 images of ``height`` x ``width``, whose pixel bytes
+    are fixed by their place; it returns the directory."""
+
+    def write(classes=2, per_class=4, height=3, width=5):
+        root = tmp_path / "images"
+        for label in range(classes):
+            folder = root / f"class{label}"
+            folder.mkdir(parents=True)
+            for i in range(per_class):
+                raster = bytes((59 * label + 17 * i + 5 * j) % 256
+                               for j in range(height * width * 3))
+                header = f"P6\n{width} {height}\n255\n".encode()
+                (folder / f"img{i}.ppm").write_bytes(header + raster)
+        return root
+
+    return write

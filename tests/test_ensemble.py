@@ -81,6 +81,17 @@ class TestLabeledTensorDataset:
         with pytest.raises(ValueError, match="^2 samples but 3 labels$"):
             LabeledTensorDataset.from_rows(np.zeros((2, 6)), (2, 3), [0, 1, 0])
 
+    def test_empty_set_rejected(self):
+        # an empty set was built, then failed with IndexError on .shape
+        with pytest.raises(ValueError, match="^a sample set needs at least one sample$"):
+            LabeledTensorDataset([], np.empty(0, dtype=np.int64))
+
+    def test_two_d_labels_rejected(self):
+        # a (2, 1) label array was built, then failed with TypeError at save
+        samples = [DenseTensor((2,), [1.0, 2.0])] * 2
+        with pytest.raises(ValueError, match=r"^labels must be a 1-d array, got shape \(2, 1\)$"):
+            LabeledTensorDataset(samples, [[0], [1]])
+
     def test_length_mismatch_rejected(self):
         samples = [DenseTensor((2,), [1.0, 2.0])]
         with pytest.raises(ValueError, match="labels"):

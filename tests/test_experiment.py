@@ -35,7 +35,7 @@ from telkit.experiment import (
 )
 from telkit.hosvd import (HosvdFactors, hosvd, hosvd_factors, rank_search,
                           reconstruct, relative_error)
-from telkit.io import save_tensor_dataset
+from telkit.io import load_ppm_dir, save_tensor_dataset
 from telkit.learners import (
     BinarySvm,
     ClassifierSpec,
@@ -200,7 +200,7 @@ class TestConfigValidation:
         target[key] = value
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ExperimentConfig.from_dict(payload)
-        built = config if where == "config" else config.synthetic
+        built = config if where == "config" else config.dataset["synthetic"]
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             dataclasses.replace(built, **{key: value})
 
@@ -263,6 +263,59 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             benchmark_config(**knobs)
 
+    @pytest.mark.parametrize(
+        "dataset, message",
+        [
+            ([{"path": "x.teld"}], "dataset must be an object, got [{'path': 'x.teld'}]"),
+            ("x.teld", "dataset must be an object, got 'x.teld'"),
+            (None, "dataset must be an object, got None"),
+            ({"path": 3}, "path must be a string, got 3"),
+            ({"image_dir": 3}, "image_dir must be a string, got 3"),
+            ({"synthetic": [8, 8, 3]}, "synthetic must be a synthetic spec object, got [8, 8, 3]"),
+        ],
+        ids=["list", "string", "null", "path-int", "image-dir-int", "synthetic-list"],
+    )
+    def test_bad_dataset_rejected(self, dataset, message):
+        # a list or a string failed with AttributeError, null with TypeError,
+        # and a path of 3 read file descriptor 3 and closed it
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            benchmark_config(dataset=dataset)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(benchmark_config(), dataset=dataset)
+
+    def test_null_sources_are_dropped(self):
+        config = benchmark_config(
+            dataset={"path": None, "synthetic": BENCHMARK_SPEC.to_dict()}
+        )
+        assert config.dataset == {"synthetic": BENCHMARK_SPEC}
+        assert config == benchmark_config()
+
+    def test_output_must_be_a_string(self):
+        # an int output was opened as a file descriptor: the report went
+        # to stdout, which was then closed
+        with pytest.raises(ValueError, match="^output must be a string, got 1$"):
+            benchmark_config(output=1)
+        assert benchmark_config(output="report.json").output == "report.json"
+
+    @pytest.mark.parametrize(
+        "where, key",
+        [("synthetic spec", "seed"), ("synthetic spec", "shape"),
+         ("classifier spec", "kind")],
+        ids=["synthetic-seed", "synthetic-shape", "base-grid-kind"],
+    )
+    def test_missing_key_rejected(self, where, key):
+        # a synthetic spec without seed failed with TypeError from
+        # __init__, a base_grid spec without kind with KeyError
+        payload = benchmark_config().to_dict()
+        target = {"synthetic spec": payload["dataset"]["synthetic"],
+                  "classifier spec": payload["base_grid"][0]}[where]
+        del target[key]
+        with pytest.raises(ValueError, match=f"^missing {where} key '{key}'$"):
+            ExperimentConfig.from_dict(payload)
+        if where == "synthetic spec":
+            with pytest.raises(ValueError, match=f"^missing {where} key '{key}'$"):
+                SyntheticSpec.from_dict(target)
+
     @pytest.mark.parametrize("threshold", [0, 0.0, 0.999])
     def test_threshold_bounds_accepted(self, threshold):
         config = benchmark_config(rank=None, rank_search_threshold=threshold)
@@ -289,6 +342,23 @@ class TestRunExperiment:
         assert got == pytest.approx(golden, abs=1e-12)
         assert report.mean_learner_accuracy() == pytest.approx(0.9625, abs=1e-12)
         assert report.train_size == 80 and report.test_size == 80
+
+    def test_image_tree_reports_as_its_teld_file(self, tmp_path, ppm_tree):
+        # an image_dir run and a path run on the same images, saved to TELD,
+        # write the same report bytes but for their dataset echo
+        root = ppm_tree(per_class=6)
+        teld = tmp_path / "images.teld"
+        save_tensor_dataset(load_ppm_dir(root), teld)
+        written = []
+        for source in ({"image_dir": str(root)}, {"path": str(teld)}):
+            report = run_experiment(benchmark_config(dataset=source, cv_folds=3))
+            write_report(report, tmp_path / "report.json")
+            write_learner_csv(report, tmp_path / "report.csv")
+            text = (tmp_path / "report.json").read_text()
+            assert text.count(canonical_json(source)) == 1
+            text = text.replace(canonical_json(source), "SOURCE")
+            written.append((text, (tmp_path / "report.csv").read_bytes()))
+        assert written[0] == written[1]
 
     def test_telvi_learner_count_follows_rank(self):
         report = run_experiment(benchmark_config())
@@ -712,10 +782,16 @@ class TestModelFiles:
                 lambda p: p["base_models"]["0,1"]["train_labels"].pop(),
                 r"^telvi base_models key '0,1': knn train_labels has shape \[11\]",
             ),
+            (
+                # a KeyError that named no learner
+                lambda p: p["base_models"]["0,1"].pop("train_labels"),
+                r"^telvi base_models key '0,1': missing knn learner key 'train_labels'$",
+            ),
         ],
         ids=[
             "missing-key", "extra-key", "rank-shorter-than-shape",
             "learner-width", "learner-class-labels", "learner-train-labels",
+            "learner-missing-key",
         ],
     )
     def test_tampered_telvi_model_rejected(self, tmp_path, tamper, message):
@@ -1267,7 +1343,7 @@ class TestFileFormat:
         [
             (
                 lambda: ExperimentConfig(
-                    dataset_path="data.teld", rank_search_threshold=0.25,
+                    dataset={"path": "data.teld"}, rank_search_threshold=0.25,
                     base_grid=(ClassifierSpec("knn", {"k": 3}),),
                 ),
                 '{"base_grid":[{"hyperparameters":{"distance":"euclidean","k":3},'
@@ -1277,7 +1353,8 @@ class TestFileFormat:
             ),
             (
                 lambda: ExperimentConfig(
-                    image_dir="images", method="bagging", pca_dim=4, n_estimators=3,
+                    dataset={"image_dir": "images"}, method="bagging", pca_dim=4,
+                    n_estimators=3,
                     base_grid=(ClassifierSpec("tree", {"max_depth": 2}),
                                ClassifierSpec("knn")),
                     output="report.json", seed=9,
@@ -1290,7 +1367,7 @@ class TestFileFormat:
             ),
             (
                 lambda: ExperimentConfig(
-                    synthetic=SyntheticSpec((4, 3), 2, (2, 1), 3, 0.125, 1),
+                    dataset={"synthetic": SyntheticSpec((4, 3), 2, (2, 1), 3, 0.125, 1)},
                     rank=(2, 1), cv_folds=3, train_fraction=0.75,
                     base_grid=(ClassifierSpec("logit"),),
                 ),
@@ -1304,7 +1381,7 @@ class TestFileFormat:
             (
                 # integral values of float keys echo as they are written
                 lambda: ExperimentConfig(
-                    synthetic=SyntheticSpec((4, 3), 2, (2, 1), 3, 0, 1),
+                    dataset={"synthetic": SyntheticSpec((4, 3), 2, (2, 1), 3, 0, 1)},
                     rank_search_threshold=0, base_grid=(ClassifierSpec("knn"),),
                 ),
                 '{"base_grid":[{"hyperparameters":{"distance":"euclidean","k":5},'
@@ -1350,6 +1427,18 @@ class TestCli:
 
         data = load_tensor_dataset(out)
         assert data.n_samples == 160
+
+    def test_synth_without_seed_fails_naming_it(self, tmp_path, capsys):
+        spec = BENCHMARK_SPEC.to_dict()
+        del spec["seed"]
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps(spec))
+        out = tmp_path / "data.teld"
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: ValueError: missing synthetic spec key 'seed'\n"
+        )
+        assert not out.exists()
 
     def test_decompose_prints_error_line(self, config_files, capsys):
         tmp_path, synth, _ = config_files

@@ -1,5 +1,6 @@
 """File formats and data sources: TELD, PPM/PGM, synthetic, splitting."""
 
+import hashlib
 import re
 import struct
 
@@ -354,6 +355,22 @@ class TestPpmDirectory:
         data = load_ppm_dir(tmp_path)
         assert data.labels.tolist() == [0, 0, 1]  # alpha then beta
         assert data.samples[0][0, 0, 0] == 0.0
+
+    def test_one_array_with_the_rows_of_decode_ppm(self, ppm_tree):
+        # each image is decoded into its row of one array, which its sample
+        # views; the rows are those of the list of decode_ppm tensors that
+        # was stacked on first use, digest and all
+        root = ppm_tree()
+        data = load_ppm_dir(root)
+        assert data.shape == (3, 5, 3)
+        assert data.labels.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
+        assert not data.data.flags.writeable
+        files = sorted(root.glob("*/*.ppm"))
+        for m, (x, file) in enumerate(zip(data.samples, files)):
+            assert np.shares_memory(x.to_array(), data.data)
+            assert data.data[m].tobytes() == decode_ppm(file.read_bytes()).data.tobytes()
+        digest = hashlib.sha256(data.data.tobytes()).hexdigest()
+        assert digest == "87e01e872f170d7b01b6aee9baf5a94c52f2ebf97285db8793a72f3802f2b526"
 
     def test_mixed_sizes_rejected(self, tmp_path):
         bigger = b"P5\n2 1\n255\n" + bytes([1, 2])
