@@ -4,9 +4,14 @@ Keys are sorted, floats are rendered with 17 significant digits (enough
 to round-trip IEEE doubles exactly), and there is no insignificant
 whitespace, so equal content always produces equal bytes.  ``plain``
 turns a telkit object into that content: every model file and config
-echo is written from its dataclass fields by name.  Config objects read
-back in go through ``check_keys``: a typo'd key fails, as does a missing
-one that has no default.  ``check_number``
+echo is written from its dataclass fields by name, its ndarrays kept as
+they are.  The writer streams: one generator yields the text piece by
+piece, an ndarray one last-axis row at a time, so ``dump_canonical``
+never holds the whole document, nor a list copy of an array;
+``canonical_json`` joins the same pieces into one string.  Every JSON
+object read back in goes through ``check_keys``: a value that is not an
+object fails, as do a typo'd key and a missing one that has no default.
+``check_number``
 is the one number rule of every value telkit builds from outside, and
 ``check_array`` its form for each entry of an array; configs, specs,
 ranks, seeds, tensors, datasets, the model reader and every array a
@@ -20,7 +25,7 @@ import dataclasses
 import json
 import math
 from numbers import Integral, Real
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -30,13 +35,12 @@ __all__ = ["plain", "canonical_json", "dump_canonical", "check_keys",
 
 def plain(value) -> Any:
     """The JSON form of a telkit object: a dataclass becomes a dict of its
-    fields that are not None, keyed by field name, an ndarray or a tuple a
-    list; dict and list values are converted the same way, recursively."""
+    fields that are not None, keyed by field name, and a tuple a list; dict
+    and list values are converted the same way, recursively.  An ndarray is
+    kept as it is, for ``canonical_json`` to render row by row."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         fields = ((f.name, getattr(value, f.name)) for f in dataclasses.fields(value))
         return {name: plain(v) for name, v in fields if v is not None}
-    if isinstance(value, np.ndarray):
-        return value.tolist()
     if isinstance(value, (list, tuple)):
         return [plain(v) for v in value]
     if isinstance(value, dict):
@@ -44,7 +48,7 @@ def plain(value) -> Any:
     return value
 
 
-def _render(value) -> str:
+def _scalar(value) -> str:
     if value is None or isinstance(value, bool):
         return json.dumps(value)
     if isinstance(value, int):
@@ -55,33 +59,57 @@ def _render(value) -> str:
         return format(value, ".17g")
     if isinstance(value, str):
         return json.dumps(value, ensure_ascii=False)
-    if isinstance(value, dict):
-        if any(not isinstance(k, str) for k in value):
-            raise TypeError("canonical JSON object keys must be strings")
-        items = (
-            f"{json.dumps(k, ensure_ascii=False)}:{_render(v)}"
-            for k, v in sorted(value.items())
-        )
-        return "{" + ",".join(items) + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_render(v) for v in value) + "]"
     raise TypeError(f"cannot canonicalize {type(value).__name__}")
 
 
+def _pieces(value) -> Iterator[str]:
+    """The canonical text of ``value``, piece by piece: an object one key at
+    a time, a list one item at a time and an ndarray one last-axis row at a
+    time, so no piece holds more than one row."""
+    if isinstance(value, dict):
+        if any(not isinstance(k, str) for k in value):
+            raise TypeError("canonical JSON object keys must be strings")
+        yield "{"
+        for i, key in enumerate(sorted(value)):
+            yield ("," if i else "") + json.dumps(key, ensure_ascii=False) + ":"
+            yield from _pieces(value[key])
+        yield "}"
+    elif isinstance(value, (list, tuple)) or (
+            isinstance(value, np.ndarray) and value.ndim > 1):
+        yield "["
+        for i, item in enumerate(value):
+            if i:
+                yield ","
+            yield from _pieces(item)
+        yield "]"
+    elif isinstance(value, np.ndarray):  # one row, or a 0-d array's value
+        items = value.tolist()
+        yield "[" + ",".join(map(_scalar, items)) + "]" if value.ndim else _scalar(items)
+    else:
+        yield _scalar(value)
+
+
 def canonical_json(value) -> str:
-    return _render(value)
+    return "".join(_pieces(value))
 
 
 def dump_canonical(value, path) -> None:
+    """Write ``value``'s canonical text and a newline to ``path`` as it is
+    rendered, never holding the whole document.  A value that cannot be
+    rendered fails part-way and leaves a prefix of the text in the file,
+    which is not valid JSON."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(canonical_json(value))
+        handle.writelines(_pieces(value))
         handle.write("\n")
 
 
 def check_keys(payload: Mapping, known: Iterable[str] | type, where: str) -> None:
-    """Reject the first key of ``payload`` (sorted) that ``known`` lacks.  A
-    dataclass ``known`` has its field names as keys, and the first of its
-    fields with no default that ``payload`` lacks is rejected too."""
+    """Reject a ``payload`` that is not a mapping, then the first key of it
+    (sorted) that ``known`` lacks.  A dataclass ``known`` has its field
+    names as keys, and the first of its fields with no default that
+    ``payload`` lacks is rejected too."""
+    if not isinstance(payload, Mapping):
+        raise ValueError(f"{where} must be an object, got {payload!r}")
     fields = dataclasses.fields(known) if dataclasses.is_dataclass(known) else ()
     unknown = sorted(set(payload) - set([f.name for f in fields] if fields else known))
     if unknown:

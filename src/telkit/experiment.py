@@ -203,8 +203,6 @@ class ExperimentConfig:
 def _dataset_source(dataset) -> dict[str, Any]:
     """``dataset``'s one source that is not None, checked: a ``path`` or
     ``image_dir`` string, or a synthetic spec or its object."""
-    if not isinstance(dataset, Mapping):
-        raise ValueError(f"dataset must be an object, got {dataset!r}")
     check_keys(dataset, _READERS, "dataset")
     sources = {key: value for key, value in dataset.items() if value is not None}
     if len(sources) != 1:

@@ -34,25 +34,23 @@ _INTEGRAL = {"k", "max_depth", "min_samples_split", "max_iterations",
 class ClassifierSpec:
     """A base-learner recipe.
 
-    Unspecified hyperparameters take documented defaults; unknown keys,
-    numeric keys given a non-number (a str or bool too) and non-finite or
-    non-positive numeric values are rejected at construction.
+    Unspecified hyperparameters take documented defaults; a ``kind`` that
+    is not a string, ``hyperparameters`` that are not an object, unknown
+    keys, numeric keys given a non-number (a str or bool too) and
+    non-finite or non-positive numeric values are rejected at construction.
     """
 
     kind: str
     hyperparameters: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.kind, str):
+            raise ValueError(f"kind must be a string, got {self.kind!r}")
         kind = self.kind.lower()
         if kind not in KINDS:
             raise ValueError(f"unknown classifier kind {self.kind!r}")
-        params = dict(_DEFAULTS[kind])
-        for key, value in dict(self.hyperparameters).items():
-            if key not in params:
-                raise ValueError(
-                    f"unknown hyperparameter {key!r} for kind {kind!r}"
-                )
-            params[key] = value
+        check_keys(self.hyperparameters, _DEFAULTS[kind], "hyperparameters")
+        params = {**_DEFAULTS[kind], **self.hyperparameters}
         _validate(kind, params)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "hyperparameters", params)

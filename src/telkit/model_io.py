@@ -3,11 +3,15 @@
 The on-disk form is canonical JSON (sorted keys, 17 significant digits,
 which round-trips float64 exactly), so saving a model twice gives the
 same bytes and a loaded model predicts as the original.  The writer
-``plain``s the model's dataclass fields by name; the reader only types
-them: every number by ``canonical.check_number``, every array by
-``canonical.check_array``, and a key of a learner, its scaler, an svm
-binary or a tree node that the writer never emits, or a missing one
-without a default, fails.  Everything else is
+``plain``s the model's dataclass fields by name, keeping its arrays as
+ndarrays, and streams the file: ``canonical.dump_canonical`` renders each
+array one row at a time and never holds the whole document.  The reader
+only types the fields: every number by ``canonical.check_number``, every
+array by ``canonical.check_array``.  Each JSON object is read through
+``canonical.check_keys``: one that is not an object fails, as does a key
+that no model type's top level, or no learner, is written with, and a key
+of a learner, its scaler, an svm binary or a tree node that the writer
+never emits for it, or a missing one without a default.  Everything else is
 checked by the model built from the values, at fit and at load alike:
 each learner its own fields, the ensemble models rank, keys, PCA shape
 and each voter's width and class labels, and every model the finiteness
@@ -18,6 +22,7 @@ it, naming the field.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -50,6 +55,15 @@ _TYPES = {TelviModel: "telvi", BaggingModel: "bagging", SingleModel: "single"}
 _LEARNERS = {"knn": KnnModel, "tree": TreeModel, "logit": LogitModel, "svm": SvmModel}
 
 
+def _field_names(*classes) -> set[str]:
+    return {f.name for cls in classes for f in dataclasses.fields(cls)}
+
+
+# the keys any model type's top level, or any learner, is written with
+_MODEL_KEYS = _field_names(*_TYPES) - {"learner"} | {"format_version", "type", "model"}
+_LEARNER_KEYS = _field_names(*_LEARNERS.values())
+
+
 def _tree_node_from_dict(payload: dict[str, Any]) -> TreeNode:
     check_keys(payload, TreeNode, "tree node")
     if "label" in payload:
@@ -69,6 +83,7 @@ def _scaler_from_dict(payload: dict[str, Any], kind: str) -> Scaler:
 
 
 def _learner_from_dict(payload: dict[str, Any]) -> TrainedModel:
+    check_keys(payload, _LEARNER_KEYS, "learner")
     spec = ClassifierSpec.from_dict(payload["spec"])
     check_keys(payload, _LEARNERS[spec.kind], f"{spec.kind} learner")
     labels = check_array(payload["class_labels"], "class_labels", True)
@@ -127,7 +142,8 @@ def _telvi_key(text: str) -> tuple[int, ...]:
 def model_to_dict(model) -> dict[str, Any]:
     """Serializable form of a telvi, bagging or single model: its fields by
     name, telvi's (n, r) learner keys as "n,r" and a single model's learner
-    under "model"."""
+    under "model".  The model's arrays stay ndarrays, shared with the model,
+    which ``canonical_json`` and ``dump_canonical`` render."""
     kind = _TYPES.get(type(model))
     if kind is None:
         raise TypeError(f"unknown model type {type(model).__name__}")
@@ -142,6 +158,7 @@ def model_to_dict(model) -> dict[str, Any]:
 def model_from_dict(payload: dict[str, Any]):
     """The model ``payload`` describes: each value typed by ``check_number``
     or ``check_array``, then checked by the constructor that holds it."""
+    check_keys(payload, _MODEL_KEYS, "model file")
     version = check_number(payload.get("format_version"), "format_version", True)
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import re
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -102,6 +103,52 @@ class TestCanonicalJson:
         back = json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
         assert back == value
         assert canonical_json(back) == text  # every float bit came back
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            (np.empty((0, 3)), "[]"),  # an svm binary with no support vectors
+            (np.empty((2, 0)), "[[],[]]"),
+            (np.array([[-0.0, 1.5], [0.1, -2.0]]), "[[-0,1.5],[0.10000000000000001,-2]]"),
+            (np.array([3, -1], dtype=np.int64), "[3,-1]"),
+            (np.arange(8, dtype=np.int64).reshape(2, 2, 2), "[[[0,1],[2,3]],[[4,5],[6,7]]]"),
+            (np.array(0.5), "0.5"),
+            ({"b": np.array([1.0]), "a": [np.zeros((1, 2)), (np.array([True]),)]},
+             '{"a":[[[0,0]],[[true]]],"b":[1]}'),
+        ],
+        ids=["no-rows", "empty-rows", "negative-zero", "int64", "3-d", "0-d", "nested"],
+    )
+    def test_array_renders_as_its_list(self, tmp_path, value, expected):
+        # an ndarray is rendered row by row; its bytes are those of its
+        # nested lists, rendered as a list
+        assert canonical_json(value) == expected
+        if isinstance(value, np.ndarray):
+            assert canonical_json(value.tolist()) == expected
+        dump_canonical(value, tmp_path / "value.json")
+        assert (tmp_path / "value.json").read_text(encoding="utf-8") == expected + "\n"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_array_entry_rejected(self, tmp_path, bad):
+        value = {"a": np.array([[0.0, 1.0], [2.0, bad]])}
+        with pytest.raises(ValueError, match="^non-finite float .* in canonical JSON$"):
+            canonical_json(value)
+        with pytest.raises(ValueError, match="^non-finite float .* in canonical JSON$"):
+            dump_canonical(value, tmp_path / "value.json")
+        # the pieces before the bad row were written: a prefix, not JSON
+        assert (tmp_path / "value.json").read_text(encoding="utf-8") == '{"a":[[0,1],'
+
+    @pytest.mark.parametrize(
+        "value, error",
+        [
+            (np.array([1 + 1j]), "cannot canonicalize complex"),
+            ({1: 2}, "canonical JSON object keys must be strings"),
+            (np.int64(1), "cannot canonicalize int64"),
+        ],
+        ids=["complex-array", "int-key", "numpy-int"],
+    )
+    def test_unrenderable_rejected(self, value, error):
+        with pytest.raises(TypeError, match=f"^{re.escape(error)}$"):
+            canonical_json(value)
 
 
 class TestConfigValidation:
@@ -547,6 +594,56 @@ class TestModelFiles:
         assert np.array_equal(
             model.learner.predict(probes), loaded.learner.predict(probes)
         )
+
+    def test_save_model_streams_the_file(self, tmp_path):
+        # a telvi knn model of serve-large's size: 10 learners memorising
+        # 500 factor columns of width 32 or 3, 131,000 float64 values and
+        # about 2.75 MB of file; building the whole document traced 9.6 MB
+        rng = np.random.default_rng(443)
+        spec, labels = ClassifierSpec("knn", {"k": 3}), np.arange(500) % 4
+        shape, rank = (32, 32, 3), (4, 4, 2)
+        learners = {
+            (n, r): KnnModel(spec, np.arange(4), rng.standard_normal((500, shape[n])), labels)
+            for n, r_n in enumerate(rank) for r in range(r_n)
+        }
+        model = TelviModel(rank, shape, spec, learners, np.arange(4), 3)
+        path = tmp_path / "model.json"
+        tracemalloc.start()
+        try:
+            save_model(model, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert path.stat().st_size > 2_500_000
+        assert path.read_text(encoding="utf-8") == canonical_json(model_to_dict(model)) + "\n"
+
+    def test_model_arrays_are_not_copied(self):
+        learner = format_learner("knn")
+        payload = model_to_dict(format_model("single", learner))
+        assert payload["model"]["train_features"] is learner.train_features
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: [m], "model file must be an object, got [{"),
+            (lambda m: {**m, "model": 3}, "single model: learner must be an object, got 3"),
+            (lambda m: {**m, "model": {**m["model"], "spec": 5}},
+             "single model: classifier spec must be an object, got 5"),
+            (lambda m: {**m, "learners": []}, "unknown model file key 'learners'"),
+            (lambda m: {**m, "model": {**m["model"], "roots": 1}},
+             "single model: unknown learner key 'roots'"),
+        ],
+        ids=["list", "learner-int", "spec-int", "top-key", "learner-key"],
+    )
+    def test_non_object_or_unknown_key_rejected(self, tmp_path, edit, message):
+        # a list failed with AttributeError and an int learner or spec with
+        # TypeError; an unknown top-level key was ignored
+        payload = model_to_dict(format_model("single", format_learner("knn")))
+        path = tmp_path / "model.json"
+        path.write_text(canonical_json(edit(json.loads(canonical_json(payload)))))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            load_model(path)
 
     def test_bare_learner_rejected(self, tmp_path):
         rng = np.random.default_rng(439)
@@ -1439,6 +1536,43 @@ class TestCli:
             "error: ValueError: missing synthetic spec key 'seed'\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, where",
+        [
+            (["train", "--out", "model.json"], "experiment config"),
+            (["experiment", "--out", "report.json"], "experiment config"),
+            (["inspect"], "experiment config"),
+            (["decompose", "--rank", "2,2,1", "--out", "decompose.json"],
+             "experiment config"),
+            (["synth", "--out", "data.teld"], "synthetic spec"),
+        ],
+        ids=["train", "experiment", "inspect", "decompose", "synth"],
+    )
+    def test_non_object_config_fails_naming_it(self, tmp_path, capsys, command, where):
+        # train, experiment, inspect and decompose failed with a TypeError
+        # from **, synth with "missing synthetic spec key 'shape'"
+        config = tmp_path / "config.json"
+        config.write_text("[]")
+        out = [str(tmp_path / a) if a.endswith((".json", ".teld")) else a for a in command]
+        assert main([out[0], "--config", str(config), *out[1:]]) == 1
+        assert capsys.readouterr().err == f"error: ValueError: {where} must be an object, got []\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_non_object_model_file_fails_naming_it(self, config_files, capsys):
+        tmp_path, synth, _ = config_files
+        data_path, model_path = tmp_path / "data.teld", tmp_path / "model.json"
+        main(["synth", "--config", str(synth), "--out", str(data_path)])
+        model_path.write_text("[1]")
+        csv_path = tmp_path / "pred.csv"
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--data", str(data_path),
+                     "--out", str(csv_path)]) == 1
+        # it failed with AttributeError: 'list' object has no attribute 'get'
+        assert capsys.readouterr().err == (
+            "error: ValueError: model file must be an object, got [1]\n"
+        )
+        assert not csv_path.exists()
 
     def test_decompose_prints_error_line(self, config_files, capsys):
         tmp_path, synth, _ = config_files

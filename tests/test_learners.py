@@ -1,5 +1,6 @@
 """Base-learner contracts: worked examples, determinism, optimizer checks."""
 
+import re
 import warnings
 
 import numpy as np
@@ -437,6 +438,31 @@ class TestClassifierSpec:
     def test_round_trip(self):
         spec = ClassifierSpec("tree", {"max_depth": 3})
         assert ClassifierSpec.from_dict(spec.to_dict()) == spec
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (5, "classifier spec must be an object, got 5"),
+            (["knn"], "classifier spec must be an object, got ['knn']"),
+            ({"kind": 3}, "kind must be a string, got 3"),
+            ({"kind": None}, "kind must be a string, got None"),
+            ({"kind": "knn", "hyperparameters": None},
+             "hyperparameters must be an object, got None"),
+            ({"kind": "knn", "hyperparameters": [1]},
+             "hyperparameters must be an object, got [1]"),
+            ({"kind": "knn", "hyperparameters": "k=3"},
+             "hyperparameters must be an object, got 'k=3'"),
+        ],
+        ids=["int", "list", "kind-int", "kind-null", "params-null", "params-list",
+             "params-str"],
+    )
+    def test_mistyped_spec_rejected_naming_the_key(self, payload, message):
+        # these failed with TypeError or AttributeError, naming no key
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ClassifierSpec.from_dict(payload)
+        if isinstance(payload, dict):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ClassifierSpec(**payload)
 
 
 class TestKnn:
