@@ -10,7 +10,8 @@ piece, an ndarray one last-axis row at a time, so ``dump_canonical``
 never holds the whole document, nor a list copy of an array;
 ``canonical_json`` joins the same pieces into one string.  Every JSON
 object read back in goes through ``check_keys``: a value that is not an
-object fails, as do a typo'd key and a missing one that has no default.
+object fails (``check_object``, the one object rule), as do a typo'd key
+and a missing one that is required.
 ``check_number``
 is the one number rule of every value telkit builds from outside, and
 ``check_array`` its form for each entry of an array; configs, specs,
@@ -29,8 +30,8 @@ from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
-__all__ = ["plain", "canonical_json", "dump_canonical", "check_keys",
-           "check_number", "check_array"]
+__all__ = ["plain", "canonical_json", "dump_canonical", "check_object",
+           "check_keys", "check_number", "check_array"]
 
 
 def plain(value) -> Any:
@@ -103,20 +104,28 @@ def dump_canonical(value, path) -> None:
         handle.write("\n")
 
 
-def check_keys(payload: Mapping, known: Iterable[str] | type, where: str) -> None:
-    """Reject a ``payload`` that is not a mapping, then the first key of it
-    (sorted) that ``known`` lacks.  A dataclass ``known`` has its field
-    names as keys, and the first of its fields with no default that
-    ``payload`` lacks is rejected too."""
+def check_object(payload, where: str) -> None:
+    """Reject a ``payload`` that is not a mapping: the one object rule."""
     if not isinstance(payload, Mapping):
         raise ValueError(f"{where} must be an object, got {payload!r}")
-    fields = dataclasses.fields(known) if dataclasses.is_dataclass(known) else ()
-    unknown = sorted(set(payload) - set([f.name for f in fields] if fields else known))
+
+
+def check_keys(payload: Mapping, known: Iterable[str] | type, where: str,
+               required: Iterable[str] = ()) -> None:
+    """Reject a ``payload`` that is not a mapping, then the first key of it
+    (sorted) that ``known`` lacks, then the first of ``required`` that it
+    lacks.  A dataclass ``known`` has its field names as keys and those of
+    its fields with no default as ``required``."""
+    check_object(payload, where)
+    if dataclasses.is_dataclass(known):
+        fields = dataclasses.fields(known)
+        known = [f.name for f in fields]
+        required = [f.name for f in fields if f.default is dataclasses.MISSING
+                    and f.default_factory is dataclasses.MISSING]
+    unknown = sorted(set(payload) - set(known))
     if unknown:
         raise ValueError(f"unknown {where} key {unknown[0]!r}")
-    missing = [f.name for f in fields if f.name not in payload
-               and f.default is dataclasses.MISSING
-               and f.default_factory is dataclasses.MISSING]
+    missing = [key for key in required if key not in payload]
     if missing:
         raise ValueError(f"missing {where} key {missing[0]!r}")
 

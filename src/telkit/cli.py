@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .canonical import dump_canonical
+from .canonical import check_object, dump_canonical
 from .ensemble import predict_votes
 from .experiment import (
     ExperimentConfig,
@@ -28,7 +28,7 @@ from .experiment import (
 from .hosvd import _reconstruction_errors
 from .io import load_tensor_dataset, save_tensor_dataset
 from .learners import accuracy, majority_labels
-from .model_io import load_model, save_model
+from .model_io import load_model, model_from_dict, save_model
 from .synth import SyntheticSpec, synth_generate
 
 
@@ -156,10 +156,12 @@ def _cmd_inspect(args) -> int:
         _print_dataset_summary(load_tensor_dataset(path), "teld")
         return 0
     payload = json.loads(path.read_bytes())
+    check_object(payload, "model or report file")
     if "type" in payload:
+        model_from_dict(payload)  # a model file is read as load_model reads it
         print(
             f"model type={payload['type']} "
-            f"format_version={payload.get('format_version')}"
+            f"format_version={payload['format_version']}"
         )
     elif "per_learner_accuracy" in payload:
         print(

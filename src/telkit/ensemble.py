@@ -27,7 +27,11 @@ fit.  Each model checks itself when it is built, by a fit or the model
 reader alike: ``TelviModel`` its rank against its shape and one learner
 key per factor column, ``BaggingModel`` its PCA against its shape and
 one bootstrap seed in [0, 2**64) per estimator, and all three each
-voter's width and class labels (``_check_voter``).
+voter's width and class labels (``_check_voter``).  Each reads its shape
+by the one shape rule, ``tensor._check_shape``, and ``TelviModel`` its
+rank by the one rank rule, ``hosvd._check_rank``, a rank that must equal
+its own clamp (``clamp_rank``): a model built in Python and one read from
+a file meet the same rules.
 
 ``predict_votes`` is the one prediction path of every model kind, used by
 the harness, the CLI and ``telvi_predict``/``bagging_predict``; for step 4
@@ -57,13 +61,13 @@ import numpy as np
 
 from . import _pool
 from .canonical import check_array, check_number
-from .hosvd import MultilinearRank, hosvd_factors
+from .hosvd import MultilinearRank, _check_rank, clamp_rank, hosvd_factors
 from .learners import (ClassifierSpec, KnnModel, TrainedModel, VectorDataset,
                        fit, majority_labels)
 from .learners.base import two_class_labels
 from .linalg import PcaModel, pca_fit, pca_transform
 from .seeding import mix_seed
-from .tensor import DenseTensor, _empty_rows, _rows
+from .tensor import DenseTensor, _check_shape, _empty_rows, _rows
 
 __all__ = [
     "LabeledTensorDataset",
@@ -221,10 +225,15 @@ class TelviModel:
     seed: int
 
     def __post_init__(self):
-        rank, shape = list(self.rank), list(self.shape)
+        shape, rank = _check_shape(self.shape), _check_rank(self.rank)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "rank", rank)
         if len(rank) != len(shape):
-            raise ValueError(f"telvi rank {rank} has {len(rank)} modes but shape "
-                             f"{shape} has {len(shape)}")
+            raise ValueError(f"telvi rank {list(rank)} has {len(rank)} modes but "
+                             f"shape {list(shape)} has {len(shape)}")
+        if clamp_rank(rank, shape) != rank:
+            raise ValueError(f"telvi rank {list(rank)} exceeds its clamp "
+                             f"{list(clamp_rank(rank, shape))} for shape {list(shape)}")
         # one learner per factor column: keys (n, r) for r < rank[n], no others
         expected = {(n, r) for n, r_n in enumerate(rank) for r in range(r_n)}
         offending = sorted(set(self.base_models) ^ expected)
@@ -232,7 +241,7 @@ class TelviModel:
             key = offending[0]
             problem = "unexpected" if key in self.base_models else "missing"
             raise ValueError(f"telvi base_models key '{key[0]},{key[1]}' is "
-                             f"{problem} for rank {rank}")
+                             f"{problem} for rank {list(rank)}")
         for (n, r), learner in sorted(self.base_models.items()):
             _check_voter(learner, f"telvi base_models key '{n},{r}'", shape[n],
                          self.class_labels)
@@ -300,6 +309,7 @@ class BaggingModel:
     seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "shape", _check_shape(self.shape))
         size, components = math.prod(self.shape), self.pca.components
         if self.pca.mean.size != size:
             raise ValueError(f"bagging pca mean has length {self.pca.mean.size}, "
@@ -407,6 +417,7 @@ class SingleModel:
     learner: TrainedModel
 
     def __post_init__(self):
+        object.__setattr__(self, "shape", _check_shape(self.shape))
         _check_voter(self.learner, "single model", math.prod(self.shape))
 
 

@@ -33,7 +33,7 @@ from .ensemble import (
     regroup,
     telvi_fit_regrouped,
 )
-from .hosvd import MultilinearRank, _search
+from .hosvd import MultilinearRank, _check_rank, _search
 from .io import load_ppm_dir, load_tensor_dataset
 from .learners import (
     ClassifierSpec,
@@ -143,8 +143,7 @@ class ExperimentConfig:
             if value is not None or name not in _OPTIONAL:
                 object.__setattr__(self, name, check_number(value, name, integral))
         if self.rank is not None:
-            rank = tuple(check_number(r, "rank", True) for r in self.rank)
-            object.__setattr__(self, "rank", rank)
+            object.__setattr__(self, "rank", _check_rank(self.rank))
         if not isinstance(self.output, (str, type(None))):
             raise ValueError(f"output must be a string, got {self.output!r}")
         if not 0.0 < self.train_fraction < 1.0:
@@ -175,16 +174,13 @@ class ExperimentConfig:
             raise ValueError("bagging requires pca_dim")
         if self.pca_dim is not None and self.pca_dim < 1:
             raise ValueError(f"pca_dim must be >= 1, got {self.pca_dim}")
-        if self.rank is not None:
-            rank = list(self.rank)
-            if any(r < 1 for r in rank):
-                raise ValueError(f"rank entries must be >= 1, got {rank}")
-            synthetic = self.dataset.get("synthetic")
-            if synthetic is not None and len(rank) != len(synthetic.shape):
-                raise ValueError(
-                    f"rank {rank} does not match the order of the "
-                    f"synthetic shape {list(synthetic.shape)}"
-                )
+        synthetic = self.dataset.get("synthetic")
+        if self.rank is not None and synthetic is not None and (
+                len(self.rank) != len(synthetic.shape)):
+            raise ValueError(
+                f"rank {list(self.rank)} does not match the order of the "
+                f"synthetic shape {list(synthetic.shape)}"
+            )
         threshold = self.rank_search_threshold
         if threshold is not None and not 0.0 <= threshold < 1.0:
             raise ValueError(

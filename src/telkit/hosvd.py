@@ -6,7 +6,8 @@ The decomposition of an order-N tensor X at rank (R_1, ..., R_N):
   unfolding of X;
 * the core is X multiplied by every factor transposed along its mode.
 
-Requested ranks are clamped per mode to min(I_n, prod of the other
+A rank is read by the one rank rule, ``_check_rank`` (each entry an
+integer >= 1), and clamped per mode to min(I_n, prod of the other
 dimensions); the clamped tuple is reported as ``effective_rank``.
 
 A sample set is an ``(M, P)`` array of rows and the sample shape
@@ -85,22 +86,24 @@ class HosvdFactors:
         return tuple(f.shape[0] for f in self.factors)
 
 
+def _check_rank(rank: Sequence[int]) -> MultilinearRank:
+    """``rank`` as a tuple of integers by ``check_number``, each >= 1."""
+    rank = tuple(check_number(r, "rank", integral=True) for r in rank)
+    if any(r < 1 for r in rank):
+        raise ValueError(f"rank entries must be >= 1, got {list(rank)}")
+    return rank
+
+
 def clamp_rank(rank: Sequence[int], shape: Sequence[int]) -> MultilinearRank:
-    """Clamp each R_n, an integer by ``check_number``, to min(I_n, prod of
-    the other dimensions)."""
+    """Clamp each R_n, read by ``_check_rank``, to min(I_n, prod of the
+    other dimensions)."""
     shape = tuple(shape)
     if len(rank) != len(shape):
         raise ValueError(
             f"rank tuple has length {len(rank)} but tensor has order {len(shape)}"
         )
-    clamped = []
-    for n, r in enumerate(rank):
-        r = check_number(r, "rank", integral=True)
-        if r < 1:
-            raise ValueError(f"rank entries must be >= 1, got {tuple(rank)}")
-        others = math.prod(shape[:n] + shape[n + 1 :])
-        clamped.append(min(r, shape[n], others))
-    return tuple(clamped)
+    return tuple(min(r, shape[n], math.prod(shape[:n] + shape[n + 1 :]))
+                 for n, r in enumerate(_check_rank(rank)))
 
 
 def hosvd_factors(

@@ -256,7 +256,7 @@ def fit_svm(spec: ClassifierSpec, data: VectorDataset, seed: int) -> SvmModel:
         keep = alphas > 0
         binaries.append(
             BinarySvm(
-                support_vectors=X[keep].copy(),
+                support_vectors=X[keep],
                 dual_coefs=(alphas * y)[keep],
                 bias=b,
             )

@@ -8,16 +8,20 @@ ndarrays, and streams the file: ``canonical.dump_canonical`` renders each
 array one row at a time and never holds the whole document.  The reader
 only types the fields: every number by ``canonical.check_number``, every
 array by ``canonical.check_array``.  Each JSON object is read through
-``canonical.check_keys``: one that is not an object fails, as does a key
-that no model type's top level, or no learner, is written with, and a key
-of a learner, its scaler, an svm binary or a tree node that the writer
-never emits for it, or a missing one without a default.  Everything else is
-checked by the model built from the values, at fit and at load alike:
-each learner its own fields, the ensemble models rank, keys, PCA shape
-and each voter's width and class labels, and every model the finiteness
-of its floats.  The reader rejects only the constants NaN and Infinity,
-as it reads them; 1e999 parses to inf and fails in the model that holds
-it, naming the field.
+``canonical.check_keys`` against the one type it builds: one that is not
+an object fails, as does a key that the writer never emits for it, or a
+missing one.  The top level is read against its model type, each learner
+against its kind, a tree node as a leaf (its label only) or a split (every
+other field), and the PCA, scaler and svm binaries against theirs; a key
+that no model type, no learner or no tree node has is named as such.
+Everything else is checked by the model built from the values, at fit
+and at load alike: each learner its own fields, every model its shape by
+the one shape rule (``tensor._check_shape``), a telvi model its rank by
+the one rank rule (``hosvd._check_rank``) and its learner keys, a
+bagging model its PCA shape, every model each voter's width and class
+labels and the finiteness of its floats.  The reader rejects only
+the constants NaN and Infinity, as it reads them; 1e999 parses to inf
+and fails in the model that holds it, naming the field.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ import re
 from pathlib import Path
 from typing import Any
 
-from .canonical import (check_array, check_keys, check_number, dump_canonical,
-                        plain)
+from .canonical import (check_array, check_keys, check_number, check_object,
+                        dump_canonical, plain)
 from .ensemble import BaggingModel, SingleModel, TelviModel
 from .learners import (
     BinarySvm,
@@ -50,24 +54,27 @@ MODEL_FORMAT_VERSION = 1
 
 _TYPES = {TelviModel: "telvi", BaggingModel: "bagging", SingleModel: "single"}
 
+# each model type's top-level keys, all required: the header and the
+# model's fields, a single model's learner written as "model"
+_FILE_KEYS = {
+    kind: ["format_version", "type"] + [
+        "model" if f.name == "learner" else f.name for f in dataclasses.fields(cls)]
+    for cls, kind in _TYPES.items()
+}
 
 # each learner kind's model, whose fields are the keys the writer emits
 _LEARNERS = {"knn": KnnModel, "tree": TreeModel, "logit": LogitModel, "svm": SvmModel}
 
-
-def _field_names(*classes) -> set[str]:
-    return {f.name for cls in classes for f in dataclasses.fields(cls)}
-
-
-# the keys any model type's top level, or any learner, is written with
-_MODEL_KEYS = _field_names(*_TYPES) - {"learner"} | {"format_version", "type", "model"}
-_LEARNER_KEYS = _field_names(*_LEARNERS.values())
+# a tree node is a leaf, its label only, or a split, with every other field
+_SPLIT_KEYS = ["feature", "threshold", "left", "right"]
 
 
 def _tree_node_from_dict(payload: dict[str, Any]) -> TreeNode:
     check_keys(payload, TreeNode, "tree node")
     if "label" in payload:
+        check_keys(payload, ["label"], "tree leaf")
         return TreeNode(label=check_number(payload["label"], "tree leaf label", True))
+    check_keys(payload, _SPLIT_KEYS, "tree split", _SPLIT_KEYS)
     return TreeNode(
         feature=check_number(payload["feature"], "tree split feature", True),
         threshold=check_array(payload["threshold"], "tree split threshold").item(),
@@ -83,7 +90,9 @@ def _scaler_from_dict(payload: dict[str, Any], kind: str) -> Scaler:
 
 
 def _learner_from_dict(payload: dict[str, Any]) -> TrainedModel:
-    check_keys(payload, _LEARNER_KEYS, "learner")
+    # a key that no learner kind has is named as no learner's
+    check_keys(payload, {f.name for cls in _LEARNERS.values()
+                         for f in dataclasses.fields(cls)}, "learner", ["spec"])
     spec = ClassifierSpec.from_dict(payload["spec"])
     check_keys(payload, _LEARNERS[spec.kind], f"{spec.kind} learner")
     labels = check_array(payload["class_labels"], "class_labels", True)
@@ -158,31 +167,36 @@ def model_to_dict(model) -> dict[str, Any]:
 def model_from_dict(payload: dict[str, Any]):
     """The model ``payload`` describes: each value typed by ``check_number``
     or ``check_array``, then checked by the constructor that holds it."""
-    check_keys(payload, _MODEL_KEYS, "model file")
-    version = check_number(payload.get("format_version"), "format_version", True)
-    if version != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {version!r}")
+    # a key that no model type has is named as no model file's
+    check_keys(payload, {key for keys in _FILE_KEYS.values() for key in keys},
+               "model file")
     kind = payload.get("type")
     if kind not in _TYPES.values():
         raise ValueError(f"unknown model type {kind!r}")
-    shape = tuple(check_array(payload["shape"], "shape", True).tolist())
+    version = check_number(payload.get("format_version"), "format_version", True)
+    if version != MODEL_FORMAT_VERSION:
+        raise ValueError(f"unsupported model format version {version!r}")
+    check_keys(payload, _FILE_KEYS[kind], f"{kind} model file", _FILE_KEYS[kind])
     if kind == "single":
-        return SingleModel(shape, _load_learner(payload["model"], "single model"))
+        learner = _load_learner(payload["model"], "single model")
+        return SingleModel(payload["shape"], learner)
     common = dict(
-        shape=shape,
+        shape=payload["shape"],
         base_spec=ClassifierSpec.from_dict(payload["base_spec"]),
         class_labels=check_array(payload["class_labels"], "class_labels", True),
         seed=check_number(payload["seed"], "seed", True),
     )
     if kind == "telvi":
+        check_object(payload["base_models"], "telvi base_models")
         return TelviModel(
-            rank=tuple(check_array(payload["rank"], "rank", True).tolist()),
+            rank=payload["rank"],
             base_models={
                 _telvi_key(key): _load_learner(sub, f"telvi base_models key {key!r}")
                 for key, sub in sorted(payload["base_models"].items())
             },
             **common,
         )
+    check_keys(payload["pca"], PcaModel, "pca")
     return BaggingModel(
         pca=PcaModel(
             mean=check_array(payload["pca"]["mean"], "pca mean"),

@@ -10,9 +10,13 @@ Each sample's own generator draws its jitter, then its noise, and the
 kernel gives each item the bits of a batch of one, so a sample's bytes do
 not depend on how many samples its class has.  Cores are scaled so the
 clean samples have unit-RMS entries, which makes ``noise_std`` directly
-comparable across shapes and ranks.  ``SyntheticSpec`` reads every number
-field through ``canonical.check_number`` when it is built, in Python or
-from a config, so a shape of 8.7 or a seed of true fails naming its field.
+comparable across shapes and ranks.  ``SyntheticSpec`` reads its shape by
+the one shape rule, ``tensor._check_shape``, its rank by the one rank rule,
+``hosvd._check_rank``, and every other number field through
+``canonical.check_number`` when it is built, in Python or from a config,
+so a shape of [8.7, 8, 3] or a seed of true fails naming its field.  Its
+own checks are the generation constraints: one rank entry per mode, none
+past its dimension.
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ import numpy as np
 
 from .canonical import check_keys, check_number, plain
 from .ensemble import LabeledTensorDataset
-from .hosvd import _CHUNK, _multiply
+from .hosvd import _CHUNK, _check_rank, _multiply
 from .seeding import mix_seed
-from .tensor import _batch_view, _empty_rows
+from .tensor import _batch_view, _check_shape, _empty_rows
 
 __all__ = ["SyntheticSpec", "synth_generate", "BENCHMARK_SPEC"]
 
@@ -43,20 +47,15 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self):
-        for name in ("shape", "rank"):
-            entries = tuple(check_number(v, name, True) for v in getattr(self, name))
-            object.__setattr__(self, name, entries)
+        object.__setattr__(self, "shape", _check_shape(self.shape))
+        object.__setattr__(self, "rank", _check_rank(self.rank))
         for name in ("classes", "samples_per_class", "seed"):
             object.__setattr__(self, name, check_number(getattr(self, name), name, True))
         object.__setattr__(self, "noise_std", check_number(self.noise_std, "noise_std"))
-        if any(s < 1 for s in self.shape):
-            raise ValueError(f"invalid shape {self.shape}")
         if len(self.rank) != len(self.shape):
             raise ValueError(
                 f"rank {self.rank} does not match shape {self.shape}"
             )
-        if any(r < 1 for r in self.rank):
-            raise ValueError(f"invalid rank {self.rank}")
         if any(r > s for r, s in zip(self.rank, self.shape)):
             raise ValueError(
                 f"rank {self.rank} exceeds shape {self.shape}"

@@ -17,10 +17,11 @@ for each item: an item has the same bits whatever batch it is in.
 one.  A sample set is one ``(M, P)`` array (``_rows``), row m sample m's
 entries as its ``DenseTensor.data`` holds them, so a chunk of rows is a
 batch in that layout with no copy (``_batch_view``); a set's array is
-allocated on pages of its own (``_empty_rows``).  Shapes are read by
-``canonical.check_number``, and data, ``fold``'s matrix,
-``mode_n_product``'s factor and ``outer_product``'s vectors by
-``check_array``.
+allocated on pages of its own (``_empty_rows``).  ``_check_shape`` is the
+one shape rule, N >= 1 dimensions, each an integer >= 1 by
+``canonical.check_number``, read wherever a shape is built; data,
+``fold``'s matrix, ``mode_n_product``'s factor and ``outer_product``'s
+vectors are read by ``check_array``.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def unfold(tensor: DenseTensor, mode: int) -> np.ndarray:
 
 def fold(matrix: np.ndarray, mode: int, shape: Sequence[int]) -> DenseTensor:
     """Inverse of :func:`unfold`: rebuild the tensor of ``shape``."""
-    shape = tuple(check_number(s, f"shape[{n}]", True) for n, s in enumerate(shape))
+    shape = _check_shape(shape)
     matrix = check_array(matrix, "matrix")
     if matrix.ndim != 2:
         raise ValueError("fold expects a 2-d matrix")

@@ -34,8 +34,8 @@ from telkit.experiment import (
     write_learner_csv,
     write_report,
 )
-from telkit.hosvd import (HosvdFactors, hosvd, hosvd_factors, rank_search,
-                          reconstruct, relative_error)
+from telkit.hosvd import (HosvdFactors, clamp_rank, hosvd, hosvd_factors,
+                          rank_search, reconstruct, relative_error)
 from telkit.io import load_ppm_dir, save_tensor_dataset
 from telkit.learners import (
     BinarySvm,
@@ -55,7 +55,7 @@ from telkit.linalg import PcaModel, pca_fit, pca_transform
 from telkit.model_io import load_model, model_to_dict, save_model
 from telkit.seeding import mix_seed
 from telkit.synth import BENCHMARK_SPEC, SyntheticSpec
-from telkit.tensor import DenseTensor
+from telkit.tensor import DenseTensor, fold
 
 KNN3 = {"kind": "knn", "hyperparameters": {"k": 3}}
 # two specs, so the tune stage reads the training data
@@ -218,7 +218,7 @@ class TestConfigValidation:
             ("config", "pca_dim", "16", "pca_dim must be a number, got '16'"),
             ("config", "cv_folds", float("inf"), "cv_folds must be finite, got inf"),
             ("synthetic", "classes", 2.5, "classes must be an integer, got 2.5"),
-            ("synthetic", "shape", [8.7, 8, 3], "shape must be an integer, got 8.7"),
+            ("synthetic", "shape", [8.7, 8, 3], "shape[0] must be an integer, got 8.7"),
             ("synthetic", "seed", False, "seed must be a number, got False"),
             (
                 "synthetic", "samples_per_class", float("nan"),
@@ -1223,7 +1223,7 @@ class TestModelFiles:
         flat = VectorDataset(data.data, data.labels)
         model = SingleModel(data.shape, fit(ClassifierSpec("knn", {"k": 1}), flat, 1))
         path = self._tampered_file(tmp_path, model, lambda p: p.pop("shape"))
-        with pytest.raises(KeyError, match="shape"):
+        with pytest.raises(ValueError, match="^missing single model file key 'shape'$"):
             load_model(path)
 
     @staticmethod
@@ -1494,6 +1494,168 @@ class TestFileFormat:
         config = config()
         assert canonical_json(config.to_dict()) == expected
         assert ExperimentConfig.from_dict(json.loads(expected)) == config
+
+
+# Every model file and builder of a shape meets the one shape rule,
+# tensor._check_shape, with its one message.
+BAD_SHAPES = {
+    "empty": ([], "tensor order must be at least 1"),
+    "zero": ([0, 3], "all dimensions must be >= 1, got (0, 3)"),
+    "negative": ([-2, -3], "all dimensions must be >= 1, got (-2, -3)"),
+    "half": ([2.5, 3], "shape[0] must be an integer, got 2.5"),
+}
+
+# Every builder of a rank meets the one rank rule, hosvd._check_rank.
+BAD_RANKS = {
+    "zero": ([0, 1], "rank entries must be >= 1, got [0, 1]"),
+    "negative": ([2, -1], "rank entries must be >= 1, got [2, -1]"),
+    "half": ([1.5, 1], "rank must be an integer, got 1.5"),
+    "bool": ([True, 1], "rank must be a number, got True"),
+}
+
+
+def telvi_3x2():
+    """A telvi model of shape (3, 2) at rank (1, 1), one knn learner per mode."""
+    spec = ClassifierSpec("knn", {"k": 1})
+    learners = {(n, 0): KnnModel(spec, np.array([0, 1]), np.eye(2, width), np.array([0, 1]))
+                for n, width in enumerate((3, 2))}
+    return TelviModel((1, 1), (3, 2), spec, learners, np.array([0, 1]), 3)
+
+
+def with_rank(model, rank):
+    """``model``'s telvi fields at ``rank``: its (n, 0) learner once per
+    factor column, so the learner keys always match the rank."""
+    keys = [(n, r) for n, r_n in enumerate(rank) for r in range(int(r_n))]
+    return {"rank": rank, "base_models": {k: model.base_models[k[0], 0] for k in keys}}
+
+
+def file_at_rank(tmp_path, model, rank):
+    """``model``'s telvi file edited as ``with_rank`` edits the model."""
+    def edit(payload):
+        payload["rank"] = rank
+        payload["base_models"] = {f"{n},{r}": payload["base_models"][f"{n},0"]
+                                  for n, r in with_rank(model, rank)["base_models"]}
+    return TestModelFiles._tampered_file(tmp_path, model, edit)
+
+
+class TestShapeAndRankRules:
+    @pytest.mark.parametrize("shape, message", BAD_SHAPES.values(), ids=BAD_SHAPES)
+    @pytest.mark.parametrize(
+        "build", ["DenseTensor", "fold", "SyntheticSpec", "telvi", "bagging", "single"]
+    )
+    def test_shape_rule(self, tmp_path, build, shape, message):
+        # at the parent a synthetic spec took [], fold and the models took
+        # the others but [2.5, 3], and the model files took every shape
+        if build in ("telvi", "bagging", "single"):
+            model = format_model(build, format_learner("knn"))
+            path = TestModelFiles._tampered_file(
+                tmp_path, model, lambda p: p.update(shape=shape))
+            calls = [lambda: dataclasses.replace(model, shape=shape),
+                     lambda: load_model(path)]
+        else:
+            calls = [{
+                "DenseTensor": lambda: DenseTensor(shape, [1.0]),
+                "fold": lambda: fold(np.ones((1, 1)), 0, shape),
+                "SyntheticSpec": lambda: SyntheticSpec(shape, 2, (1, 1), 2, 0.0, 0),
+            }[build]]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+
+    @pytest.mark.parametrize("rank, message", BAD_RANKS.values(), ids=BAD_RANKS)
+    @pytest.mark.parametrize(
+        "build", ["ExperimentConfig", "SyntheticSpec", "clamp_rank", "telvi"]
+    )
+    def test_rank_rule(self, tmp_path, build, rank, message):
+        model = telvi_3x2()
+        calls = {
+            "ExperimentConfig": [lambda: ExperimentConfig(
+                dataset={"path": "data.teld"}, rank=rank,
+                base_grid=(ClassifierSpec("knn"),))],
+            "SyntheticSpec": [lambda: SyntheticSpec((3, 2), 2, rank, 2, 0.0, 0)],
+            "clamp_rank": [lambda: clamp_rank(rank, (3, 2))],
+            "telvi": [lambda: dataclasses.replace(model, **with_rank(model, rank)),
+                      lambda: load_model(file_at_rank(tmp_path, model, rank))],
+        }[build]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+
+    def test_telvi_rank_past_its_clamp_rejected(self, tmp_path):
+        # it loaded, with learners for columns its factors never have, and
+        # predict_votes failed with KeyError: (0, 2)
+        model = telvi_3x2()
+        assert clamp_rank((4, 1), (3, 2)) == (2, 1)
+        message = "telvi rank [4, 1] exceeds its clamp [2, 1] for shape [3, 2]"
+        for call in [lambda: dataclasses.replace(model, **with_rank(model, (4, 1))),
+                     lambda: load_model(file_at_rank(tmp_path, model, [4, 1]))]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+
+    def test_synthetic_spec_without_a_shape_fails_at_config_load(self):
+        # it failed only in the load stage, as an ExperimentError
+        payload = benchmark_config().to_dict()
+        payload["dataset"]["synthetic"].update(shape=[], rank=[])
+        with pytest.raises(ValueError, match="^tensor order must be at least 1$"):
+            ExperimentConfig.from_dict(payload)
+
+    def test_rules_normalize_what_they_read(self):
+        model = dataclasses.replace(telvi_3x2(), shape=[3.0, np.int64(2)], rank=[1, 1.0])
+        assert model.shape == (3, 2) and model.rank == (1, 1)
+        assert all(type(v) is int for v in model.shape + model.rank)
+
+
+class TestModelFileObjects:
+    """Each object of a model file is read against the one type it builds:
+    a missing, extra or mistyped key is one ValueError naming both."""
+
+    @pytest.mark.parametrize(
+        "method, kind, edit, message",
+        [
+            ("single", "knn", lambda p: p.pop("shape"),
+             "missing single model file key 'shape'"),
+            ("single", "knn", lambda p: p.pop("model"),
+             "missing single model file key 'model'"),
+            ("telvi", "knn", lambda p: p.pop("rank"), "missing telvi model file key 'rank'"),
+            ("telvi", "knn", lambda p: p.pop("seed"), "missing telvi model file key 'seed'"),
+            ("telvi", "knn", lambda p: p.pop("base_models"),
+             "missing telvi model file key 'base_models'"),
+            ("bagging", "knn", lambda p: p.pop("pca"), "missing bagging model file key 'pca'"),
+            ("single", "knn", lambda p: p["model"].pop("spec"),
+             "single model: missing learner key 'spec'"),
+            ("bagging", "knn", lambda p: p["pca"].pop("mean"), "missing pca key 'mean'"),
+            ("telvi", "knn", lambda p: p.update(estimators=[]),
+             "unknown telvi model file key 'estimators'"),
+            ("telvi", "knn", lambda p: p.update(pca={}), "unknown telvi model file key 'pca'"),
+            ("telvi", "knn", lambda p: p.update(model={}),
+             "unknown telvi model file key 'model'"),
+            ("telvi", "knn", lambda p: p.update(bootstrap_seeds=[]),
+             "unknown telvi model file key 'bootstrap_seeds'"),
+            ("bagging", "knn", lambda p: p["pca"].update(scale=[1]), "unknown pca key 'scale'"),
+            ("bagging", "knn", lambda p: p.update(pca=[1]), "pca must be an object, got [1]"),
+            ("telvi", "knn", lambda p: p.update(base_models=[1]),
+             "telvi base_models must be an object, got [1]"),
+            ("single", "tree", lambda p: p["model"]["root"].pop("left"),
+             "single model: missing tree split key 'left'"),
+            ("single", "tree", lambda p: p["model"]["root"].pop("threshold"),
+             "single model: missing tree split key 'threshold'"),
+            ("single", "tree", lambda p: p["model"]["root"].update(label=0),
+             "single model: unknown tree leaf key 'feature'"),
+        ],
+        ids=[
+            "single-shape", "single-model", "telvi-rank", "telvi-seed",
+            "telvi-base-models", "bagging-pca", "learner-spec", "pca-mean",
+            "telvi-estimators", "telvi-pca", "telvi-model", "telvi-bootstrap-seeds",
+            "pca-extra-key", "pca-list", "base-models-list", "split-left",
+            "split-threshold", "split-label",
+        ],
+    )
+    def test_object_rejected(self, tmp_path, method, kind, edit, message):
+        # each was a KeyError, a TypeError or an AttributeError, or loaded
+        # (a split with a label as a leaf, dropping its subtree)
+        model = format_model(method, format_learner(kind))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_model(TestModelFiles._tampered_file(tmp_path, model, edit))
 
 
 class TestCli:
@@ -1822,7 +1984,8 @@ class TestCli:
             "predict", "--model", str(model_path), "--data", str(data_path),
             "--out", str(csv_path),
         ]) == 1
-        assert capsys.readouterr().err == "error: KeyError: 'shape'\n"
+        err = capsys.readouterr().err
+        assert err == "error: ValueError: missing single model file key 'shape'\n"
         assert not csv_path.exists()
 
     def test_telvi_predict_calls_each_learner_once(
@@ -1893,6 +2056,43 @@ class TestCli:
         capsys.readouterr()
         assert main(["inspect", "--data", str(out)]) == 0
         assert "samples=160" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3", "model or report file must be an object, got 3"),
+            ('"type"', "model or report file must be an object, got 'type'"),
+            ('{"type": "x"}', "unknown model type 'x'"),
+            (
+                FORMAT_WRAPPERS["single"].replace('"shape":[2],', "")
+                .replace("LEARNER", FORMAT_LEARNERS["knn"])
+                .replace("SPEC", FORMAT_SPECS["knn"]),
+                "missing single model file key 'shape'",
+            ),
+        ],
+        ids=["number", "string", "unknown-type", "shapeless-model"],
+    )
+    def test_inspect_rejects_json_that_is_no_model_or_report(
+        self, tmp_path, capsys, text, message
+    ):
+        # a TypeError, a TypeError, "model type=x format_version=None" and
+        # "model type=single format_version=1"
+        path = tmp_path / "x.json"
+        path.write_text(text)
+        assert main(["inspect", "--data", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+
+    def test_inspect_model_and_report(self, tmp_path, capsys):
+        model_path, report_path = tmp_path / "model.json", tmp_path / "report.json"
+        save_model(format_model("telvi", format_learner("tree")), model_path)
+        report_path.write_text('{"method": "single", "per_learner_accuracy": [], '
+                               '"ensemble_accuracy": 0.5}')
+        assert main(["inspect", "--data", str(model_path)]) == 0
+        assert main(["inspect", "--data", str(report_path)]) == 0
+        assert capsys.readouterr().out == (
+            "model type=telvi format_version=1\n"
+            "report method=single ensemble_accuracy=0.5\n"
+        )
 
     def test_failure_is_single_line_machine_parseable(self, capsys):
         code = main(["decompose", "--data", "missing.teld", "--rank", "2,2"])
