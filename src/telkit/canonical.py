@@ -11,7 +11,7 @@ never holds the whole document, nor a list copy of an array;
 ``canonical_json`` joins the same pieces into one string.  Every JSON
 object read back in goes through ``check_keys``: a value that is not an
 object fails (``check_object``, the one object rule), as do a typo'd key
-and a missing one that is required.
+and a missing one that is required; a list, through ``check_list``.
 ``check_number``
 is the one number rule of every value telkit builds from outside, and
 ``check_array`` its form for each entry of an array; configs, specs,
@@ -31,7 +31,7 @@ from typing import Any, Iterable, Iterator, Mapping
 import numpy as np
 
 __all__ = ["plain", "canonical_json", "dump_canonical", "check_object",
-           "check_keys", "check_number", "check_array"]
+           "check_list", "check_keys", "check_number", "check_array"]
 
 
 def plain(value) -> Any:
@@ -108,6 +108,13 @@ def check_object(payload, where: str) -> None:
     """Reject a ``payload`` that is not a mapping: the one object rule."""
     if not isinstance(payload, Mapping):
         raise ValueError(f"{where} must be an object, got {payload!r}")
+
+
+def check_list(values, where: str):
+    """``values`` unless it is no list, tuple or ndarray: the one list rule."""
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        raise ValueError(f"{where} must be a list, got {values!r}")
+    return values
 
 
 def check_keys(payload: Mapping, known: Iterable[str] | type, where: str,

@@ -28,7 +28,7 @@ from .experiment import (
 from .hosvd import _reconstruction_errors
 from .io import load_tensor_dataset, save_tensor_dataset
 from .learners import accuracy, majority_labels
-from .model_io import load_model, model_from_dict, save_model
+from .model_io import load_model, save_model
 from .synth import SyntheticSpec, synth_generate
 
 
@@ -158,7 +158,7 @@ def _cmd_inspect(args) -> int:
     payload = json.loads(path.read_bytes())
     check_object(payload, "model or report file")
     if "type" in payload:
-        model_from_dict(payload)  # a model file is read as load_model reads it
+        load_model(path)
         print(
             f"model type={payload['type']} "
             f"format_version={payload['format_version']}"

@@ -30,8 +30,8 @@ one bootstrap seed in [0, 2**64) per estimator, and all three each
 voter's width and class labels (``_check_voter``).  Each reads its shape
 by the one shape rule, ``tensor._check_shape``, and ``TelviModel`` its
 rank by the one rank rule, ``hosvd._check_rank``, a rank that must equal
-its own clamp (``clamp_rank``): a model built in Python and one read from
-a file meet the same rules.
+its own clamp (``clamp_rank``, one entry per dimension): a model built in
+Python and one read from a file meet the same rules.
 
 ``predict_votes`` is the one prediction path of every model kind, used by
 the harness, the CLI and ``telvi_predict``/``bagging_predict``; for step 4
@@ -228,12 +228,10 @@ class TelviModel:
         shape, rank = _check_shape(self.shape), _check_rank(self.rank)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "rank", rank)
-        if len(rank) != len(shape):
-            raise ValueError(f"telvi rank {list(rank)} has {len(rank)} modes but "
-                             f"shape {list(shape)} has {len(shape)}")
-        if clamp_rank(rank, shape) != rank:
+        clamped = clamp_rank(rank, shape)
+        if clamped != rank:
             raise ValueError(f"telvi rank {list(rank)} exceeds its clamp "
-                             f"{list(clamp_rank(rank, shape))} for shape {list(shape)}")
+                             f"{list(clamped)} for shape {list(shape)}")
         # one learner per factor column: keys (n, r) for r < rank[n], no others
         expected = {(n, r) for n, r_n in enumerate(rank) for r in range(r_n)}
         offending = sorted(set(self.base_models) ^ expected)

@@ -33,7 +33,7 @@ from .ensemble import (
     regroup,
     telvi_fit_regrouped,
 )
-from .hosvd import MultilinearRank, _check_rank, _search
+from .hosvd import MultilinearRank, _check_rank, _search, clamp_rank
 from .io import load_ppm_dir, load_tensor_dataset
 from .learners import (
     ClassifierSpec,
@@ -174,13 +174,8 @@ class ExperimentConfig:
             raise ValueError("bagging requires pca_dim")
         if self.pca_dim is not None and self.pca_dim < 1:
             raise ValueError(f"pca_dim must be >= 1, got {self.pca_dim}")
-        synthetic = self.dataset.get("synthetic")
-        if self.rank is not None and synthetic is not None and (
-                len(self.rank) != len(synthetic.shape)):
-            raise ValueError(
-                f"rank {list(self.rank)} does not match the order of the "
-                f"synthetic shape {list(synthetic.shape)}"
-            )
+        if self.rank is not None and "synthetic" in self.dataset:  # its order only
+            clamp_rank(self.rank, self.dataset["synthetic"].shape)
         threshold = self.rank_search_threshold
         if threshold is not None and not 0.0 <= threshold < 1.0:
             raise ValueError(

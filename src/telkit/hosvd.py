@@ -6,9 +6,9 @@ The decomposition of an order-N tensor X at rank (R_1, ..., R_N):
   unfolding of X;
 * the core is X multiplied by every factor transposed along its mode.
 
-A rank is read by the one rank rule, ``_check_rank`` (each entry an
-integer >= 1), and clamped per mode to min(I_n, prod of the other
-dimensions); the clamped tuple is reported as ``effective_rank``.
+A rank is read by the one rank rule, ``_check_rank`` (a list of integers
+>= 1), and met with its shape by ``clamp_rank``: one entry per dimension,
+each clamped to min(I_n, prod of the other dimensions) (``effective_rank``).
 
 A sample set is an ``(M, P)`` array of rows and the sample shape
 (``tensor._rows``), and a chunk of rows is a batch in the product
@@ -42,7 +42,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import _pool
-from .canonical import check_array, check_number
+from .canonical import check_array, check_list, check_number
 from .linalg import _canonicalize_signs
 from .tensor import (DenseTensor, _batch_view, _mode_product, _rows,
                      _unfold_batch, frobenius_norm)
@@ -87,23 +87,22 @@ class HosvdFactors:
 
 
 def _check_rank(rank: Sequence[int]) -> MultilinearRank:
-    """``rank`` as a tuple of integers by ``check_number``, each >= 1."""
-    rank = tuple(check_number(r, "rank", integral=True) for r in rank)
+    """``rank``, a list, as a tuple of integers by ``check_number``, each >= 1."""
+    rank = tuple(check_number(r, "rank", True) for r in check_list(rank, "rank"))
     if any(r < 1 for r in rank):
         raise ValueError(f"rank entries must be >= 1, got {list(rank)}")
     return rank
 
 
 def clamp_rank(rank: Sequence[int], shape: Sequence[int]) -> MultilinearRank:
-    """Clamp each R_n, read by ``_check_rank``, to min(I_n, prod of the
-    other dimensions)."""
-    shape = tuple(shape)
+    """``rank``, read by ``_check_rank``, one R_n per dimension I_n of
+    ``shape``, each clamped to min(I_n, prod of the other dimensions)."""
+    rank, shape = _check_rank(rank), tuple(shape)
     if len(rank) != len(shape):
-        raise ValueError(
-            f"rank tuple has length {len(rank)} but tensor has order {len(shape)}"
-        )
+        raise ValueError(f"rank {list(rank)} has {len(rank)} entries but "
+                         f"shape {list(shape)} has {len(shape)}")
     return tuple(min(r, shape[n], math.prod(shape[:n] + shape[n + 1 :]))
-                 for n, r in enumerate(_check_rank(rank)))
+                 for n, r in enumerate(rank))
 
 
 def hosvd_factors(

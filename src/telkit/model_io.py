@@ -7,7 +7,9 @@ same bytes and a loaded model predicts as the original.  The writer
 ndarrays, and streams the file: ``canonical.dump_canonical`` renders each
 array one row at a time and never holds the whole document.  The reader
 only types the fields: every number by ``canonical.check_number``, every
-array by ``canonical.check_array``.  Each JSON object is read through
+array by ``canonical.check_array`` and every other list (an svm's
+binaries, a bagging model's estimators and seeds) by ``check_list``, the
+one list rule.  Each JSON object is read through
 ``canonical.check_keys`` against the one type it builds: one that is not
 an object fails, as does a key that the writer never emits for it, or a
 missing one.  The top level is read against its model type, each learner
@@ -16,8 +18,8 @@ other field), and the PCA, scaler and svm binaries against theirs; a key
 that no model type, no learner or no tree node has is named as such.
 Everything else is checked by the model built from the values, at fit
 and at load alike: each learner its own fields, every model its shape by
-the one shape rule (``tensor._check_shape``), a telvi model its rank by
-the one rank rule (``hosvd._check_rank``) and its learner keys, a
+the one shape rule (``tensor._check_shape``), a telvi model its rank
+against its shape by ``hosvd.clamp_rank`` and its learner keys, a
 bagging model its PCA shape, every model each voter's width and class
 labels and the finiteness of its floats.  The reader rejects only
 the constants NaN and Infinity, as it reads them; 1e999 parses to inf
@@ -32,8 +34,8 @@ import re
 from pathlib import Path
 from typing import Any
 
-from .canonical import (check_array, check_keys, check_number, check_object,
-                        dump_canonical, plain)
+from .canonical import (check_array, check_keys, check_list, check_number,
+                        check_object, dump_canonical, plain)
 from .ensemble import BaggingModel, SingleModel, TelviModel
 from .learners import (
     BinarySvm,
@@ -115,11 +117,12 @@ def _learner_from_dict(payload: dict[str, Any]) -> TrainedModel:
         )
     # svm: ClassifierSpec.from_dict rejects any other kind
     n_features = check_number(payload["n_features"], "svm n_features", True)
+    binaries = check_list(payload["binaries"], "svm binaries")
     return SvmModel(
         spec, labels, scaler=_scaler_from_dict(payload["scaler"], "svm"),
         n_features=n_features,
         binaries=[_binary_from_dict(b, f"svm binary {c}", n_features)
-                  for c, b in enumerate(payload["binaries"])],
+                  for c, b in enumerate(binaries)],
     )
 
 
@@ -197,6 +200,8 @@ def model_from_dict(payload: dict[str, Any]):
             **common,
         )
     check_keys(payload["pca"], PcaModel, "pca")
+    estimators = check_list(payload["estimators"], "bagging estimators")
+    seeds = check_list(payload["bootstrap_seeds"], "bagging bootstrap_seeds")
     return BaggingModel(
         pca=PcaModel(
             mean=check_array(payload["pca"]["mean"], "pca mean"),
@@ -204,11 +209,11 @@ def model_from_dict(payload: dict[str, Any]):
         ),
         estimators=[
             _load_learner(sub, f"bagging estimator {e}")
-            for e, sub in enumerate(payload["estimators"])
+            for e, sub in enumerate(estimators)
         ],
         # 64-bit unsigned mix_seed values, past int64: Python ints
         bootstrap_seeds=[check_number(s, f"bootstrap_seeds[{e}]", True)
-                         for e, s in enumerate(payload["bootstrap_seeds"])],
+                         for e, s in enumerate(seeds)],
         **common,
     )
 

@@ -12,11 +12,11 @@ not depend on how many samples its class has.  Cores are scaled so the
 clean samples have unit-RMS entries, which makes ``noise_std`` directly
 comparable across shapes and ranks.  ``SyntheticSpec`` reads its shape by
 the one shape rule, ``tensor._check_shape``, its rank by the one rank rule,
-``hosvd._check_rank``, and every other number field through
-``canonical.check_number`` when it is built, in Python or from a config,
-so a shape of [8.7, 8, 3] or a seed of true fails naming its field.  Its
-own checks are the generation constraints: one rank entry per mode, none
-past its dimension.
+``hosvd._check_rank``, the two together by ``hosvd.clamp_rank`` and every
+other number field through ``canonical.check_number`` when it is built,
+in Python or from a config, so a shape of [8.7, 8, 3] or a seed of true
+fails naming its field.  Its own check is the generation constraint: no
+rank entry past its dimension.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .canonical import check_keys, check_number, plain
 from .ensemble import LabeledTensorDataset
-from .hosvd import _CHUNK, _check_rank, _multiply
+from .hosvd import _CHUNK, _check_rank, _multiply, clamp_rank
 from .seeding import mix_seed
 from .tensor import _batch_view, _check_shape, _empty_rows
 
@@ -52,10 +52,7 @@ class SyntheticSpec:
         for name in ("classes", "samples_per_class", "seed"):
             object.__setattr__(self, name, check_number(getattr(self, name), name, True))
         object.__setattr__(self, "noise_std", check_number(self.noise_std, "noise_std"))
-        if len(self.rank) != len(self.shape):
-            raise ValueError(
-                f"rank {self.rank} does not match shape {self.shape}"
-            )
+        clamp_rank(self.rank, self.shape)
         if any(r > s for r, s in zip(self.rank, self.shape)):
             raise ValueError(
                 f"rank {self.rank} exceeds shape {self.shape}"

@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .canonical import check_array, check_number
+from .canonical import check_array, check_list, check_number
 
 __all__ = [
     "DenseTensor",
@@ -119,8 +119,9 @@ class DenseTensor:
 
 
 def _check_shape(shape: Sequence[int]) -> tuple[int, ...]:
-    """``shape`` as the tuple of its N >= 1 dimensions, each an int >= 1."""
-    shape = tuple(check_number(s, f"shape[{n}]", True) for n, s in enumerate(shape))
+    """``shape``, a list, as the tuple of its N >= 1 dimensions, each an int >= 1."""
+    shape = tuple(check_number(s, f"shape[{n}]", True)
+                  for n, s in enumerate(check_list(shape, "shape")))
     if len(shape) < 1:
         raise ValueError("tensor order must be at least 1")
     if any(s < 1 for s in shape):

@@ -294,10 +294,7 @@ class TestConfigValidation:
                 {"base_grid": ["knn"]},
                 "base_grid must be a list of classifier spec objects",
             ),
-            (
-                {"rank": [2, 2]},
-                "rank [2, 2] does not match the order of the synthetic shape [8, 8, 3]",
-            ),
+            ({"rank": [2, 2]}, "rank [2, 2] has 2 entries but shape [8, 8, 3] has 3"),
         ],
         ids=[
             "pca-dim-zero", "pca-dim-negative", "rank-zero", "threshold-negative",
@@ -866,7 +863,10 @@ class TestModelFiles:
                 lambda p: p["base_models"].update({"2,1": p["base_models"]["2,0"]}),
                 "'2,1' is unexpected",
             ),
-            (lambda p: p["rank"].pop(), "has 2 modes but shape"),
+            (
+                lambda p: p["rank"].pop(),
+                r"^rank \[2, 2\] has 2 entries but shape \[3, 4, 2\] has 3$",
+            ),
             (
                 lambda p: p["base_models"].update({"0,0": p["base_models"]["1,0"]}),
                 r"key '0,0' has width 4, expected 3$",
@@ -944,12 +944,22 @@ class TestModelFiles:
                 r"^bagging bootstrap_seeds\[2\] must be in \[0, 2\*\*64\), "
                 rf"got {2**70}$",
             ),
+            # TypeError: 'int' object is not iterable, naming no key
+            (
+                lambda p: p.update(estimators=3),
+                r"^bagging estimators must be a list, got 3$",
+            ),
+            (
+                lambda p: p.update(bootstrap_seeds=3),
+                r"^bagging bootstrap_seeds must be a list, got 3$",
+            ),
         ],
         ids=[
             "estimator-width", "pca-mean-length", "pca-components-rows",
             "pca-components-flat", "estimator-class-labels",
             "bootstrap-seed-dropped", "bootstrap-seed-appended",
             "bootstrap-seed-negative", "bootstrap-seed-2**70",
+            "estimators-number", "bootstrap-seeds-number",
         ],
     )
     def test_tampered_bagging_model_rejected(self, tmp_path, tamper, message):
@@ -964,7 +974,8 @@ class TestModelFiles:
     # defect in a file): the models check themselves when they are built
     LIBRARY_DEFECTS = {
         "telvi-rank-shorter-than-shape": (
-            "telvi", lambda m: {"rank": (2, 2)}, "has 2 modes but shape",
+            "telvi", lambda m: {"rank": (2, 2)},
+            r"^rank \[2, 2\] has 2 entries but shape \[3, 4, 2\] has 3$",
         ),
         "telvi-missing-key": (
             "telvi",
@@ -1127,6 +1138,12 @@ class TestModelFiles:
                 r"class_labels \[0, 1\]$",
             ),
             (
+                # TypeError: 'int' object is not iterable, naming no key
+                "svm",
+                lambda m: m.update(binaries=3),
+                r"^single model: svm binaries must be a list, got 3$",
+            ),
+            (
                 "svm",
                 lambda m: m["binaries"][1]["dual_coefs"].pop(),
                 r"^single model: svm binary 1 dual_coefs has shape \[\d+\], expected",
@@ -1198,7 +1215,7 @@ class TestModelFiles:
             "tree-negative-feature", "tree-feature-past-width", "tree-leaf-label",
             "logit-class-labels", "logit-bias", "logit-scaler-mean",
             "logit-scaler-std", "svm-class-labels", "svm-binaries",
-            "svm-dual-coefs", "svm-scaler-std",
+            "svm-binaries-number", "svm-dual-coefs", "svm-scaler-std",
             "logit-unknown-key", "knn-unknown-key", "svm-binary-unknown-key",
             "scaler-unknown-key", "tree-node-unknown-key",
             "logit-weights-rank", "logit-class-labels-rank",
@@ -1503,6 +1520,9 @@ BAD_SHAPES = {
     "zero": ([0, 3], "all dimensions must be >= 1, got (0, 3)"),
     "negative": ([-2, -3], "all dimensions must be >= 1, got (-2, -3)"),
     "half": ([2.5, 3], "shape[0] must be an integer, got 2.5"),
+    # TypeError: 'int' (or 'NoneType') object is not iterable
+    "number": (3, "shape must be a list, got 3"),
+    "null": (None, "shape must be a list, got None"),
 }
 
 # Every builder of a rank meets the one rank rule, hosvd._check_rank.
@@ -1511,20 +1531,26 @@ BAD_RANKS = {
     "negative": ([2, -1], "rank entries must be >= 1, got [2, -1]"),
     "half": ([1.5, 1], "rank must be an integer, got 1.5"),
     "bool": ([True, 1], "rank must be a number, got True"),
+    # TypeError: 'int' (or 'bool') object is not iterable
+    "number": (2, "rank must be a list, got 2"),
+    "true": (True, "rank must be a list, got True"),
 }
 
 
-def telvi_3x2():
-    """A telvi model of shape (3, 2) at rank (1, 1), one knn learner per mode."""
+def telvi_rank_one(shape=(3, 2)):
+    """A telvi model of ``shape`` at rank 1 per mode, one knn learner per mode."""
     spec = ClassifierSpec("knn", {"k": 1})
     learners = {(n, 0): KnnModel(spec, np.array([0, 1]), np.eye(2, width), np.array([0, 1]))
-                for n, width in enumerate((3, 2))}
-    return TelviModel((1, 1), (3, 2), spec, learners, np.array([0, 1]), 3)
+                for n, width in enumerate(shape)}
+    return TelviModel((1,) * len(shape), shape, spec, learners, np.array([0, 1]), 3)
 
 
 def with_rank(model, rank):
     """``model``'s telvi fields at ``rank``: its (n, 0) learner once per
-    factor column, so the learner keys always match the rank."""
+    factor column, so the learner keys always match the rank.  A rank that
+    is not a list keeps the model's learners."""
+    if not isinstance(rank, (list, tuple)):
+        return {"rank": rank}
     keys = [(n, r) for n, r_n in enumerate(rank) for r in range(int(r_n))]
     return {"rank": rank, "base_models": {k: model.base_models[k[0], 0] for k in keys}}
 
@@ -1533,8 +1559,9 @@ def file_at_rank(tmp_path, model, rank):
     """``model``'s telvi file edited as ``with_rank`` edits the model."""
     def edit(payload):
         payload["rank"] = rank
+        keys = with_rank(model, rank).get("base_models", model.base_models)
         payload["base_models"] = {f"{n},{r}": payload["base_models"][f"{n},0"]
-                                  for n, r in with_rank(model, rank)["base_models"]}
+                                  for n, r in keys}
     return TestModelFiles._tampered_file(tmp_path, model, edit)
 
 
@@ -1567,7 +1594,7 @@ class TestShapeAndRankRules:
         "build", ["ExperimentConfig", "SyntheticSpec", "clamp_rank", "telvi"]
     )
     def test_rank_rule(self, tmp_path, build, rank, message):
-        model = telvi_3x2()
+        model = telvi_rank_one()
         calls = {
             "ExperimentConfig": [lambda: ExperimentConfig(
                 dataset={"path": "data.teld"}, rank=rank,
@@ -1581,10 +1608,28 @@ class TestShapeAndRankRules:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 call()
 
+    @pytest.mark.parametrize(
+        "build", ["clamp_rank", "SyntheticSpec", "ExperimentConfig", "telvi", "telvi-file"]
+    )
+    def test_rank_order_rule(self, tmp_path, build):
+        # five checks with four messages, "does not match shape" among them;
+        # clamp_rank is now the one rule for a rank against its shape
+        model = telvi_rank_one((8, 8, 3))
+        call = {
+            "clamp_rank": lambda: clamp_rank([2, 2], (8, 8, 3)),
+            "SyntheticSpec": lambda: SyntheticSpec((8, 8, 3), 2, (2, 2), 2, 0.0, 0),
+            "ExperimentConfig": lambda: benchmark_config(rank=[2, 2]),
+            "telvi": lambda: dataclasses.replace(model, **with_rank(model, (2, 2))),
+            "telvi-file": lambda: load_model(file_at_rank(tmp_path, model, [2, 2])),
+        }[build]
+        message = "rank [2, 2] has 2 entries but shape [8, 8, 3] has 3"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
     def test_telvi_rank_past_its_clamp_rejected(self, tmp_path):
         # it loaded, with learners for columns its factors never have, and
         # predict_votes failed with KeyError: (0, 2)
-        model = telvi_3x2()
+        model = telvi_rank_one()
         assert clamp_rank((4, 1), (3, 2)) == (2, 1)
         message = "telvi rank [4, 1] exceeds its clamp [2, 1] for shape [3, 2]"
         for call in [lambda: dataclasses.replace(model, **with_rank(model, (4, 1))),
@@ -1600,7 +1645,7 @@ class TestShapeAndRankRules:
             ExperimentConfig.from_dict(payload)
 
     def test_rules_normalize_what_they_read(self):
-        model = dataclasses.replace(telvi_3x2(), shape=[3.0, np.int64(2)], rank=[1, 1.0])
+        model = dataclasses.replace(telvi_rank_one(), shape=[3.0, np.int64(2)], rank=[1, 1.0])
         assert model.shape == (3, 2) and model.rank == (1, 1)
         assert all(type(v) is int for v in model.shape + model.rank)
 
@@ -2093,6 +2138,23 @@ class TestCli:
             "model type=telvi format_version=1\n"
             "report method=single ensemble_accuracy=0.5\n"
         )
+
+    def test_inspect_reads_a_model_file_as_predict_does(self, tmp_path, capsys):
+        # inspect read the file with json's own parser, which takes NaN, and
+        # failed later with "telvi base_models key '0,0': knn train_features
+        # has a non-finite value"
+        model_path, data_path = tmp_path / "model.json", tmp_path / "data.teld"
+        save_model(format_model("telvi", format_learner("knn")), model_path)
+        text = model_path.read_text()
+        assert text.count("1.5") == 2
+        model_path.write_text(text.replace("1.5", "NaN"))
+        save_tensor_dataset(LabeledTensorDataset.from_rows(
+            np.zeros((2, 4)), (2, 2), np.array([0, 1])), data_path)
+        error = "error: ValueError: non-finite number NaN in model file\n"
+        for command in (["inspect", "--data", str(model_path)],
+                        ["predict", "--model", str(model_path), "--data", str(data_path)]):
+            assert main(command) == 1
+            assert capsys.readouterr().err == error
 
     def test_failure_is_single_line_machine_parseable(self, capsys):
         code = main(["decompose", "--data", "missing.teld", "--rank", "2,2"])
