@@ -88,7 +88,8 @@ __all__ = [
 ]
 
 # Work gates of the batches run on ``_pool``, from measurements on 2 CPUs
-# against a pool that costs 10-25 ms to open, fill and close (CHANGES.md).
+# against a pool that costs 7-13 ms to open, fill and close for 2 trivial
+# jobs and 18-32 ms for 100 (medians on 2 vCPUs; CHANGES.md).
 # A fit stage pools from this many training rows summed over its learners.
 # A knn fit only copies its rows and a tree fit stage ran slower pooled at
 # every measured size, so knn and tree fit stages never pool.
@@ -368,6 +369,14 @@ def bagging_fit(
     return bagging_fit_reduced(pca, reduced, data.shape, n_estimators, base, seed)
 
 
+def _check_estimators(n_estimators) -> int:
+    """``n_estimators`` by ``check_number``, an integer >= 1: the one count rule."""
+    n_estimators = check_number(n_estimators, "n_estimators", integral=True)
+    if n_estimators < 1:
+        raise ValueError(f"n_estimators must be >= 1, got {n_estimators}")
+    return n_estimators
+
+
 def bagging_fit_reduced(
     pca: PcaModel,
     reduced: VectorDataset,
@@ -381,9 +390,7 @@ def bagging_fit_reduced(
     """
     class_labels = two_class_labels(reduced.labels, "training")
     seed = check_number(seed, "seed", integral=True)
-    n_estimators = check_number(n_estimators, "n_estimators", integral=True)
-    if n_estimators < 1:
-        raise ValueError(f"n_estimators must be >= 1, got {n_estimators}")
+    n_estimators = _check_estimators(n_estimators)
     bootstrap_seeds = [mix_seed(seed, e) for e in range(n_estimators)]
     estimators = _pool.run(
         lambda e: _fit_estimator(base, reduced, bootstrap_seeds[e]),

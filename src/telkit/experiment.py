@@ -4,10 +4,11 @@ Reports serialize canonically (sorted keys, fixed float formatting) so a
 rerun with the same config and seed writes byte-identical files.  Wall
 clock timings are collected on the report object but deliberately kept
 out of the canonical bytes; the CLI prints them instead.  An
-``ExperimentConfig`` checks each field when it is built, its numbers by
-``canonical.check_number``, so a config made in Python and one read from
-a file meet the same rule; ``from_dict`` only checks the keys.  Each
-dataset source has one reader, and every reader fills one array.
+``ExperimentConfig`` checks each field when it is built, a number by the
+rule of the code that uses it under the config's key, so a config made in
+Python and one read from a file meet the same rule; ``from_dict`` only
+checks the keys.  Each dataset source has one reader, and every reader
+fills one array.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .ensemble import (
     LabeledTensorDataset,
     SingleModel,
     TelviModel,
+    _check_estimators,
     _columns,
     _labeled,
     bagging_fit_reduced,
@@ -33,7 +35,7 @@ from .ensemble import (
     regroup,
     telvi_fit_regrouped,
 )
-from .hosvd import MultilinearRank, _check_rank, _search, clamp_rank
+from .hosvd import MultilinearRank, _check_rank, _check_threshold, _search, clamp_rank
 from .io import load_ppm_dir, load_tensor_dataset
 from .learners import (
     ClassifierSpec,
@@ -44,7 +46,8 @@ from .learners import (
     majority_labels,
 )
 from .learners.base import two_class_labels
-from .linalg import pca_fit, pca_transform
+from .learners.grid import _check_folds, _check_grid
+from .linalg import _check_retained, pca_fit, pca_transform
 from .seeding import mix_seed
 from .synth import SyntheticSpec, synth_generate
 
@@ -68,11 +71,6 @@ _READERS = {"path": lambda path: load_tensor_dataset(path),
             "image_dir": lambda root: load_ppm_dir(root),
             "synthetic": lambda spec: synth_generate(spec)}
 
-# ExperimentConfig's number fields, True where integral
-_NUMBERS = {"train_fraction": False, "rank_search_threshold": False,
-            "cv_folds": True, "n_estimators": True, "pca_dim": True, "seed": True}
-_OPTIONAL = ("rank_search_threshold", "pca_dim")  # None when absent
-
 # purpose tags for stage-level seed derivation
 _SPLIT = 1
 _TUNE = 2
@@ -81,6 +79,14 @@ _FIT = 3
 
 class ExperimentError(RuntimeError):
     """An experiment stage failed; the message names the stage."""
+
+
+def _check_fraction(train_fraction) -> float:
+    """``train_fraction`` by ``check_number``, in (0, 1): the one fraction rule."""
+    train_fraction = check_number(train_fraction, "train_fraction")
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    return train_fraction
 
 
 def train_test_split(
@@ -95,11 +101,8 @@ def train_test_split(
     32x32x3 samples holds all 24.6 MB); ``LabeledTensorDataset.from_rows(
     half.data, half.shape, half.labels)`` gives a half an array of its own.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(
-            f"train_fraction must be in (0, 1), got {train_fraction}"
-        )
-    rng = np.random.default_rng(seed)
+    train_fraction = _check_fraction(train_fraction)
+    rng = np.random.default_rng(check_number(seed, "seed", integral=True))
     train_idx: list[int] = []
     test_idx: list[int] = []
     for label in np.unique(data.labels):
@@ -138,18 +141,22 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "dataset", _dataset_source(self.dataset))
-        for name, integral in _NUMBERS.items():
-            value = getattr(self, name)
-            if value is not None or name not in _OPTIONAL:
-                object.__setattr__(self, name, check_number(value, name, integral))
+        threshold, pca_dim = self.rank_search_threshold, self.pca_dim
+        for name, value in (  # each by the rule of the code that uses it
+            ("train_fraction", _check_fraction(self.train_fraction)),
+            ("rank_search_threshold", threshold if threshold is None
+             else _check_threshold(threshold, "rank_search_threshold")),
+            ("cv_folds", _check_folds(self.cv_folds, "cv_folds")),
+            ("n_estimators", _check_estimators(self.n_estimators)),
+            ("pca_dim", pca_dim if pca_dim is None
+             else _check_retained(pca_dim, "pca_dim")),
+            ("seed", check_number(self.seed, "seed", integral=True)),
+        ):
+            object.__setattr__(self, name, value)
         if self.rank is not None:
             object.__setattr__(self, "rank", _check_rank(self.rank))
         if not isinstance(self.output, (str, type(None))):
             raise ValueError(f"output must be a string, got {self.output!r}")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(
-                f"train_fraction must be in (0, 1), got {self.train_fraction}"
-            )
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r} (choose from {METHODS})")
         grid = self.base_grid
@@ -157,30 +164,18 @@ class ExperimentConfig:
             isinstance(s, (Mapping, ClassifierSpec)) for s in grid
         ):
             raise ValueError("base_grid must be a list of classifier spec objects")
-        if len(grid) == 0:
-            raise ValueError("base_grid must not be empty")
+        _check_grid(grid, "base_grid")
         object.__setattr__(self, "base_grid", tuple(
             ClassifierSpec.from_dict(s) if isinstance(s, Mapping) else s for s in grid
         ))
-        if self.cv_folds < 2:
-            raise ValueError(f"cv_folds must be >= 2, got {self.cv_folds}")
-        if self.n_estimators < 1:
-            raise ValueError(f"n_estimators must be >= 1, got {self.n_estimators}")
         if self.method == "telvi" and (
             (self.rank is None) == (self.rank_search_threshold is None)
         ):
             raise ValueError("telvi needs exactly one of rank / rank_search_threshold")
         if self.method == "bagging" and self.pca_dim is None:
             raise ValueError("bagging requires pca_dim")
-        if self.pca_dim is not None and self.pca_dim < 1:
-            raise ValueError(f"pca_dim must be >= 1, got {self.pca_dim}")
         if self.rank is not None and "synthetic" in self.dataset:  # its order only
             clamp_rank(self.rank, self.dataset["synthetic"].shape)
-        threshold = self.rank_search_threshold
-        if threshold is not None and not 0.0 <= threshold < 1.0:
-            raise ValueError(
-                f"rank_search_threshold must be in [0, 1), got {threshold}"
-            )
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ExperimentConfig":

@@ -124,13 +124,8 @@ def hosvd_factors(
 
 def _chunk_factors(data, shape, effective, start: int) -> list[np.ndarray]:
     """Mode-n factor stacks of rows ``start : start + _CHUNK``, one stacked
-    LAPACK SVD call per mode; a non-finite sample is named by its row."""
-    rows = data[start : start + _CHUNK]
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        index = start + int(np.argmin(finite))
-        raise ValueError(f"hosvd input contains non-finite entries in sample {index}")
-    chunk = _batch_view(rows, shape)
+    LAPACK SVD call per mode."""
+    chunk = _batch_view(data[start : start + _CHUNK], shape)
     factors = []
     for n, r in enumerate(effective):
         unfolded = _unfold_batch(chunk, n)
@@ -281,6 +276,14 @@ def rank_search(
     return _search(data, shape, max_relative_error)[0]
 
 
+def _check_threshold(threshold, key: str = "max_relative_error") -> float:
+    """``threshold`` by ``check_number``, in [0, 1): the one threshold rule."""
+    threshold = check_number(threshold, key)
+    if not 0.0 <= threshold < 1.0:
+        raise ValueError(f"{key} must be in [0, 1), got {threshold}")
+    return threshold
+
+
 def _search(
     data: np.ndarray, shape: Sequence[int], max_relative_error: float
 ) -> tuple[MultilinearRank, list[np.ndarray]]:
@@ -288,10 +291,7 @@ def _search(
     ``hosvd_factors`` it searched from, whose leading columns are the
     samples' factors at that rank, bit for bit."""
     data, shape = _rows(data, shape)
-    if not 0.0 <= max_relative_error < 1.0:
-        raise ValueError(
-            f"max_relative_error must be in [0, 1), got {max_relative_error}"
-        )
+    max_relative_error = _check_threshold(max_relative_error)
     stacks, current = hosvd_factors(data, shape, shape)
     # squared cores in one batch, read sample-first: the layout the
     # tail sums have always reduced over, so the errors keep their bits

@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .. import _pool
+from ..canonical import check_number
 from ..seeding import mix_seed
 from .base import VectorDataset, accuracy
 from .spec import ClassifierSpec
@@ -25,12 +26,26 @@ from .spec import ClassifierSpec
 __all__ = ["kfold_indices", "grid_search_cv"]
 
 
+def _check_folds(folds, key: str = "folds") -> int:
+    """``folds`` by ``check_number``, an integer >= 2: the one folds rule."""
+    folds = check_number(folds, key, integral=True)
+    if folds < 2:
+        raise ValueError(f"{key} must be >= 2, got {folds}")
+    return folds
+
+
+def _check_grid(grid, key: str = "grid") -> None:
+    """Reject an empty ``grid``: the one grid rule."""
+    if len(grid) == 0:
+        raise ValueError(f"{key} must not be empty")
+
+
 def kfold_indices(
     n_samples: int, folds: int, seed: int
 ) -> list[np.ndarray]:
     """Validation index blocks: seeded shuffle split into ``folds`` runs."""
-    if folds < 2:
-        raise ValueError(f"folds must be >= 2, got {folds}")
+    n_samples = check_number(n_samples, "n_samples", integral=True)
+    folds, seed = _check_folds(folds), check_number(seed, "seed", integral=True)
     if folds > n_samples:
         raise ValueError(
             f"cannot make {folds} nonempty folds from {n_samples} samples"
@@ -64,11 +79,11 @@ def grid_search_cv(
     one worker per CPU the process may use, or this process when that is
     one; a fit's exception is raised here either way.
     """
-    if len(grid) == 0:
-        raise ValueError("grid must not be empty")
+    _check_grid(grid)
     if len(datasets) == 0:
         raise ValueError("datasets must not be empty")
     blocks = [kfold_indices(data.n_samples, folds, seed) for data in datasets]
+    folds = len(blocks[0])  # ``folds`` as ``kfold_indices`` read it
     if len(grid) == 1:
         return grid[0]
     jobs = [

@@ -48,6 +48,14 @@ def _canonicalize_signs(U: np.ndarray) -> None:
     np.negative(U, out=U, where=np.take_along_axis(U, rows, axis=-2) < 0)
 
 
+def _check_retained(r, key: str = "retained dimension") -> int:
+    """``r`` by ``check_number``, an integer >= 1: the one retained-dimension rule."""
+    r = check_number(r, key, integral=True)
+    if r < 1:
+        raise ValueError(f"{key} must be >= 1, got {r}")
+    return r
+
+
 def pca_fit(data: np.ndarray, r: int) -> PcaModel:
     """Fit PCA on a samples-by-features matrix.
 
@@ -55,14 +63,12 @@ def pca_fit(data: np.ndarray, r: int) -> PcaModel:
     data, sign-canonicalized per component.  ``r`` is clamped to
     min(samples, features).  Raises ValueError on empty or non-finite input.
     """
-    r = check_number(r, "retained dimension", True)
+    r = _check_retained(r)
     data = check_array(data, "pca data")
     if data.ndim != 2:
         raise ValueError("pca_fit expects a 2-d samples-by-features matrix")
     if data.shape[0] < 2:
         raise ValueError("pca_fit needs at least 2 samples")
-    if r < 1:
-        raise ValueError(f"retained dimension must be >= 1, got {r}")
     if data.size == 0:
         raise ValueError("pca_fit expects a nonempty matrix")
     if not np.all(np.isfinite(data)):

@@ -145,8 +145,8 @@ def _empty_rows(m: int, p: int) -> np.ndarray:
 def _rows(data, shape: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...]]:
     """A sample set in its one layout: ``data``, read by ``check_array``, as
     a read-only view of C-ordered ``(M, P)`` rows, row m the P =
-    prod(shape) column-major entries of sample m, M >= 1, and ``shape``
-    read by ``_check_shape``.  The caller's array is left writable."""
+    prod(shape) column-major entries of sample m, M >= 1, each finite, and
+    ``shape`` read by ``_check_shape``.  The caller's array is left writable."""
     shape = _check_shape(shape)
     data = np.ascontiguousarray(check_array(data, "data")).view()
     data.flags.writeable = False
@@ -156,6 +156,13 @@ def _rows(data, shape: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...]]:
                          f"entries, got an array of shape {data.shape}")
     if len(data) == 0:
         raise ValueError("a sample set needs at least one sample")
+    # a row with a non-finite entry has a non-finite sum; so has one whose
+    # sum overflows, so each such row is scanned, and no set-sized temporary
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = data.sum(axis=1)
+    for m in np.flatnonzero(~np.isfinite(sums)):
+        if not np.isfinite(data[m]).all():
+            raise ValueError(f"sample {m} has a non-finite value")
     return data, shape
 
 

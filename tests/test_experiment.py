@@ -31,6 +31,8 @@ from telkit.experiment import (
     ExperimentError,
     load_dataset,
     run_experiment,
+    train_model,
+    train_test_split,
     write_learner_csv,
     write_report,
 )
@@ -49,13 +51,14 @@ from telkit.learners import (
     VectorDataset,
     fit,
     grid_search_cv,
+    kfold_indices,
     majority_labels,
 )
 from telkit.linalg import PcaModel, pca_fit, pca_transform
 from telkit.model_io import load_model, model_to_dict, save_model
 from telkit.seeding import mix_seed
 from telkit.synth import BENCHMARK_SPEC, SyntheticSpec
-from telkit.tensor import DenseTensor, fold
+from telkit.tensor import DenseTensor, _rows, fold
 
 KNN3 = {"kind": "knn", "hyperparameters": {"k": 3}}
 # two specs, so the tune stage reads the training data
@@ -1650,6 +1653,78 @@ class TestShapeAndRankRules:
         assert all(type(v) is int for v in model.shape + model.rank)
 
 
+# Each library entry point that uses a run parameter, with the parameter's
+# name, whether it is a count, and a call of the entry point at one value.
+# A str or None failed with TypeError (a None seed drew one from the OS),
+# a bool ran as 1 or failed the range check, and 2.5 folds made 2.
+_GRID_DATA = VectorDataset(np.arange(20.0).reshape(10, 2), np.arange(10) % 2)
+_SPLIT_DATA = tiny_tensor_dataset(np.random.default_rng(5))
+RUN_PARAMETER_CALLS = {
+    "kfold_indices-n_samples": ("n_samples", True, lambda v: kfold_indices(v, 3, 1)),
+    "kfold_indices-folds": ("folds", True, lambda v: kfold_indices(10, v, 1)),
+    "kfold_indices-seed": ("seed", True, lambda v: kfold_indices(10, 3, v)),
+    "grid_search_cv-folds": (
+        "folds", True, lambda v: grid_search_cv([ClassifierSpec("knn")], [_GRID_DATA], v, 0)),
+    "grid_search_cv-seed": (
+        "seed", True, lambda v: grid_search_cv([ClassifierSpec("knn")], [_GRID_DATA], 3, v)),
+    "train_test_split-train_fraction": (
+        "train_fraction", False, lambda v: train_test_split(_SPLIT_DATA, v, 1)),
+    "train_test_split-seed": ("seed", True, lambda v: train_test_split(_SPLIT_DATA, 0.5, v)),
+    "rank_search-max_relative_error": (
+        "max_relative_error", False, lambda v: rank_search(np.ones((3, 4)), (2, 2), v)),
+}
+BAD_RUN_PARAMETERS = {"str": ("1", "must be a number, got '1'"),
+                      "null": (None, "must be a number, got None"),
+                      "bool": (True, "must be a number, got True"),
+                      "half": (2.5, "must be an integer, got 2.5")}
+
+
+class TestRunParameterRules:
+    """Each run parameter has one rule, in the module that uses it, which
+    the library entry points and ``ExperimentConfig`` alike run."""
+
+    @pytest.mark.parametrize("entry, case", [
+        pytest.param(entry, case, id=f"{entry}-{case}")
+        for entry, (_, count, _) in RUN_PARAMETER_CALLS.items()
+        for case in BAD_RUN_PARAMETERS if count or case != "half"
+    ])
+    def test_entry_point_names_a_bad_value(self, entry, case):
+        name, _, call = RUN_PARAMETER_CALLS[entry]
+        value, problem = BAD_RUN_PARAMETERS[case]
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {problem}')}$"):
+            call(value)
+
+    @pytest.mark.parametrize("method", ["telvi", "telvi-search", "bagging", "single"])
+    def test_non_finite_sample_set_fails_one_way(self, method):
+        # this failed three ways: "hosvd input contains non-finite entries
+        # in sample 3" (telvi), "pca_fit input contains non-finite entries"
+        # (bagging) and a tune stage failure, "feature row 3 has a
+        # non-finite value" (single); predict_votes differed by model type
+        # the same way
+        knobs = {"telvi-search": {"rank": None, "rank_search_threshold": 0.3},
+                 "bagging": {"method": "bagging", "pca_dim": 4},
+                 "single": {"method": "single"}}.get(method, {})
+        config = benchmark_config(**knobs)
+        clean = tiny_tensor_dataset(np.random.default_rng(11))
+        rows = clean.data.copy()
+        rows[3, 5] = np.nan
+        poisoned = LabeledTensorDataset(
+            [DenseTensor(clean.shape, row) for row in rows], clean.labels)
+        message = "sample 3 has a non-finite value"
+        with pytest.raises(ExperimentError, match=f"^decompose stage failed: {message}$"):
+            train_model(config, poisoned)
+        model, _ = train_model(config, clean)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            predict_votes(model, rows, clean.shape)
+
+    def test_finiteness_is_read_entry_by_entry(self):
+        # a row whose sum overflows is finite; one holding inf and -inf,
+        # whose sum is NaN, is not
+        assert _rows(np.array([[1.0, 2.0], [1e308, 1e308]]), (2,))[0].shape == (2, 2)
+        with pytest.raises(ValueError, match="^sample 1 has a non-finite value$"):
+            _rows(np.array([[1.0, 2.0], [np.inf, -np.inf]]), (2,))
+
+
 class TestModelFileObjects:
     """Each object of a model file is read against the one type it builds:
     a missing, extra or mistyped key is one ValueError naming both."""
@@ -2519,7 +2594,8 @@ class TestCpuCount:
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_pooled_chunk_error_names_the_sample(self, cpus, count):
-        # sample 100 lies in the second chunk of 64
+        # sample 100 lies in the second chunk of 64; the set is read by
+        # ``tensor._rows``, which names it before any chunk is pooled
         cpus(count)
         rng = np.random.default_rng(457)
         samples = [DenseTensor((16, 16, 4), rng.standard_normal(1024))
@@ -2527,11 +2603,11 @@ class TestCpuCount:
         bad = rng.standard_normal(1024)
         bad[7] = np.nan
         samples[100] = DenseTensor((16, 16, 4), bad)
-        message = "hosvd input contains non-finite entries in sample 100"
+        message = "sample 100 has a non-finite value"
         data = LabeledTensorDataset(samples, np.zeros(256, int))
         with pytest.raises(ValueError, match=f"^{message}$"):
             hosvd_factors(data.data, data.shape, (2, 2, 1))
-        assert cpus.pools == ([] if count == 1 else [2])
+        assert cpus.pools == []
 
     def test_fold_fit_error_identical(self, tmp_path, capsys, cpus, monkeypatch):
         import telkit.learners as learners

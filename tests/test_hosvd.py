@@ -282,7 +282,7 @@ class TestHosvdFactors:
         poisoned = samples[9].data.copy()
         poisoned[5] = value
         samples[9] = DenseTensor((3, 4, 2), poisoned)
-        with pytest.raises(ValueError, match="non-finite entries in sample 9"):
+        with pytest.raises(ValueError, match="^sample 9 has a non-finite value$"):
             hosvd_factors(*rows(samples), (2, 2, 1))
 
     def test_rows_of_another_size_and_empty_input_rejected(self):
@@ -586,9 +586,7 @@ class TestRankSearch:
         rng = np.random.default_rng(181)
         samples = [random_tensor(rng, (3, 3, 2)) for _ in range(2)]
         samples.append(DenseTensor((3, 3, 2), [np.nan] + [0.0] * 17))
-        with pytest.raises(
-            ValueError, match="hosvd input contains non-finite entries in sample 2"
-        ):
+        with pytest.raises(ValueError, match="^sample 2 has a non-finite value$"):
             rank_search(*rows(samples), 0.1)
 
     def test_decomposes_each_sample_once(self, monkeypatch):
