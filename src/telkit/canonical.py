@@ -17,7 +17,10 @@ is the one number rule of every value telkit builds from outside, and
 ``check_array`` its form for each entry of an array; configs, specs,
 ranks, seeds, tensors, datasets, the model reader and every array a
 caller hands to a learner's prediction, PCA and the tensor kernels run
-them.  A float array's finiteness is checked by its holder.
+them.  ``nonfinite_row`` is the one finiteness rule of a float array:
+each holder (a sample set, a learner's features, PCA data, a model
+field, a TELD record, synthetic samples, svm decision values) raises its
+own error for the row it names.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from typing import Any, Iterable, Iterator, Mapping
 import numpy as np
 
 __all__ = ["plain", "canonical_json", "dump_canonical", "check_object",
-           "check_list", "check_keys", "check_number", "check_array"]
+           "check_list", "check_keys", "check_number", "check_array",
+           "nonfinite_row"]
 
 
 def plain(value) -> Any:
@@ -154,6 +158,23 @@ def check_number(value, key: str, integral: bool = False):
     return value
 
 
+def nonfinite_row(values) -> int | None:
+    """The first row (first-axis index) of float array ``values`` that holds
+    a NaN or an infinity, or None; a number is one row.  A finite total
+    proves every entry finite.  Otherwise each row is summed, and only a
+    row whose sum is not finite is scanned, so a row of finite entries
+    whose sum overflows passes, and no temporary exceeds one row."""
+    values = np.atleast_1d(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if math.isfinite(values.sum()):
+            return None
+        sums = values.sum(axis=tuple(range(1, values.ndim)))
+    for m in np.flatnonzero(~np.isfinite(sums)):
+        if not np.isfinite(values[m]).all():
+            return int(m)
+    return None
+
+
 def check_array(values, key: str, integral: bool = False) -> np.ndarray:
     """``values`` as a float64 array, int64 if ``integral``, by
     ``check_number``'s rule for each entry, an error naming it ``key[i][j]``;
@@ -172,7 +193,7 @@ def check_array(values, key: str, integral: bool = False) -> np.ndarray:
     info = np.iinfo(dtype) if integral else np.finfo(dtype)
     for index, value in np.ndenumerate(entries):
         if isinstance(value, float) and not integral:
-            continue  # its finiteness is its holder's check
+            continue  # its finiteness is nonfinite_row's, run by its holder
         name = key + "".join(f"[{i}]" for i in index)
         if not int(info.min) <= check_number(value, name, integral) <= int(info.max):
             raise ValueError(f"{name} must fit in {np.dtype(dtype)}, got {value!r}")

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .canonical import nonfinite_row
 from .ensemble import LabeledTensorDataset
 from .tensor import DenseTensor, _empty_rows
 
@@ -172,7 +173,7 @@ def _read_teld(reader: _Reader) -> LabeledTensorDataset:
         label = reader.u32(f"label of sample {m}")
         payload = reader.take(8 * n_elements, f"payload of sample {m}")
         values = np.frombuffer(payload, dtype="<f8")
-        if not np.isfinite(values).all():
+        if nonfinite_row(values) is not None:
             raise NonFiniteValueError(f"sample {m} has a non-finite value")
         data[m], labels[m] = values, label
     if reader.offset < reader.size:

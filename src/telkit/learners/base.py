@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..canonical import check_array
+from ..canonical import check_array, nonfinite_row
 
 __all__ = ["VectorDataset", "Scaler", "standardize_fit", "majority_labels",
            "two_class_labels", "check_finite_field",
@@ -90,9 +90,10 @@ def two_class_labels(labels: np.ndarray, who: str) -> np.ndarray:
 
 def check_finite_field(name: str, values) -> None:
     """Reject a model field ``name`` whose ``values`` (an array or a
-    number) hold NaN or an infinity: the one finiteness rule of every
-    model, built by a fit or from a file."""
-    if not np.isfinite(values).all():
+    number) hold NaN or an infinity, by ``canonical.nonfinite_row``: every
+    model checks each float field so when it is built, by a fit or from a
+    file."""
+    if nonfinite_row(values) is not None:
         raise ValueError(f"{name} has a non-finite value")
 
 
@@ -122,9 +123,8 @@ def check_features(X: np.ndarray, expected_width: int) -> np.ndarray:
             f"feature width {X.shape[1]} does not match training width "
             f"{expected_width}"
         )
-    finite = np.isfinite(X)
-    if not finite.all():
-        row = int(np.argmin(finite.all(axis=1)))
+    row = nonfinite_row(X)
+    if row is not None:
         raise ValueError(f"feature row {row} has a non-finite value")
     return X
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..canonical import nonfinite_row
 from ..seeding import mix_seed
 from .base import (Scaler, VectorDataset, check_features, check_finite_field,
                    check_rank, check_shape, standardize_fit, two_class_labels)
@@ -113,9 +114,8 @@ class SvmModel:
             values = np.column_stack(
                 [b.decision_values(self.spec, X) for b in self.binaries]
             )
-        finite = np.isfinite(values).all(axis=1)
-        if not finite.all():
-            row = int(np.argmin(finite))
+        row = nonfinite_row(values)
+        if row is not None:
             raise ValueError(f"svm decision values of row {row} are not finite")
         return values
 

@@ -6,7 +6,8 @@ relies on.  Sign canonicalization: in every column the entry of largest
 magnitude is made nonnegative (ties go to the lowest row index), so
 repeated runs produce bit-identical components.  HOSVD applies the same
 rule to its factor matrices through ``_canonicalize_signs``.  The data of
-``pca_fit`` and ``pca_transform`` is read by ``canonical.check_array``.
+``pca_fit`` and ``pca_transform`` is read by ``canonical.check_array`` and
+must be finite by ``canonical.nonfinite_row``; the error names its row.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import check_array, check_number
+from .canonical import check_array, check_number, nonfinite_row
 from .learners.base import check_finite_field
 
 __all__ = ["PcaModel", "pca_fit", "pca_transform"]
@@ -56,6 +57,13 @@ def _check_retained(r, key: str = "retained dimension") -> int:
     return r
 
 
+def _check_finite(data: np.ndarray) -> None:
+    """Reject PCA ``data`` with a NaN or an infinity, by ``nonfinite_row``."""
+    row = nonfinite_row(data)
+    if row is not None:
+        raise ValueError(f"pca data row {row} has a non-finite value")
+
+
 def pca_fit(data: np.ndarray, r: int) -> PcaModel:
     """Fit PCA on a samples-by-features matrix.
 
@@ -71,8 +79,7 @@ def pca_fit(data: np.ndarray, r: int) -> PcaModel:
         raise ValueError("pca_fit needs at least 2 samples")
     if data.size == 0:
         raise ValueError("pca_fit expects a nonempty matrix")
-    if not np.all(np.isfinite(data)):
-        raise ValueError("pca_fit input contains non-finite entries")
+    _check_finite(data)
     mean = data.mean(axis=0)
     centered = data - mean
     r = min(r, min(data.shape))
@@ -82,11 +89,13 @@ def pca_fit(data: np.ndarray, r: int) -> PcaModel:
 
 
 def pca_transform(model: PcaModel, data: np.ndarray) -> np.ndarray:
-    """Project rows of ``data`` onto the fitted components."""
+    """Project rows of ``data`` onto the fitted components.  Raises
+    ValueError on a width mismatch or non-finite input."""
     data = check_array(data, "pca data")
     if data.ndim != 2 or data.shape[1] != model.mean.size:
         raise ValueError(
             f"data width {data.shape[1] if data.ndim == 2 else 'n/a'} does "
             f"not match the fitted feature count {model.mean.size}"
         )
+    _check_finite(data)
     return (data - model.mean) @ model.components

@@ -26,7 +26,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .canonical import check_keys, check_number, plain
+from .canonical import check_keys, check_number, nonfinite_row, plain
 from .ensemble import LabeledTensorDataset
 from .hosvd import _CHUNK, _check_rank, _multiply, clamp_rank
 from .seeding import mix_seed
@@ -110,9 +110,10 @@ def synth_generate(spec: SyntheticSpec) -> LabeledTensorDataset:
                 for j, sample_rng in enumerate(rngs):
                     noise = spec.noise_std * sample_rng.standard_normal(spec.shape)
                     np.add(clean[..., j], noise, out=rows[..., j])
-                    if not np.isfinite(rows[..., j]).all():
-                        raise ValueError(f"noise_std {spec.noise_std} overflows "
-                                         f"sample {start + j} of class {k}")
+            bad = nonfinite_row(classes[k, start:stop])
+            if bad is not None:
+                raise ValueError(f"noise_std {spec.noise_std} overflows "
+                                 f"sample {start + bad} of class {k}")
             del clean  # one chunk's product held at a time bounds peak memory
     labels = np.arange(spec.classes).repeat(spec.samples_per_class)
     return LabeledTensorDataset.from_rows(data, spec.shape, labels)

@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .canonical import check_array, check_list, check_number
+from .canonical import check_array, check_list, check_number, nonfinite_row
 
 __all__ = [
     "DenseTensor",
@@ -156,13 +156,9 @@ def _rows(data, shape: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...]]:
                          f"entries, got an array of shape {data.shape}")
     if len(data) == 0:
         raise ValueError("a sample set needs at least one sample")
-    # a row with a non-finite entry has a non-finite sum; so has one whose
-    # sum overflows, so each such row is scanned, and no set-sized temporary
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = data.sum(axis=1)
-    for m in np.flatnonzero(~np.isfinite(sums)):
-        if not np.isfinite(data[m]).all():
-            raise ValueError(f"sample {m} has a non-finite value")
+    m = nonfinite_row(data)
+    if m is not None:
+        raise ValueError(f"sample {m} has a non-finite value")
     return data, shape
 
 

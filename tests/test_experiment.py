@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+import struct
 import sys
 import tracemalloc
 import warnings
@@ -14,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import telkit as tk
-from telkit.canonical import canonical_json, dump_canonical
+from telkit.canonical import canonical_json, dump_canonical, nonfinite_row
 from telkit.cli import main
 from telkit.ensemble import (
     BaggingModel,
@@ -38,7 +39,8 @@ from telkit.experiment import (
 )
 from telkit.hosvd import (HosvdFactors, clamp_rank, hosvd, hosvd_factors,
                           rank_search, reconstruct, relative_error)
-from telkit.io import load_ppm_dir, save_tensor_dataset
+from telkit.io import (TELD_DTYPE_F64, TELD_MAGIC, TELD_VERSION, NonFiniteValueError,
+                       load_ppm_dir, load_tensor_dataset, save_tensor_dataset)
 from telkit.learners import (
     BinarySvm,
     ClassifierSpec,
@@ -54,10 +56,11 @@ from telkit.learners import (
     kfold_indices,
     majority_labels,
 )
+from telkit.learners.base import check_features, check_finite_field
 from telkit.linalg import PcaModel, pca_fit, pca_transform
 from telkit.model_io import load_model, model_to_dict, save_model
 from telkit.seeding import mix_seed
-from telkit.synth import BENCHMARK_SPEC, SyntheticSpec
+from telkit.synth import BENCHMARK_SPEC, SyntheticSpec, synth_generate
 from telkit.tensor import DenseTensor, _rows, fold
 
 KNN3 = {"kind": "knn", "hyperparameters": {"k": 3}}
@@ -2688,6 +2691,162 @@ class TestCallerArrays:
         call(valid)  # the unspoiled array is accepted
         with pytest.raises(ValueError, match=rf"^{re.escape(field)}\[[0-9]+\]"):
             call(spoiled(valid, case))
+
+
+# twelve samples of shape (3, 4, 2), in two classes, read by every entry
+# point of the finiteness rule as rows of 24 entries
+FINITE_SHAPE = (3, 4, 2)
+FINITE_LABELS = np.repeat([0, 1], 6)
+
+
+def finite_rows():
+    rng = np.random.default_rng(463)
+    return np.vstack([rng.standard_normal((6, 24)), 4.0 + rng.standard_normal((6, 24))])
+
+
+def _fitted(kind):
+    return fit(ClassifierSpec(kind, {}), VectorDataset(finite_rows(), FINITE_LABELS), 0)
+
+
+def _load_teld(rows, tmp_path):
+    """``rows`` as the records of a TELD file, read back."""
+    path = tmp_path / "rows.teld"
+    header = struct.pack("<4sIII3II", TELD_MAGIC, TELD_VERSION, len(rows), 3,
+                         *FINITE_SHAPE, TELD_DTYPE_F64)
+    path.write_bytes(header + b"".join(struct.pack("<I", label) + row.astype("<f8").tobytes()
+                                       for label, row in zip(FINITE_LABELS, rows)))
+    return load_tensor_dataset(path)
+
+
+SAMPLE = "sample {row} has a non-finite value"
+FEATURE = "feature row {row} has a non-finite value"
+PCA = "pca data row {row} has a non-finite value"
+# a 1e308 column's spread overflows when squared: these fail past the rule,
+# by the scaler's and the decision values' own checks
+OVERFLOWING = {"logit.fit", "svm.fit", "svm.predict"}
+
+
+def _svm_with_support_vectors(rows):
+    scaler = Scaler(np.zeros(24), np.ones(24))
+    binaries = [BinarySvm(rows, np.zeros(len(rows)), 0.0),
+                BinarySvm(np.zeros((0, 24)), np.zeros(0), 0.0)]
+    return SvmModel(ClassifierSpec("svm", {}), np.arange(2), scaler, binaries, 24)
+
+
+class TestFinitenessRule:
+    """``canonical.nonfinite_row`` is the one finiteness rule of every float
+    array: each entry point raises its own error for the first row that
+    holds a NaN or an infinity, and passes a row of finite entries whose
+    sum overflows."""
+
+    # (entry point, its error type, its message, the call on 12 rows of 24)
+    ENTRIES = [
+        ("predict_votes", ValueError, SAMPLE,
+         lambda rows, _: predict_votes(SingleModel(FINITE_SHAPE, _fitted("knn")),
+                                       rows, FINITE_SHAPE)),
+        ("hosvd_factors", ValueError, SAMPLE,
+         lambda rows, _: hosvd_factors(rows, FINITE_SHAPE, (1, 1, 1))),
+        ("teld", NonFiniteValueError, SAMPLE, _load_teld),
+        *((f"{kind}.fit", ValueError, FEATURE,
+           lambda rows, _, kind=kind: fit(ClassifierSpec(kind, {}),
+                                          VectorDataset(rows, FINITE_LABELS), 0))
+          for kind in ["knn", "tree", "logit", "svm"]),
+        *((f"{kind}.predict", ValueError, FEATURE,
+           lambda rows, _, kind=kind: _fitted(kind).predict(rows))
+          for kind in ["knn", "tree", "logit", "svm"]),
+        ("KnnModel", ValueError, "knn train_features has a non-finite value",
+         lambda rows, _: KnnModel(ClassifierSpec("knn", {}), np.arange(2), rows,
+                                  FINITE_LABELS)),
+        ("SvmModel", ValueError, "svm binary 0 support_vectors has a non-finite value",
+         lambda rows, _: _svm_with_support_vectors(rows)),
+        ("pca_fit", ValueError, PCA, lambda rows, _: pca_fit(rows, 2)),
+        ("pca_transform", ValueError, PCA,
+         lambda rows, _: pca_transform(pca_fit(finite_rows(), 2), rows)),
+    ]
+    IDS = [entry[0] for entry in ENTRIES]
+
+    @staticmethod
+    def _raises(error, message, row):
+        return pytest.raises(error, match=f"^{re.escape(message.format(row=row))}$")
+
+    @pytest.mark.parametrize("case", ["nan", "+inf", "-inf", "+inf-inf"])
+    @pytest.mark.parametrize("name, error, message, call", ENTRIES, ids=IDS)
+    def test_the_first_non_finite_row_is_named(self, tmp_path, name, error, message,
+                                                call, case):
+        call(finite_rows(), tmp_path)  # the finite rows are accepted
+        rows = finite_rows()
+        if case == "+inf-inf":  # a NaN sum
+            rows[2, 3], rows[2, 7] = np.inf, -np.inf
+        else:
+            rows[2, 5] = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}[case]
+        rows[4, 0] = np.nan  # a later bad row: the first one is named
+        with self._raises(error, message, 2):
+            call(rows, tmp_path)
+
+    @pytest.mark.parametrize(
+        "name, error, message, call",
+        [entry for entry in ENTRIES if entry[0] not in OVERFLOWING],
+        ids=[name for name in IDS if name not in OVERFLOWING])
+    def test_a_row_of_1e308s_passes(self, tmp_path, name, error, message, call):
+        rows = finite_rows()
+        rows[2] = 1e308  # its sum overflows; every entry is finite
+        # past the rule, knn distances and the row's PCA projection overflow
+        with np.errstate(over="ignore"):
+            call(rows, tmp_path)
+
+    @pytest.mark.parametrize("name, error, message, call", ENTRIES, ids=IDS)
+    def test_a_nan_row_after_overflowing_rows_is_named(self, tmp_path, name, error,
+                                                        message, call):
+        rows = finite_rows()
+        rows[:2] = 1e308
+        rows[3, 4] = np.nan
+        with self._raises(error, message, 3):
+            call(rows, tmp_path)
+
+    def test_the_rule(self):
+        assert nonfinite_row(np.ones((3, 4))) is None
+        assert nonfinite_row(np.full((3, 4), 1e308)) is None
+        assert nonfinite_row(np.empty((0, 4))) is None
+        assert nonfinite_row(1.0) is None
+        assert nonfinite_row(np.inf) == 0
+        assert nonfinite_row([1.0, 2.0, np.nan, np.nan]) == 2
+        cube = np.full((4, 2, 3), 1e308)
+        cube[3, 1, 2] = -np.inf
+        assert nonfinite_row(cube) == 3
+        assert nonfinite_row(cube[:, :, :2]) is None  # a strided view
+        assert nonfinite_row(cube.T) == 2  # axis 0 of the transpose is the last
+
+    def test_synthetic_noise_names_the_first_overflowing_sample(self):
+        spec = SyntheticSpec(shape=(3, 3), classes=2, rank=(1, 1),
+                             samples_per_class=8, noise_std=1e308, seed=3)
+        # the first sample of class 0 whose noise overflows, drawn as
+        # synth_generate draws it: the core jitter first, then the noise
+        first = None
+        for m in range(spec.samples_per_class):
+            rng = np.random.default_rng(mix_seed(spec.seed, 0, m))
+            rng.standard_normal(spec.rank)
+            with np.errstate(over="ignore"):
+                noise = spec.noise_std * rng.standard_normal(spec.shape)
+            if not np.isfinite(noise).all():
+                first = m
+                break
+        assert first not in (None, 0)
+        with pytest.raises(ValueError, match=rf"^noise_std 1e\+308 overflows sample "
+                                             rf"{first} of class 0$"):
+            synth_generate(spec)
+
+    def test_checking_an_array_allocates_no_array_sized_temporary(self):
+        # a boolean mask of the array was 7.8 MB; the row sums are 16 kB
+        X = np.full((2000, 4096), 0.5)
+        X[1999] = 1e308
+        tracemalloc.start()
+        try:
+            check_features(X, 4096)
+            check_finite_field("knn train_features", X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
 
 
 class TestPublicSurface:

@@ -1,6 +1,7 @@
 """File formats and data sources: TELD, PPM/PGM, synthetic, splitting."""
 
 import hashlib
+import importlib
 import re
 import struct
 
@@ -289,6 +290,16 @@ def test_teld_round_trip_property(tmp_path_factory, data, cut):
     path.write_bytes(blob[: int(cut * len(blob))])
     with pytest.raises(TruncatedFileError):
         load_tensor_dataset(path)
+
+
+def test_hypothesis_patch_writer_imports_under_the_warning_filters():
+    # on a failing property Hypothesis imports its patch writer, which
+    # imports libcst; a deprecation warning from that import, made an error
+    # by the warning filters, ended the session with INTERNALERROR
+    try:
+        importlib.import_module("hypothesis.extra._patching")
+    except ImportError:
+        pytest.skip("without libcst, Hypothesis writes no patch")
 
 
 RED_2X2_P6 = b"P6\n2 2\n255\n" + bytes([255, 0, 0] * 4)
